@@ -122,14 +122,18 @@ def _plain_text(payload, indent="") -> str:
 
 def _effective_cap(args) -> int | None:
     if getattr(args, "max_q", None) is not None:
-        return args.max_q
-    env = os.environ.get("ULAS_MAX_Q")
-    if env is not None:
+        cap, source = args.max_q, "--max-q"
+    else:
+        env = os.environ.get("ULAS_MAX_Q")
+        if env is None:
+            return None
         try:
-            return int(env)
+            cap, source = int(env), "ULAS_MAX_Q"
         except ValueError:
             raise UsageError(f"ULAS_MAX_Q must be an integer, got {env!r}")
-    return None
+    if cap < 1:
+        raise UsageError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _field(args):
@@ -239,6 +243,8 @@ def _sample_sweep(args, cap) -> dict:
     for flag in ("family", "n", "samples", "seed"):
         if getattr(args, flag) is None:
             raise UsageError("sweep mode needs --family, --n, --samples and --seed together")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     ctx = _field(args)
     if ctx.m != 1:
         raise UsageError("the soundness sweep runs over prime fields only")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ff import Field, FieldElement
 from .poly import MPoly, RatFun, poly_exact_sqrt, rf_eq

@@ -1,25 +1,34 @@
 """Exhaustive desk-scale experiments on y^2 = g(x) over F_q.
 
-Four instruments:
-
-* enumerate_curve: every affine point, by x-scan with legendre/sqrt.
+* enumerate_curve: every affine point, by x-scan with legendre/sqrt in the
+  generic field layer.
 * enumerate_T / domain_summary: the encoder domain T = {(t, u) : g(u) != 0,
   t != 0, denominator core != 0} in canonical row-major order, with the
   lower-bound check size_T >= (q - n)(q - 2(n - 1) + 1).
-* coverage: run the encoder over all of T, compare its image with the affine
-  point set, report exact counts. No surjectivity claim is made; the report
-  is data.
+* coverage: the encoder's image over all of T against the affine point set,
+  with exact counts. No surjectivity claim is made; the report is data.
+* sweep_soundness: the same walk over F_p from int inputs, counting broken
+  promises where coverage raises AssertionError, as encode's assertions do.
 * degree_stats: degrees of the coprime numerator/denominator of the product
   X1*X2*X3 for the n = 3 first-family map at concrete (a, b, u).
+
+One engine, _DomainWalk, serves enumerate_T, domain_summary, coverage and
+sweep_soundness. It works on canonical element indices 0..q-1 (the order of
+Field.elements()) and first builds O(q) tables, none of them q x q: discrete
+logs over the first primitive element, inverses, g, the quadratic character
+and the canonical root (or None) of every element, and X2, X3 for every
+s = t^2 g(u), the only way they depend on (t, u), from the closed-form
+geometric sums (s^k - 1)/(s - 1), k at s = 1. The tables come from the
+generic field layer and curves.g_eval, so g and each character are evaluated
+once per element, not once per pair. Per pair the walk only multiplies, which
+on logs is addition, so prime and extension fields share one loop. Every pair
+still gets three checks: U^2 = g(u) g(X2) g(X3) for U = t^n g(u)^((n+1)/2)
+g(X2); a product of the three characters, each looked up on its own, that is
+never -1; and y^2 = g(x) for the point picked as encode picks it.
 
 Everything is deterministic; reports serialize with all counts as decimal
 strings so consumers never face 64-bit overflow. Coverage is measured against
 affine points only (the encoder never outputs the point at infinity).
-
-sweep_soundness is the same domain walk in raw modular-integer arithmetic for
-prime fields; it exists because the acceptance sweep touches ~10^7 pairs and
-the generic field layer would be needlessly slow. Drift between the two code
-paths is closed by exhaustive small-field comparison tests.
 """
 
 from __future__ import annotations
@@ -31,13 +40,13 @@ from fractions import Fraction
 from .curves import (
     AffinePoint,
     CurveParams,
-    _geom_sum,
-    encode,
+    _exponent,
+    _require_odd,
     g_eval,
     point_json,
     three_point_map,
 )
-from .ff import Field
+from .ff import Field, field_new
 from .poly import MPoly, RatFun
 
 DEFAULT_CAP = 10_000
@@ -90,52 +99,182 @@ def enumerate_curve(params: CurveParams, cap=None) -> list:
     return pts
 
 
-def _iter_domain(params: CurveParams, cap):
-    """Yields (t, u, raw_rejects) over T in row-major order, t outer.
+# ---------------------------------------------------------------------------
+# the domain walk
 
-    raw_rejects marks pairs where t^2 g(u) = 1: the geometric-sum denominator
-    is fine there, but the uncancelled quotient form would reject the pair.
-    """
-    ctx = _ctx_of(params)
-    _check_cap(ctx.q, cap)
-    e = params.n if params.family == "g1" else params.n - 1
-    good_u = []
-    for u in ctx.elements():
-        gu = g_eval(params, u)
-        if gu:
-            good_u.append((u, gu))
+
+def _antilog(ctx: Field, elems: list, index: dict) -> list:
+    """Indices of gen^0, ..., gen^(q-2) for the first generator of F_q^* in
+    canonical order; a candidate of lower order closes its cycle early."""
     one = ctx.one()
-    for t in ctx.elements():
-        if not t:
-            continue
-        tt = t * t
-        for u, gu in good_u:
-            s = tt * gu
-            if _geom_sum(s, e - 1):
-                yield t, u, s == one
+    for gen in elems[1:]:
+        alog, x = [index[one.val]], gen
+        while x != one:
+            alog.append(index[x.val])
+            x = x * gen
+        if len(alog) == ctx.q - 1:
+            return alog
+    raise ArithmeticError(f"no primitive element in {ctx}")
+
+
+class _DomainWalk:
+    """The encoder over all of T, on canonical element indices and O(q) tables.
+
+    Construction builds the tables; rows() walks T in row-major order (t
+    outer, both in canonical order), yielding (t, [u, ...]) per nonzero t and
+    adding to the counters size_T, raw_excluded, identity_failures,
+    char_violations and membership_failures as it goes. hit[x] is set when
+    some pair encodes to the point with x-coordinate x; the encoder's y is
+    always the canonical root of g(x), so x alone names the point.
+    """
+
+    def __init__(self, params: CurveParams):
+        _require_odd(params.n)
+        ctx = _ctx_of(params)
+        q = ctx.q
+        qm1 = q - 1
+        elems = list(ctx.elements())
+        index = {x.val: i for i, x in enumerate(elems)}
+
+        alog = _antilog(ctx, elems, index)
+        log = [None] * q
+        for k, i in enumerate(alog):
+            log[i] = k
+
+        # squares have even logs; the two roots of alog[2j] are alog[j] and
+        # alog[j + (q-1)/2], and the canonical one has the smaller index
+        half = qm1 // 2
+        chi = [0] * q
+        root = [0] + [None] * qm1
+        inv = [None] * q
+        for k, i in enumerate(alog):
+            chi[i] = -1 if k % 2 else 1
+            if k % 2 == 0:
+                root[i] = min(alog[k // 2], alog[k // 2 + half])
+            inv[i] = alog[-k % qm1]
+
+        def recip(x):
+            return elems[inv[index[x.val]]]
+
+        gx = [index[g_eval(params, x).val] for x in elems]
+
+        # X2(s) and X3(s) by log of s, None where the denominator core vanishes
+        e = _exponent(params.family, params.n)
+        a, b = params.a, params.b
+        x2_of = [None] * qm1
+        x3_of = [None] * qm1
+        for k, i in enumerate(alog):
+            s = elems[i]
+            if k == 0:
+                num, den_core = ctx.elem(e), ctx.elem(e - 1)
+            else:
+                se1 = s ** (e - 1)
+                w = recip(s - 1)
+                num, den_core = (se1 * s - 1) * w, (se1 - 1) * w
+            if den_core:
+                x2 = -(b * num) * recip(a * s * den_core)
+                x2_of[k] = index[x2.val]
+                x3_of[k] = index[(s * x2).val]
+
+        self.params = params
+        self.ctx = ctx
+        self.elems = elems
+        self.gx = gx
+        self.root = root
+        self.chi = chi
+        self._log = log
+        # doubled, so that a sum of two logs indexes them without a reduction
+        self._alog2 = alog + alog
+        self._x2_of = x2_of + x2_of
+        self._x3_of = x3_of + x3_of
+        self.hit = bytearray(q)
+        self.size_T = 0
+        self.raw_excluded = 0
+        self.identity_failures = 0
+        self.char_violations = 0
+        self.membership_failures = 0
+
+    def rows(self):
+        n, q = self.params.n, self.ctx.q
+        qm1 = q - 1
+        log, alog2, gx, chi, root = self._log, self._alog2, self.gx, self.chi, self.root
+        x2_of, x3_of, hit = self._x2_of, self._x3_of, self.hit
+        up = (n + 1) // 2
+        # (u, log g(u), log g(u)^((n+1)/2), chi(g(u))) for every u off the roots of g
+        us = [(u, log[g], up * log[g] % qm1, chi[g]) for u, g in enumerate(gx) if g]
+        for t in range(1, q):
+            lt = log[t]
+            lt2 = 2 * lt % qm1
+            ltn = n * lt % qm1
+            row = []
+            raw = bad_id = bad_chi = bad_pt = 0
+            for u, lgu, lgup, chi_u in us:
+                ls = lt2 + lgu
+                x2 = x2_of[ls]
+                if x2 is None:
+                    continue
+                row.append(u)
+                if ls == 0 or ls == qm1:
+                    raw += 1
+                x3 = x3_of[ls]
+                g2, g3 = gx[x2], gx[x3]
+                lg2 = log[g2]
+                if lg2 is None:
+                    # U = 0 = U^2, and X2 is the first component on y = 0
+                    x = x2
+                else:
+                    # on logs: 2 log U = 2 (log t^n + log g(u)^((n+1)/2) + log g(X2))
+                    # must equal log g(u) + log g(X2) + log g(X3), mod q - 1
+                    lg3 = log[g3]
+                    if lg3 is None or (2 * (ltn + lgup + lg2) - lgu - lg2 - lg3) % qm1:
+                        bad_id += 1
+                        continue
+                    chi2, chi3 = chi[g2], chi[g3]
+                    if chi_u * chi2 * chi3 == -1:
+                        bad_chi += 1
+                        continue
+                    x = u if chi_u == 1 else x2 if chi2 == 1 else x3
+                y = root[gx[x]]
+                # y^2 is the antilog of 2 log y
+                if (alog2[2 * log[y]] if y else 0) != gx[x]:
+                    bad_pt += 1
+                hit[x] = 1
+            self.size_T += len(row)
+            self.raw_excluded += raw
+            self.identity_failures += bad_id
+            self.char_violations += bad_chi
+            self.membership_failures += bad_pt
+            yield t, row
+
+    def run(self) -> _DomainWalk:
+        for _ in self.rows():
+            pass
+        return self
 
 
 def enumerate_T(params: CurveParams, cap=None):
     """Admissible (t, u) in deterministic row-major order (t outer)."""
-    for t, u, _ in _iter_domain(params, cap):
-        yield t, u
+    _check_cap(_ctx_of(params).q, cap)
+    walk = _DomainWalk(params)
+    elems = walk.elems
+    return ((elems[t], elems[u]) for t, row in walk.rows() for u in row)
+
+
+def _domain_fields(walk: _DomainWalk) -> dict:
+    ctx, n = walk.ctx, walk.params.n
+    bnd = domain_bound(ctx.q, n)
+    return {
+        "size_T": walk.size_T,
+        "raw_excluded": walk.raw_excluded,
+        "bound": bnd,
+        "bound_applicable": bound_applicable(ctx.p, n),
+        "bound_holds": walk.size_T >= bnd,
+    }
 
 
 def domain_summary(params: CurveParams, cap=None) -> dict:
-    ctx = _ctx_of(params)
-    size = 0
-    raw_excluded = 0
-    for _, _, at_one in _iter_domain(params, cap):
-        size += 1
-        raw_excluded += at_one
-    bnd = domain_bound(ctx.q, params.n)
-    return {
-        "size_T": size,
-        "raw_excluded": raw_excluded,
-        "bound": bnd,
-        "bound_applicable": bound_applicable(ctx.p, params.n),
-        "bound_holds": size >= bnd,
-    }
+    _check_cap(_ctx_of(params).q, cap)
+    return _domain_fields(_DomainWalk(params).run())
 
 
 @dataclass(frozen=True)
@@ -188,34 +327,73 @@ def _field_text(ctx: Field) -> str:
 def coverage(params: CurveParams, cap=None) -> CoverageReport:
     """Encode every admissible pair, compare the image with the affine points.
 
-    Cost is one encode per domain pair, so it grows as q^2; intended for the
-    exhaustive desk scale, not for cryptographic sizes.
+    The walk visits every pair of T, so cost grows as q^2; intended for the
+    exhaustive desk scale, not for cryptographic sizes. The affine points are
+    read off the same tables, in enumerate_curve's order.
     """
-    ctx = _ctx_of(params)
-    pts = enumerate_curve(params, cap)
-    image = set()
-    size = 0
-    raw_excluded = 0
-    for t, u, at_one in _iter_domain(params, cap):
-        size += 1
-        raw_excluded += at_one
-        image.add(encode(params, t, u))
-    missed = [pt for pt in pts if pt not in image]
-    bnd = domain_bound(ctx.q, params.n)
+    _check_cap(_ctx_of(params).q, cap)
+    walk = _DomainWalk(params).run()
+    if walk.identity_failures or walk.char_violations or walk.membership_failures:
+        raise AssertionError(
+            f"encoder unsound on {params}: {walk.identity_failures} identity, "
+            f"{walk.char_violations} character, {walk.membership_failures} membership failures"
+        )
+    ctx, elems, gx, root = walk.ctx, walk.elems, walk.gx, walk.root
+    curve_size = 0
+    missed = []
+    for x in range(ctx.q):
+        r = root[gx[x]]
+        if r is None:
+            continue
+        curve_size += 1 if r == 0 else 2
+        if len(missed) > MISSED_CAP:
+            continue
+        if not walk.hit[x]:
+            missed.append(AffinePoint(elems[x], elems[r]))
+        if r:
+            missed.append(AffinePoint(elems[x], -elems[r]))
     return CoverageReport(
         q=ctx.q,
         field=_field_text(ctx),
         params=str(params),
-        size_T=size,
-        raw_excluded=raw_excluded,
-        bound=bnd,
-        bound_applicable=bound_applicable(ctx.p, params.n),
-        bound_holds=size >= bnd,
-        curve_size=len(pts),
-        image_size=len(image),
+        **_domain_fields(walk),
+        curve_size=curve_size,
+        image_size=sum(walk.hit),
         missed=tuple(missed[:MISSED_CAP]),
         missed_truncated=len(missed) > MISSED_CAP,
     )
+
+
+def sweep_soundness(p: int, n: int, a: int, b: int, family: str = "g1",
+                    collect_image: bool = False) -> dict:
+    """Walk all of T over F_p from int inputs, counting every broken promise.
+
+    Returns counts; all three failure counters must be zero. collect_image
+    additionally returns the sorted encoded (x, y) list as ints, which drift
+    tests compare against the generic field-layer encoder.
+    """
+    _require_odd(n)  # before CurveParams, which accepts any n >= 2
+    a %= p
+    b %= p
+    if a == 0 or b == 0:
+        raise ValueError("need a*b != 0 mod p")
+    ctx = field_new(p)
+    walk = _DomainWalk(CurveParams(family, n, ctx.elem(a), ctx.elem(b))).run()
+    out = {
+        "p": p,
+        "n": n,
+        "a": a,
+        "b": b,
+        "family": family,
+        **_domain_fields(walk),
+        "char_violations": walk.char_violations,
+        "identity_failures": walk.identity_failures,
+        "membership_failures": walk.membership_failures,
+    }
+    if collect_image:
+        # on F_p the canonical index of an element is its value
+        out["image"] = [(x, walk.root[walk.gx[x]]) for x in range(p) if walk.hit[x]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,153 +481,3 @@ def degree_stats(a, b, u) -> DegreeStats:
     shared = _uni_gcd_degree(num, den)
     return DegreeStats(a, b, u, len(num) - 1 - shared, len(den) - 1 - shared)
 
-
-# ---------------------------------------------------------------------------
-# raw modular-integer sweep for prime fields
-
-
-def _int_g(family: str, n: int, a: int, b: int, x: int, p: int) -> int:
-    if family == "g1":
-        return (pow(x, n, p) + a * x + b) % p
-    return (pow(x, n, p) + a * x * x + b * x) % p
-
-
-def _int_nonresidue(p: int) -> int:
-    h = (p - 1) // 2
-    for z in range(2, p):
-        if pow(z, h, p) == p - 1:
-            return z
-    raise ArithmeticError(f"no non-residue mod {p}")
-
-
-def _int_sqrt(x: int, p: int, nonres=None) -> int:
-    """Canonical square root mod an odd prime; x must be a residue."""
-    if x == 0:
-        return 0
-    if p % 4 == 3:
-        r = pow(x, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = _int_nonresidue(p) if nonres is None else nonres
-    m, c, tt, r = s, pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
-    while tt != 1:
-        i, sq = 0, tt
-        while sq != 1:
-            sq = sq * sq % p
-            i += 1
-        bfac = pow(c, 1 << (m - i - 1), p)
-        m, c = i, bfac * bfac % p
-        tt, r = tt * c % p, r * bfac % p
-    return min(r, p - r)
-
-
-def sweep_soundness(p: int, n: int, a: int, b: int, family: str = "g1",
-                    collect_image: bool = False) -> dict:
-    """Walk all of T over F_p in plain modular ints, checking every promise.
-
-    For each admissible (t, u): the squared-identity U^2 = g(u) g(X2) g(X3),
-    the character product never being -1, and membership y^2 = g(x) of the
-    encoded point. Returns counts; all three failure counters must be zero.
-    collect_image additionally returns the sorted encoded (x, y) set, which
-    drift tests compare against the generic field-layer encoder.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("odd n >= 3")
-    a %= p
-    b %= p
-    if a == 0 or b == 0:
-        raise ValueError("need a*b != 0 mod p")
-    e = n if family == "g1" else n - 1
-    h = (p - 1) // 2
-    half_up = (n + 1) // 2
-    nonres = None if p % 4 == 3 else _int_nonresidue(p)
-
-    us = []
-    for u in range(p):
-        gu = _int_g(family, n, a, b, u, p)
-        if gu:
-            # (gamma, chi(gamma), gamma^((n+1)/2)) reused across all t
-            us.append((u, gu, pow(gu, h, p), pow(gu, half_up, p)))
-
-    size_T = 0
-    raw_excluded = 0
-    char_violations = 0
-    identity_failures = 0
-    membership_failures = 0
-    image = set() if collect_image else None
-
-    for t in range(1, p):
-        tt = t * t % p
-        tn = pow(t, n, p)
-        for u, gu, chi_u, gu_pow in us:
-            s = tt * gu % p
-            if s == 1:
-                den_core = (e - 1) % p
-                if den_core == 0:
-                    continue
-                num = e % p
-                raw_excluded += 1
-            else:
-                inv_s1 = pow(s - 1, p - 2, p)
-                se1 = pow(s, e - 1, p)
-                den_core = (se1 - 1) * inv_s1 % p
-                if den_core == 0:
-                    continue
-                num = (se1 * s - 1) * inv_s1 % p
-            size_T += 1
-            x2 = -b * num * pow(a * tt * gu % p * den_core % p, p - 2, p) % p
-            x3 = s * x2 % p
-            gx2 = _int_g(family, n, a, b, x2, p)
-            gx3 = _int_g(family, n, a, b, x3, p)
-            bigu = tn * gu_pow % p * gx2 % p
-            if bigu * bigu % p != gu * gx2 % p * gx3 % p:
-                identity_failures += 1
-                continue
-            if bigu == 0:
-                # some component must sit on y = 0
-                if gx2 == 0:
-                    x, y = x2, 0
-                elif gx3 == 0:
-                    x, y = x3, 0
-                else:
-                    char_violations += 1
-                    continue
-            else:
-                chi2, chi3 = pow(gx2, h, p), pow(gx3, h, p)
-                if chi_u * chi2 % p * chi3 % p == p - 1:
-                    char_violations += 1
-                    continue
-                if chi_u == 1:
-                    x, y = u, _int_sqrt(gu, p, nonres)
-                elif chi2 == 1:
-                    x, y = x2, _int_sqrt(gx2, p, nonres)
-                else:
-                    x, y = x3, _int_sqrt(gx3, p, nonres)
-            if y * y % p != _int_g(family, n, a, b, x, p):
-                membership_failures += 1
-            if image is not None:
-                image.add((x, y))
-
-    bnd = domain_bound(p, n)
-    out = {
-        "p": p,
-        "n": n,
-        "a": a,
-        "b": b,
-        "family": family,
-        "size_T": size_T,
-        "raw_excluded": raw_excluded,
-        "bound": bnd,
-        "bound_applicable": bound_applicable(p, n),
-        "bound_holds": size_T >= bnd,
-        "char_violations": char_violations,
-        "identity_failures": identity_failures,
-        "membership_failures": membership_failures,
-    }
-    if image is not None:
-        out["image"] = sorted(image)
-    return out

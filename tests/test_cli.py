@@ -216,6 +216,43 @@ def test_survey_sweep_flag_validation(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("curve", ["g2:n=2,a=1,b=1", "g1:n=4,a=1,b=1"])
+def test_survey_even_degree_is_unsupported_parity(curve, capsys):
+    code, _, payload = run(["survey", "--field", "11", "--curve", curve], capsys)
+    assert code == 1 and payload["error"] == "UnsupportedParity"
+
+
+def test_survey_sweep_even_degree_is_unsupported_parity(capsys):
+    code, _, payload = run(
+        ["survey", "--field", "13", "--family", "g2", "--n", "2", "--samples", "2", "--seed", "3"],
+        capsys,
+    )
+    assert code == 1 and payload["error"] == "UnsupportedParity"
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_survey_sweep_samples_below_one_is_usage_error(samples, capsys):
+    # an empty sweep must not report "all_sound": true
+    code, _, payload = run(
+        ["survey", "--field", "13", "--family", "g1", "--n", "3", "--samples", samples, "--seed", "3"],
+        capsys,
+    )
+    assert code == 1 and payload["error"] == "UsageError"
+
+
+def test_survey_max_q_below_one_is_usage_error(capsys):
+    code, _, payload = run(
+        ["survey", "--field", "11", "--curve", "g1:n=3,a=1,b=1", "--max-q", "-5"], capsys
+    )
+    assert code == 1 and payload["error"] == "UsageError"
+
+
+def test_survey_env_cap_below_one_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ULAS_MAX_Q", "0")
+    code, _, payload = run(["survey", "--field", "11", "--curve", "g1:n=3,a=1,b=1"], capsys)
+    assert code == 1 and payload["error"] == "UsageError"
+
+
 # --- cross-cutting -----------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ denominator rule would leave only 96 admissible pairs there, under the proven
 lower bound of 100, while the deployed geometric-sum denominator admits 108.
 """
 
+import hashlib
 import json
 import warnings
 
@@ -12,12 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypoint import survey
 from hypoint.curves import (
     BasePointOnCurve,
     CurveParams,
     DenominatorVanishes,
+    DomainExcluded,
+    UnsupportedParity,
     encode,
     g_eval,
+    parse_curve_spec,
     three_point_map,
 )
 from hypoint.ff import field_new
@@ -177,6 +182,106 @@ def test_coverage_extension_field():
     assert rep.q == 9
     assert rep.size_T == 36 and rep.bound == 36 and rep.bound_holds
     assert not rep.bound_applicable  # p = 3 is not > 2(n-1)-1
+
+
+# --- the table-backed walk against the generic encoder --------------------------
+
+
+def generic_walk(params):
+    """T, raw_excluded and the image by pair-by-pair encode over all of F_q^2."""
+    ctx = params.a.ctx
+    pairs, raw, image = [], 0, set()
+    for t in ctx.elements():
+        for u in ctx.elements():
+            if not g_eval(params, u):
+                continue
+            try:
+                pt = encode(params, t, u)
+            except DomainExcluded:
+                continue
+            pairs.append((t, u))
+            raw += t * t * g_eval(params, u) == 1
+            image.add(pt)
+    return pairs, raw, image
+
+
+@pytest.mark.parametrize("family", ["g1", "g2"])
+@pytest.mark.parametrize(
+    "field,a,b",
+    [("3^2:1,0,1", "1", "1"), ("3^3:1,2,0,1", "1,2", "2,0,1"), ("5^2:3,0,1", "2,1", "3,4")],
+)
+def test_walk_matches_generic_encode_on_extension_fields(field, a, b, family):
+    params = parse_curve_spec(f"{family}:n=3,a={a},b={b}", field_new(field))
+    pairs, raw, image = generic_walk(params)
+    assert list(enumerate_T(params)) == pairs
+    ds = domain_summary(params)
+    assert (ds["size_T"], ds["raw_excluded"]) == (len(pairs), raw)
+    rep = coverage(params)
+    assert (rep.size_T, rep.raw_excluded, rep.image_size) == (len(pairs), raw, len(image))
+    assert not rep.missed_truncated
+    assert set(enumerate_curve(params)) - set(rep.missed) == image
+
+
+# sha256 of json.dumps(coverage(...).to_json(), sort_keys=True), recorded from
+# the per-pair encode implementation that the table-backed walk replaced
+COVERAGE_DIGESTS = [
+    ("11", "g1:n=3,a=1,b=1", "1e532566f9ad974d8d52c40716d09fc465ba5542bd504c6645818c5d456e49e6"),
+    ("13", "g2:n=5,a=2,b=6", "10d02cc79f94940186fc9b159dbc3f6a32b64540b067f5f3526c26af990c226a"),
+    ("3^3:1,2,0,1", "g1:n=3,a=1,2,b=2,0,1", "55ca9f5378a8607a53649009eb081b9a67c809926062aedfe90a60a707d71c40"),
+    ("5^2:3,0,1", "g2:n=3,a=2,1,b=3,4", "7d107d0a4d5e645b42eab5aff2f6a921db74f7a11be5b21b849f25a8ab9c0fd3"),
+]
+
+
+@pytest.mark.parametrize("field,curve,digest", COVERAGE_DIGESTS)
+def test_coverage_json_is_pinned(field, curve, digest):
+    rep = coverage(parse_curve_spec(curve, field_new(field)))
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("walk", [enumerate_T, domain_summary, coverage])
+def test_walk_entry_points_reject_even_n(walk, n):
+    params = CurveParams("g1", n, K11.elem(1), K11.elem(1))
+    with pytest.raises(UnsupportedParity):
+        walk(params)  # enumerate_T too: on the call, before any pair
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_sweep_rejects_unsupported_parity(n):
+    with pytest.raises(UnsupportedParity):
+        sweep_soundness(11, n, 1, 1)
+
+
+def _wrong_roots(walk):
+    q = walk.ctx.q
+    walk.root = [r if not r else r % (q - 1) + 1 for r in walk.root]
+
+
+def _squares_as_nonsquares(walk):
+    walk.chi = [-1 if c == 1 else c for c in walk.chi]
+
+
+def _x3_as_x2(walk):
+    walk._x3_of = list(walk._x2_of)
+
+
+@pytest.mark.parametrize(
+    "corrupt,counter",
+    [(_wrong_roots, "membership_failures"), (_squares_as_nonsquares, "char_violations"),
+     (_x3_as_x2, "identity_failures")],
+)
+def test_per_pair_checks_catch_corrupted_tables(corrupt, counter, monkeypatch):
+    class Corrupted(survey._DomainWalk):
+        def __init__(self, params):
+            super().__init__(params)
+            corrupt(self)
+
+    monkeypatch.setattr(survey, "_DomainWalk", Corrupted)
+    assert sweep_soundness(13, 3, 2, 6)[counter] > 0
+    K13 = field_new(13)
+    with pytest.raises(AssertionError):
+        coverage(CurveParams("g1", 3, K13.elem(2), K13.elem(6)))
 
 
 # --- degree statistics ---------------------------------------------------------
