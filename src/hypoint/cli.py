@@ -40,7 +40,7 @@ from .curves import (
 )
 from .ff import FieldError, field_new, parse_field_spec
 from .poly import MPoly
-from .survey import FieldTooLarge, coverage, sweep_soundness
+from .survey import FieldTooLarge, _check_cap, coverage, sweep_soundness
 
 
 class UsageError(ValueError):
@@ -248,9 +248,7 @@ def _sample_sweep(args, cap) -> dict:
     ctx = _field(args)
     if ctx.m != 1:
         raise UsageError("the soundness sweep runs over prime fields only")
-    limit = cap if cap is not None else 10_000
-    if ctx.q > limit:
-        raise FieldTooLarge(f"q = {ctx.q} exceeds the enumeration cap {limit}")
+    _check_cap(ctx.q, cap)
     rng = random.Random(args.seed)
     runs = []
     for _ in range(args.samples):

@@ -93,13 +93,8 @@ class CurveParams:
 
 @dataclass(frozen=True)
 class AffinePoint:
-    x: object = None
-    y: object = None
-    infinity: bool = False
-
-    @classmethod
-    def at_infinity(cls):
-        return cls(infinity=True)
+    x: object
+    y: object
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,6 @@ def make_point(params: CurveParams, x, y) -> AffinePoint:
 
 
 def point_json(pt: AffinePoint) -> dict:
-    if pt.infinity:
-        return {"infinity": True}
     return {"x": str(pt.x), "y": str(pt.y)}
 
 
@@ -331,7 +324,7 @@ def three_point_display(family: str, n: int, form: str = "raw") -> ParamTriple:
 def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
     """Exact certification of U^2 = g(X1)*g(X2)*g(X3).
 
-    Checks, all by cross multiplication over Q:
+    Checks, all exact rf_eq comparisons over Q:
       1. the identity over Q(a, b, c, t) with c standing for g(u), in both the
          displayed (raw) and the deployed (cancelled) forms,
       2. raw and cancelled X2 agree as rational functions,

@@ -4,8 +4,9 @@ This is the certification layer: every identity the curve constructions rely
 on is checked here by exact arithmetic, never numerically. Two deliberate
 restrictions shape the design:
 
-* ``RatFun`` numerator/denominator pairs are kept *unreduced*. Equality is
-  decided by cross-multiplication (``rf_eq``), so no multivariate GCD or
+* ``RatFun`` numerator/denominator pairs are kept *unreduced*. Equality
+  (``rf_eq``) compares the numerators when the two denominators are the same
+  polynomial and cross-multiplies every other pair, so no multivariate GCD or
   factorization exists anywhere in this module.
 * The variable universe is fixed to ``a b c d t u``. Exponent vectors are
   packed into a single int (16 bits per variable), which makes monomial
@@ -40,13 +41,6 @@ class PoleAtPoint(ArithmeticError):
     """Rational-number evaluation hit a vanishing denominator."""
 
 
-def _norm_coeff(c):
-    # ints stay ints; integral Fractions collapse to int
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    return c
-
-
 def _check_vars(vs):
     for v in vs:
         if v not in _VAR_INDEX:
@@ -70,19 +64,25 @@ class MPoly:
         self._normalize()
 
     def _normalize(self):
-        terms = {k: c for k, c in ((k, _norm_coeff(c)) for k, c in self.terms.items()) if c != 0}
-        nv = len(self.vars)
-        used = [False] * nv
+        # One pass: drop zeros, collapse integral Fractions (an exact class
+        # test, cheaper than isinstance through the numbers ABCs) and OR the
+        # packed keys, whose limbs are nonzero exactly for the used variables.
+        terms = {}
+        used = 0
+        for k, c in self.terms.items():
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            if c:
+                terms[k] = c
+                used |= k
+        keep = [i for i in range(len(self.vars)) if (used >> (_SHIFT * i)) & _MASK]
         maxdeg = 0
-        for k in terms:
-            for i in range(nv):
-                e = (k >> (_SHIFT * i)) & _MASK
-                if e:
-                    used[i] = True
-                    if e > maxdeg:
-                        maxdeg = e
-        if not all(used):
-            keep = [i for i in range(nv) if used[i]]
+        for i in keep:
+            shift = _SHIFT * i
+            d = max((k >> shift) & _MASK for k in terms)
+            if d > maxdeg:
+                maxdeg = d
+        if len(keep) < len(self.vars):
             remapped = {}
             for k, c in terms.items():
                 nk = 0
@@ -100,8 +100,7 @@ class MPoly:
 
     @classmethod
     def const(cls, c) -> "MPoly":
-        c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        return cls((), {0: c} if c != 0 else {})
+        return cls((), {0: c if isinstance(c, (int, Fraction)) else Fraction(c)})
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
@@ -341,8 +340,9 @@ def as_ratfun(f) -> "RatFun":
 class RatFun:
     """Quotient of two MPoly values, *never* reduced.
 
-    Equality (``rf_eq`` / ``==``) is cross-multiplication, which is exact and
-    avoids any GCD machinery. Arithmetic accumulates numerators/denominators
+    Equality (``rf_eq`` / ``==``) compares numerators when the denominators
+    are equal polynomials and cross-multiplies otherwise; both are exact and
+    need no GCD machinery. Arithmetic accumulates numerators/denominators
     verbatim, so two equal functions may have different representations.
     """
 
@@ -420,6 +420,10 @@ class RatFun:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
+        if self.den == other.den:
+            # exact: the polynomial ring is an integral domain and no
+            # denominator is zero, so n1/d = n2/d iff n1 = n2
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __ne__(self, other):
@@ -450,7 +454,8 @@ class RatFun:
 
 
 def rf_eq(f, g) -> bool:
-    """Exact equality of rational functions via cross-multiplication."""
+    """Exact equality of rational functions: numerators over a shared
+    denominator, cross-multiplication otherwise."""
     return as_ratfun(f) == as_ratfun(g)
 
 

@@ -195,6 +195,31 @@ def test_survey_sweep_mode(capsys):
     assert len(payload["sweep"]) == 3
 
 
+def test_survey_sweep_field_too_large_exits_2(capsys):
+    code, _, payload = run(
+        ["survey", "--field", "101", "--family", "g1", "--n", "3", "--samples", "1", "--seed", "1",
+         "--max-q", "50"],
+        capsys,
+    )
+    assert code == 2 and payload["error"] == "FieldTooLarge"
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [["--curve", "g1:n=3,a=1,b=1"], ["--family", "g1", "--n", "3", "--samples", "1", "--seed", "1"]],
+    ids=["curve", "sweep"],
+)
+def test_survey_raised_cap_warns_on_stderr(mode):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypoint.cli", "survey", "--field", "11", *mode, "--max-q", "20000"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    VALIDATOR.validate(json.loads(proc.stdout))
+    assert "enumeration cap raised to 20000" in proc.stderr
+
+
 def test_survey_sweep_flag_validation(capsys):
     code, _, payload = run(
         ["survey", "--field", "13", "--family", "g1", "--n", "3", "--samples", "3"], capsys

@@ -198,7 +198,6 @@ def test_even_n_point_frozen_instance():
 def test_make_point_checks_membership():
     with pytest.raises(NotOnCurve):
         make_point(P11, K11.elem(0), K11.elem(5))
-    assert point_json(AffinePoint.at_infinity()) == {"infinity": True}
 
 
 # --- symbolic certifications --------------------------------------------------
@@ -223,6 +222,21 @@ def test_literal_value_term_is_identity_on_first_family():
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_three_point_certified(family, n):
     assert certify_three_point(family, n, deep=(n == 3))
+
+
+def test_deep_identity_rejects_one_extra_monomial():
+    # The n = 3 deep sides share their denominator, so rf_eq decides them on
+    # the numerators alone; one monomial more in U^2 must flip the verdict.
+    a, b = RatFun.var("a"), RatFun.var("b")
+    disp = three_point_display("g1", 3, form="cancelled")
+    lhs = disp.u * disp.u
+    rhs = 1
+    for x in disp.xs:
+        rhs = rhs * g_shape("g1", 3, a, b, x)
+    assert lhs.den == rhs.den and rf_eq(lhs, rhs)
+    bumped = RatFun(lhs.num + MPoly.var("a") * MPoly.var("t") ** 5, lhs.den)
+    assert not rf_eq(bumped, rhs)
+    assert not rf_eq(rhs, bumped)
 
 
 @pytest.mark.parametrize("family", ["g1", "g2"])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypoint.poly import (
@@ -11,6 +11,7 @@ from hypoint.poly import (
     MPoly,
     PoleAtPoint,
     RatFun,
+    _DEG_LIMIT,
     poly_exact_sqrt,
     rf_eq,
 )
@@ -142,6 +143,23 @@ def test_degree_guard():
         T ** (1 << 15)
 
 
+def test_normalization_collapses_and_prunes():
+    f = MPoly(("t", "u"), {1: 0, 1 << 16: 3})
+    assert f.vars == ("u",) and f.terms == {1: 3}
+    assert MPoly.const(0).terms == {}
+    c = MPoly.const(Fraction(4, 2)).terms[0]
+    assert c == 2 and type(c) is int
+    assert (T + A) - A == T and ((T + A) - A).vars == ("t",)
+    # the guard uses the exact per-variable maximum (here 2^14), not the OR
+    # of the exponents (2^15 - 1), so this product still fits
+    half = _DEG_LIMIT >> 1
+    f = MPoly(("t", "u"), {half << 16: 1, (half - 1) << 16: 1})
+    assert (f * U).degree("u") == half + 1
+    for key in (_DEG_LIMIT, _DEG_LIMIT << 16):
+        with pytest.raises(OverflowError):
+            MPoly(("t", "u"), {key: 1, 1: 1})
+
+
 # --- property tests -------------------------------------------------------
 
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -174,6 +192,17 @@ def test_rf_eq_stable_under_common_factors(f, g):
     base = RatFun(f, MPoly.const(1))
     scale = g * g + 1  # never the zero polynomial
     assert rf_eq(base, RatFun(f * scale, scale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), polys(), polys(), st.booleans())
+def test_rf_eq_matches_explicit_cross_product(f, g, d, e, same_num):
+    assume(not d.is_zero() and not e.is_zero())
+    if same_num:
+        g = MPoly(f.vars, dict(f.terms))
+    shared = rf_eq(RatFun(f, d), RatFun(g, d))
+    assert shared == (f == g) == (f * d == g * d)
+    assert rf_eq(RatFun(f, d), RatFun(g, e)) == (f * e == g * d)
 
 
 @settings(max_examples=40, deadline=None)
