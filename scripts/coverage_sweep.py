@@ -29,6 +29,8 @@ def main(argv=None) -> int:
     ap.add_argument("--p-max", type=int, default=101)
     ap.add_argument("--json", action="store_true", help="emit a JSON array instead of a table")
     args = ap.parse_args(argv)
+    if args.n < 3 or args.n % 2 == 0:
+        ap.error(f"--n must be odd and at least 3 (the encoder's three-point map), got {args.n}")
 
     rows = []
     for p in range(args.p_min | 1, args.p_max + 1, 2):
@@ -49,7 +51,7 @@ def main(argv=None) -> int:
     for r in rows:
         bound = r.bound if r.bound_applicable else "-"
         print(f"{r.q:>6} {r.size_T:>8} {bound!s:>8} {r.curve_size:>7} "
-              f"{r.image_size:>7} {len(r.missed):>7}  {r.coverage_ratio}")
+              f"{r.image_size:>7} {r.curve_size - r.image_size:>7}  {r.coverage_ratio}")
     return 0
 
 

@@ -4,7 +4,8 @@ Two trinomial families are supported, tagged "g1" and "g2":
 
     g1: g(x) = x^n + a*x + b        g2: g(x) = x^n + a*x^2 + b*x     (a*b != 0)
 
-The constructions, all certified exactly by the symbolic layer:
+Each construction is one ring-generic formula, certified exactly by the
+symbolic layer:
 
 * auxiliary_curve: a rational curve on the mixed surface
   g(x)*z^m = y^n + c*y + d (family 1 shape; family 2 uses y^n + c*y^2 + d*y).
@@ -18,10 +19,11 @@ The constructions, all certified exactly by the symbolic layer:
 * reciprocal_pair_curve / reciprocal_triple_curve / quartic_triple_curve:
   parametrizations for self-reciprocal g and for g = x^4 + 1.
 
-All formula code is ring generic: the same expressions run on field elements,
-exact rationals and symbolic rational functions, so the certified identities
-and the deployed arithmetic cannot drift apart. Division in the three-point
-map uses the cancelled denominator g(u)*t^2*(1 + s + ... + s^(e-2)), s =
+Each formula is written once (_two_point, _three_point) and run both by the
+maps that encode uses, on field elements or exact rationals, and by the
+certifier, on symbolic rational functions; the certified identities are
+therefore those of the deployed arithmetic. Division in the three-point map
+uses the cancelled denominator g(u)*t^2*(1 + s + ... + s^(e-2)), s =
 t^2*g(u); it agrees with the textbook quotient wherever the latter is defined
 and extends it at s = 1, which is what makes the domain-size lower bound in
 the survey unconditional.
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .ff import Field, FieldElement
 from .poly import MPoly, RatFun, poly_exact_sqrt, rf_eq
@@ -84,7 +88,7 @@ class CurveParams:
             raise CurveError(f"unknown family {self.family!r}")
         if not isinstance(self.n, int) or self.n < 2:
             raise CurveError("n must be an int >= 2")
-        if _is_zero(self.a) or _is_zero(self.b):
+        if not self.a or not self.b:
             raise CurveError("need a*b != 0")
 
     def __str__(self):
@@ -107,12 +111,6 @@ class ParamTriple:
     @property
     def arity(self) -> int:
         return len(self.xs)
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, (RatFun, MPoly)):
-        return x.is_zero()
-    return not x
 
 
 def _geom_sum(s, k: int):
@@ -148,13 +146,16 @@ def point_json(pt: AffinePoint) -> dict:
     return {"x": str(pt.x), "y": str(pt.y)}
 
 
+def _square_is_product(u, values) -> bool:
+    """u^2 = v_1*...*v_k, exact in u's ring (rf_eq for symbolic). The product
+    is folded left; for most certified sides that order gives u^2 and the
+    product the same denominator, so rf_eq compares numerators only."""
+    return u * u == reduce(mul, values)
+
+
 def verify_triple(params: CurveParams, triple: ParamTriple) -> bool:
     """u^2 = prod g(x_i), exact in the triple's ring (rf_eq for symbolic)."""
-    prod = None
-    for x in triple.xs:
-        gx = g_eval(params, x)
-        prod = gx if prod is None else prod * gx
-    return triple.u * triple.u == prod
+    return _square_is_product(triple.u, [g_eval(params, x) for x in triple.xs])
 
 
 def _exponent(family: str, n: int) -> int:
@@ -178,7 +179,7 @@ def auxiliary_curve(family: str, m: int, n: int) -> dict:
     if m < 1 or n < 1:
         raise CurveError("need m >= 1, n >= 1")
     a, b, c, d, t = (RatFun.var(v) for v in "abcdt")
-    k = n if family == "g1" else n - 1
+    k = _exponent(family, n)
     x = -(b * t ** (m * k) - d) / (a * t ** (m * k) - c * t**m)
     y = t**m * x
     z = t**n
@@ -189,30 +190,31 @@ def certify_auxiliary(family: str, m: int, n: int) -> bool:
     cur = auxiliary_curve(family, m, n)
     a, b, c, d = (RatFun.var(v) for v in "abcd")
     x, y, z = cur["x"], cur["y"], cur["z"]
-    lhs = g_shape(family, n, a, b, x) * z**m
-    rhs = y**n + c * y + d if family == "g1" else y**n + c * y * y + d * y
-    return rf_eq(lhs, rhs)
+    return rf_eq(g_shape(family, n, a, b, x) * z**m, g_shape(family, n, c, d, y))
 
 
 # ---------------------------------------------------------------------------
 # two-point map
 
 
-def two_point_map(params: CurveParams, t) -> ParamTriple:
-    """(X1, X2, U) with U^2 = g(X1)*g(X2); t from a field or Q."""
-    n = params.n
+def _two_point(family: str, n: int, a, b, t, value_family: str) -> ParamTriple:
+    """(X1, X2, U) in any ring, X2 = t^2*X1 and U = t^n*g(X1), with g taken
+    from value_family (the family itself, except to reproduce an erratum)."""
     if n < 3:
         raise CurveError("two-point map needs n >= 3")
-    e = _exponent(params.family, n)
-    if _is_zero(t):
+    e = _exponent(family, n)
+    if not t:
         raise DenominatorVanishes("t = 0")
     den = t ** (2 * e) - t * t
-    if _is_zero(den):
+    if not den:
         raise DenominatorVanishes(f"t^(2*{e - 1}) = 1")
-    x1 = -(params.b * (t ** (2 * e) - 1)) / (params.a * den)
-    x2 = t * t * x1
-    u = t**n * g_eval(params, x1)
-    triple = ParamTriple((x1, x2), u)
+    x1 = -(b * (t ** (2 * e) - 1)) / (a * den)
+    return ParamTriple((x1, t * t * x1), t**n * g_shape(value_family, n, a, b, x1))
+
+
+def two_point_map(params: CurveParams, t) -> ParamTriple:
+    """(X1, X2, U) with U^2 = g(X1)*g(X2); t from a field or Q."""
+    triple = _two_point(params.family, params.n, params.a, params.b, t, params.family)
     assert verify_triple(params, triple)
     return triple
 
@@ -224,15 +226,9 @@ def two_point_symbolic(family: str, n: int, u_formula: str = "corrected") -> Par
     from the family-1 polynomial even for family 2; it fails certification
     (deliberately kept reproducible, see certify_two_point).
     """
-    if n < 3:
-        raise CurveError("two-point map needs n >= 3")
+    value_family = "g1" if u_formula == "family1_literal" else family
     a, b, t = RatFun.var("a"), RatFun.var("b"), RatFun.var("t")
-    e = _exponent(family, n)
-    x1 = -(b * (t ** (2 * e) - 1)) / (a * (t ** (2 * e) - t * t))
-    x2 = t * t * x1
-    g_family = "g1" if u_formula == "family1_literal" else family
-    u = t**n * g_shape(g_family, n, a, b, x1)
-    return ParamTriple((x1, x2), u)
+    return _two_point(family, n, a, b, t, value_family)
 
 
 def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool:
@@ -245,15 +241,20 @@ def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool
 # three-point map
 
 
-def _x2_fraction(family: str, n: int, a, b, t, gamma, form: str):
-    """Numerator, denominator core and s = t^2*gamma of X2, any ring.
+def _three_point(family: str, n: int, a, b, t, gamma, form: str = "cancelled"):
+    """(X2, X3, U) in any ring, where gamma = g(X1) is nonzero and s = t^2*gamma.
 
     form "cancelled": X2 = -b*(1+s+...+s^(e-1)) / (a*t^2*gamma*(1+...+s^(e-2)))
     form "raw":       X2 = -b*(s^e - 1)        / (a*t^2*gamma*(s^(e-1) - 1))
 
-    The two agree wherever the raw denominator is nonzero; only the cancelled
-    form is used for evaluation, the raw one exists for certification.
+    X3 = s*X2 and U = t^n * gamma^((n+1)/2) * g(X2), so that U^2 = gamma *
+    g(X2) * g(X3). The two forms agree wherever the raw denominator is
+    nonzero; only the cancelled form is used for evaluation, the raw one
+    exists for certification. Raises DenominatorVanishes for t = 0 or a
+    vanishing denominator core.
     """
+    if not t:
+        raise DenominatorVanishes("t = 0")
     e = _exponent(family, n)
     s = t * t * gamma
     if form == "raw":
@@ -262,7 +263,10 @@ def _x2_fraction(family: str, n: int, a, b, t, gamma, form: str):
     else:
         num = _geom_sum(s, e)
         den_core = _geom_sum(s, e - 1)
-    return num, den_core, s
+    if not den_core:
+        raise DenominatorVanishes("geometric factor 1 + s + ... vanishes")
+    x2 = -(b * num) / (a * t * t * gamma * den_core)
+    return x2, s * x2, t**n * gamma ** ((n + 1) // 2) * g_shape(family, n, a, b, x2)
 
 
 def _require_odd(n: int):
@@ -274,16 +278,9 @@ def three_point_map(params: CurveParams, t, u) -> ParamTriple:
     """(X1, X2, X3, U) = (u, ...) with U^2 = g(u)*g(X2)*g(X3); field or Q."""
     _require_odd(params.n)
     gamma = g_eval(params, u)
-    if _is_zero(gamma):
+    if not gamma:
         raise BasePointOnCurve(f"g({u}) = 0")
-    if _is_zero(t):
-        raise DenominatorVanishes("t = 0")
-    num, den_core, s = _x2_fraction(params.family, params.n, params.a, params.b, t, gamma, "cancelled")
-    if _is_zero(den_core):
-        raise DenominatorVanishes("geometric factor 1 + s + ... vanishes")
-    x2 = -(params.b * num) / (params.a * t * t * gamma * den_core)
-    x3 = s * x2
-    uu = t**params.n * gamma ** ((params.n + 1) // 2) * g_eval(params, x2)
+    x2, x3, uu = _three_point(params.family, params.n, params.a, params.b, t, gamma)
     triple = ParamTriple((u, x2, x3), uu)
     assert verify_triple(params, triple)
     return triple
@@ -292,14 +289,11 @@ def three_point_map(params: CurveParams, t, u) -> ParamTriple:
 def three_point_inner(family: str, n: int, form: str = "cancelled") -> dict:
     """Symbolic three-point data over Q(a, b, c, t), where the symbol c stands
     for the inner value g(u). Tiny polynomials for every n, so the defining
-    identity U^2 = c * g(X2) * g(X3) is certifiable by plain cross
-    multiplication; the (t, u) forms are the exact substitution c -> g(u)."""
+    identity U^2 = c * g(X2) * g(X3) is certifiable by exact rf_eq for every
+    n; the (t, u) forms are the exact substitution c -> g(u)."""
     _require_odd(n)
     a, b, c, t = (RatFun.var(v) for v in "abct")
-    num, den_core, s = _x2_fraction(family, n, a, b, t, c, form)
-    x2 = -(b * num) / (a * t * t * c * den_core)
-    x3 = s * x2
-    u = t**n * c ** ((n + 1) // 2) * g_shape(family, n, a, b, x2)
+    x2, x3, u = _three_point(family, n, a, b, t, c, form)
     return {"x2": x2, "x3": x3, "u": u, "g_x1": c}
 
 
@@ -313,11 +307,7 @@ def three_point_display(family: str, n: int, form: str = "raw") -> ParamTriple:
     """
     _require_odd(n)
     a, b, t, u = (RatFun.var(v) for v in "abtu")
-    gamma = g_shape(family, n, a, b, u)
-    num, den_core, s = _x2_fraction(family, n, a, b, t, gamma, form)
-    x2 = -(b * num) / (a * t * t * gamma * den_core)
-    x3 = s * x2
-    uu = t**n * gamma ** ((n + 1) // 2) * g_shape(family, n, a, b, x2)
+    x2, x3, uu = _three_point(family, n, a, b, t, g_shape(family, n, a, b, u), form)
     return ParamTriple((u, x2, x3), uu)
 
 
@@ -331,16 +321,12 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
       3. with deep=True additionally the fully expanded (t, u) identity
          (affordable for n = 3) and the raw/cancelled display agreement.
     """
-    a, b, c, t = (RatFun.var(v) for v in "abct")
+    a, b = RatFun.var("a"), RatFun.var("b")
     cores = {}
     for form in ("raw", "cancelled"):
         core = three_point_inner(family, n, form)
-        rhs = (
-            core["g_x1"]
-            * g_shape(family, n, a, b, core["x2"])
-            * g_shape(family, n, a, b, core["x3"])
-        )
-        if not rf_eq(core["u"] * core["u"], rhs):
+        gx2, gx3 = (g_shape(family, n, a, b, core[x]) for x in ("x2", "x3"))
+        if not _square_is_product(core["u"], (core["g_x1"], gx2, gx3)):
             return False
         cores[form] = core
     if not rf_eq(cores["raw"]["x2"], cores["cancelled"]["x2"]):
@@ -371,11 +357,13 @@ def even_n_point(params: CurveParams) -> AffinePoint:
 
 
 def certify_even_n_value(family: str, n: int) -> bool:
-    """g(-b/a) = (b/a)^n as an exact rational-function identity."""
-    if n % 2:
-        raise UnsupportedParity(f"needs even n, got {n}")
-    a, b = RatFun.var("a"), RatFun.var("b")
-    return rf_eq(g_shape(family, n, a, b, -(b / a)), (b / a) ** n)
+    """g(-b/a) = (b/a)^n as an exact rational-function identity, checked by
+    running even_n_point over Q(a, b)."""
+    try:
+        even_n_point(_symbolic_params(family, n))
+    except NotOnCurve:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +381,10 @@ def encode(params: CurveParams, t, u) -> AffinePoint:
     """
     _require_odd(params.n)
     ctx = _field_of(params, t, u)
-    gu = g_eval(params, u)
-    if not gu:
-        return AffinePoint(u, ctx.zero())
     try:
         triple = three_point_map(params, t, u)
+    except BasePointOnCurve:
+        return AffinePoint(u, ctx.zero())
     except DenominatorVanishes as exc:
         raise DomainExcluded(str(exc)) from exc
     if not triple.u:
@@ -417,7 +404,7 @@ def _field_of(params: CurveParams, *vals) -> Field:
     for v in (params.a, params.b) + vals:
         if isinstance(v, FieldElement):
             return v.ctx
-    raise TypeError("encode needs field elements")
+    raise TypeError(f"{params} has no field-element coefficients or inputs")
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +443,7 @@ def reciprocal_pair_curve(g: MPoly, n: int) -> ParamTriple:
 
 def certify_reciprocal_pair(g: MPoly, n: int) -> bool:
     triple = reciprocal_pair_curve(g, n)
-    return rf_eq(triple.u * triple.u, _apply(g, triple.xs[0]) * _apply(g, triple.xs[1]))
+    return _square_is_product(triple.u, [_apply(g, x) for x in triple.xs])
 
 
 def reciprocal_triple_curve(g: MPoly, n: int) -> ParamTriple:
@@ -474,8 +461,7 @@ def reciprocal_triple_curve(g: MPoly, n: int) -> ParamTriple:
 
 def certify_reciprocal_triple(g: MPoly, n: int) -> bool:
     triple = reciprocal_triple_curve(g, n)
-    prod = _apply(g, triple.xs[0]) * _apply(g, triple.xs[1]) * _apply(g, triple.xs[2])
-    return rf_eq(triple.u * triple.u, prod)
+    return _square_is_product(triple.u, [_apply(g, x) for x in triple.xs])
 
 
 def quartic_triple_curve() -> ParamTriple:
@@ -501,11 +487,7 @@ def quartic_triple_curve() -> ParamTriple:
 
 def certify_quartic() -> bool:
     triple = quartic_triple_curve()
-    prod = None
-    for x in triple.xs:
-        v = x**4 + 1
-        prod = v if prod is None else prod * v
-    return rf_eq(triple.u * triple.u, prod)
+    return _square_is_product(triple.u, [x**4 + 1 for x in triple.xs])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ from math import isqrt
 
 VARS = ("a", "b", "c", "d", "t", "u")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
+# every subset of the universe, in universe order
+_CANONICAL = frozenset(
+    tuple(v for i, v in enumerate(VARS) if m >> i & 1) for m in range(1 << len(VARS))
+)
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
@@ -31,10 +35,6 @@ _DEG_LIMIT = 1 << 15  # headroom so one multiplication cannot carry across limbs
 
 class DivisionByZeroFunction(ZeroDivisionError):
     """Division by the identically-zero polynomial or rational function."""
-
-
-class SubstitutionDenominatorZero(ValueError):
-    """A substitution binding carries a zero denominator."""
 
 
 class PoleAtPoint(ArithmeticError):
@@ -75,14 +75,21 @@ class MPoly:
             if c:
                 terms[k] = c
                 used |= k
-        keep = [i for i in range(len(self.vars)) if (used >> (_SHIFT * i)) & _MASK]
+        vs = self.vars
+        keep = [i for i in range(len(vs)) if (used >> (_SHIFT * i)) & _MASK]
+        # equality compares vars tuples, so they must come in universe order
+        ordered = vs in _CANONICAL
+        if not ordered:
+            if len(set(vs)) < len(vs):
+                raise ValueError(f"repeated variable in {vs}")
+            keep.sort(key=lambda i: _VAR_INDEX[vs[i]])
         maxdeg = 0
         for i in keep:
             shift = _SHIFT * i
             d = max((k >> shift) & _MASK for k in terms)
             if d > maxdeg:
                 maxdeg = d
-        if len(keep) < len(self.vars):
+        if len(keep) < len(vs) or not ordered:
             remapped = {}
             for k, c in terms.items():
                 nk = 0
@@ -90,7 +97,7 @@ class MPoly:
                     nk |= ((k >> (_SHIFT * i)) & _MASK) << (_SHIFT * j)
                 remapped[nk] = c
             terms = remapped
-            self.vars = tuple(self.vars[i] for i in keep)
+            self.vars = tuple(vs[i] for i in keep)
         self.terms = terms
         self._maxdeg = maxdeg
         if maxdeg >= _DEG_LIMIT:
@@ -124,6 +131,9 @@ class MPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def _unify(self, other):
         """Remap both polynomials onto the union variable tuple."""
@@ -231,10 +241,6 @@ class MPoly:
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     # -- evaluation / substitution ------------------------------------------
 
     def evaluate(self, point) -> Fraction:
@@ -274,8 +280,6 @@ class MPoly:
                 nums.append(MPoly.var(v))
                 dens.append(MPoly.const(1))
             else:
-                if f.den.is_zero():
-                    raise SubstitutionDenominatorZero(v)
                 nums.append(f.num)
                 dens.append(f.den)
             degs.append(self.degree(v))
@@ -363,6 +367,9 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self):
+        return bool(self.num.terms)
+
     def __add__(self, other):
         try:
             other = as_ratfun(other)
@@ -425,10 +432,6 @@ class RatFun:
             # denominator is zero, so n1/d = n2/d iff n1 = n2
             return self.num == other.num
         return self.num * other.den == other.num * self.den
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def substitute(self, bindings) -> "RatFun":
         n = self.num.substitute(bindings)

@@ -41,6 +41,7 @@ from .curves import (
     AffinePoint,
     CurveParams,
     _exponent,
+    _field_of,
     _require_odd,
     g_eval,
     point_json,
@@ -68,10 +69,6 @@ def _check_cap(q: int, cap):
         raise FieldTooLarge(f"q = {q} exceeds the enumeration cap {limit}")
 
 
-def _ctx_of(params: CurveParams) -> Field:
-    return params.a.ctx
-
-
 def domain_bound(q: int, n: int) -> int:
     """(q - n)(q - 2(n - 1) + 1), the proven lower bound for size_T."""
     return (q - n) * (q - 2 * (n - 1) + 1)
@@ -84,7 +81,7 @@ def bound_applicable(p: int, n: int) -> bool:
 
 def enumerate_curve(params: CurveParams, cap=None) -> list:
     """All affine (x, y) with y^2 = g(x), x ascending, canonical y first."""
-    ctx = _ctx_of(params)
+    ctx = _field_of(params)
     _check_cap(ctx.q, cap)
     pts = []
     for x in ctx.elements():
@@ -130,7 +127,7 @@ class _DomainWalk:
 
     def __init__(self, params: CurveParams):
         _require_odd(params.n)
-        ctx = _ctx_of(params)
+        ctx = _field_of(params)
         q = ctx.q
         qm1 = q - 1
         elems = list(ctx.elements())
@@ -254,7 +251,7 @@ class _DomainWalk:
 
 def enumerate_T(params: CurveParams, cap=None):
     """Admissible (t, u) in deterministic row-major order (t outer)."""
-    _check_cap(_ctx_of(params).q, cap)
+    _check_cap(_field_of(params).q, cap)
     walk = _DomainWalk(params)
     elems = walk.elems
     return ((elems[t], elems[u]) for t, row in walk.rows() for u in row)
@@ -273,7 +270,7 @@ def _domain_fields(walk: _DomainWalk) -> dict:
 
 
 def domain_summary(params: CurveParams, cap=None) -> dict:
-    _check_cap(_ctx_of(params).q, cap)
+    _check_cap(_field_of(params).q, cap)
     return _domain_fields(_DomainWalk(params).run())
 
 
@@ -331,7 +328,7 @@ def coverage(params: CurveParams, cap=None) -> CoverageReport:
     exhaustive desk scale, not for cryptographic sizes. The affine points are
     read off the same tables, in enumerate_curve's order.
     """
-    _check_cap(_ctx_of(params).q, cap)
+    _check_cap(_field_of(params).q, cap)
     walk = _DomainWalk(params).run()
     if walk.identity_failures or walk.char_violations or walk.membership_failures:
         raise AssertionError(

@@ -37,6 +37,7 @@ from hypoint.curves import (
     three_point_display,
     three_point_map,
     two_point_map,
+    two_point_symbolic,
     verify_triple,
 )
 from hypoint.ff import field_new
@@ -62,6 +63,16 @@ def test_params_validation():
         CurveParams("g1", 3, F(0), F(1))
     with pytest.raises(CurveError):
         CurveParams("g2", 3, K11.elem(5), K11.elem(0))
+
+
+def test_params_reject_symbolic_zero():
+    a, b = RatFun.var("a"), RatFun.var("b")
+    with pytest.raises(CurveError):
+        CurveParams("g1", 3, a - a, b)
+    with pytest.raises(CurveError):
+        CurveParams("g2", 3, a, RatFun(0, MPoly.var("b")))
+    with pytest.raises(CurveError):
+        CurveParams("g1", 3, MPoly.var("a"), MPoly.const(0))
 
 
 def test_g_shapes():
@@ -100,6 +111,23 @@ def test_two_point_field_matches_rational():
     ratq = two_point_map(CurveParams("g2", 5, F(3), F(7)), F(10))
     for got, exact in zip(tr.xs + (tr.u,), ratq.xs + (ratq.u,)):
         assert got == K.elem(exact.numerator) / K.elem(exact.denominator)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["g1", "g2"]),
+    st.integers(3, 6),
+    st.integers(1, 5),
+    st.integers(-5, -1),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+def test_two_point_symbolic_matches_map_over_q(family, n, a, b, t):
+    if t in (0, 1, -1):
+        return
+    tr = two_point_map(CurveParams(family, n, F(a), F(b)), t)
+    sym = two_point_symbolic(family, n)
+    point = {"a": a, "b": b, "t": t}
+    assert [f.evaluate(point) for f in sym.xs + (sym.u,)] == list(tr.xs + (tr.u,))
 
 
 # --- three-point map and the encoder -----------------------------------------

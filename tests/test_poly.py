@@ -33,6 +33,24 @@ def test_normalization_drops_zero_terms_and_unused_vars():
     assert (T - T).is_zero()
 
 
+def test_zero_tests_follow_the_ring():
+    assert not MPoly() and not (T - T) and not MPoly.const(0)
+    assert T and MPoly.const(Fraction(1, 2))
+    assert not RatFun(T - T, T) and not (RatFun.var("t") - RatFun.var("t"))
+    assert RatFun(1, T) and RatFun.var("a")
+
+
+def test_variable_order_is_canonical():
+    # vars given out of universe order: u first, then t
+    f = MPoly(("u", "t"), {1: 1, 1 << 16: 1})
+    assert f.vars == ("t", "u") and f == T + U
+    assert rf_eq(f, T + U) and rf_eq(RatFun(f, A), RatFun(T + U, A))
+    g = MPoly(("u", "a", "t"), {2 | 3 << 32: 5, 1 << 16: -1})
+    assert g == 5 * U**2 * T**3 - A
+    with pytest.raises(ValueError):
+        MPoly(("t", "u", "t"), {1: 1})
+
+
 def test_known_product():
     f = (T + 1) * (T - 1)
     assert f == T**2 - 1

@@ -1,0 +1,47 @@
+"""scripts/coverage_sweep.py, loaded by path and run in-process."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from hypoint.curves import CurveParams
+from hypoint.ff import field_new
+from hypoint.survey import MISSED_CAP, coverage
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "coverage_sweep.py"
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    spec = importlib.util.spec_from_file_location("coverage_sweep", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_json_rows_agree_with_coverage(sweep, capsys):
+    assert sweep.main(["--p-max", "13", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    expected = []
+    for p in (5, 7, 11, 13):
+        K = field_new(p)
+        expected.append(coverage(CurveParams("g1", 3, K.elem(1), K.elem(1))).to_json())
+    assert rows == expected
+
+
+def test_missed_column_is_the_uncapped_count(sweep, capsys):
+    assert sweep.main(["--p-min", "397", "--p-max", "397"]) == 0
+    p, _, _, curve, image, missed, _ = capsys.readouterr().out.splitlines()[-1].split()
+    assert p == "397"
+    assert int(missed) == int(curve) - int(image) > MISSED_CAP
+
+
+@pytest.mark.parametrize("n", ["1", "2", "4"])
+def test_unsupported_degree_is_a_usage_error(sweep, capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        sweep.main(["--n", n, "--p-max", "13"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--n must be odd" in err and "Traceback" not in err
