@@ -15,7 +15,7 @@ import json
 
 from hypoint.curves import CurveParams
 from hypoint.ff import field_new, is_prime
-from hypoint.survey import coverage
+from hypoint.survey import DEFAULT_CAP, coverage
 
 
 def main(argv=None) -> int:
@@ -31,6 +31,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.n < 3 or args.n % 2 == 0:
         ap.error(f"--n must be odd and at least 3 (the encoder's three-point map), got {args.n}")
+    if args.p_max > DEFAULT_CAP:
+        ap.error(f"--p-max must not exceed the enumeration cap {DEFAULT_CAP}, got {args.p_max}")
 
     rows = []
     for p in range(args.p_min | 1, args.p_max + 1, 2):

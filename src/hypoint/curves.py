@@ -22,11 +22,14 @@ symbolic layer:
 Each formula is written once (_two_point, _three_point) and run both by the
 maps that encode uses, on field elements or exact rationals, and by the
 certifier, on symbolic rational functions; the certified identities are
-therefore those of the deployed arithmetic. Division in the three-point map
-uses the cancelled denominator g(u)*t^2*(1 + s + ... + s^(e-2)), s =
-t^2*g(u); it agrees with the textbook quotient wherever the latter is defined
-and extends it at s = 1, which is what makes the domain-size lower bound in
-the survey unconditional.
+therefore those of the deployed arithmetic. The three-point X2 has the
+cancelled denominator g(u)*t^2*(1 + s + ... + s^(e-2)), s = t^2*g(u); it
+agrees with the textbook quotient wherever the latter is defined and extends
+it at s = 1, which is what makes the domain-size lower bound in the survey
+unconditional. On fields and Q the map takes the sums in closed form, the
+raw quotient (s^e - 1)/(s^(e-1) - 1), which the certifier proves equal to
+the cancelled one, and e/(e - 1) at s = 1, so its cost grows with log n,
+not n.
 """
 
 from __future__ import annotations
@@ -103,10 +106,14 @@ class AffinePoint:
 
 @dataclass(frozen=True)
 class ParamTriple:
-    """Components (x_1..x_k) and u with u^2 = prod g(x_i), k in {2, 3}."""
+    """Components (x_1..x_k) and u with u^2 = prod g(x_i), k in {2, 3}.
+
+    values holds (g(x_1), ..., g(x_k)) when the map already computed them.
+    """
 
     xs: tuple
     u: object
+    values: tuple | None = None
 
     @property
     def arity(self) -> int:
@@ -136,8 +143,9 @@ def g_eval(params: CurveParams, x):
     return g_shape(params.family, params.n, params.a, params.b, x)
 
 
-def make_point(params: CurveParams, x, y) -> AffinePoint:
-    if y * y != g_eval(params, x):
+def make_point(params: CurveParams, x, y, gx=None) -> AffinePoint:
+    """The point (x, y) after checking y^2 = g(x); gx is g(x) if known."""
+    if y * y != (g_eval(params, x) if gx is None else gx):
         raise NotOnCurve(f"({x}, {y}) not on {params}")
     return AffinePoint(x, y)
 
@@ -242,31 +250,37 @@ def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool
 
 
 def _three_point(family: str, n: int, a, b, t, gamma, form: str = "cancelled"):
-    """(X2, X3, U) in any ring, where gamma = g(X1) is nonzero and s = t^2*gamma.
+    """(X2, X3, U, g(X2)) in any ring, where gamma = g(X1) is nonzero and
+    s = t^2*gamma.
 
     form "cancelled": X2 = -b*(1+s+...+s^(e-1)) / (a*t^2*gamma*(1+...+s^(e-2)))
     form "raw":       X2 = -b*(s^e - 1)        / (a*t^2*gamma*(s^(e-1) - 1))
 
     X3 = s*X2 and U = t^n * gamma^((n+1)/2) * g(X2), so that U^2 = gamma *
     g(X2) * g(X3). The two forms agree wherever the raw denominator is
-    nonzero; only the cancelled form is used for evaluation, the raw one
-    exists for certification. Raises DenominatorVanishes for t = 0 or a
+    nonzero (certify_three_point proves raw = cancelled). Where s = 1, the
+    raw form takes the cancelled sums' values e and e - 1, so on a field or
+    Q it equals the cancelled form on every s at O(log n) multiplications;
+    a symbolic s is never 1. Raises DenominatorVanishes for t = 0 or a
     vanishing denominator core.
     """
     if not t:
         raise DenominatorVanishes("t = 0")
     e = _exponent(family, n)
     s = t * t * gamma
-    if form == "raw":
-        num = s**e - 1
-        den_core = s ** (e - 1) - 1
-    else:
+    if form == "cancelled":
         num = _geom_sum(s, e)
         den_core = _geom_sum(s, e - 1)
+    elif s == 1:
+        num, den_core = s * e, s * (e - 1)
+    else:
+        pw = s ** (e - 1)
+        num, den_core = pw * s - 1, pw - 1
     if not den_core:
         raise DenominatorVanishes("geometric factor 1 + s + ... vanishes")
     x2 = -(b * num) / (a * t * t * gamma * den_core)
-    return x2, s * x2, t**n * gamma ** ((n + 1) // 2) * g_shape(family, n, a, b, x2)
+    gx2 = g_shape(family, n, a, b, x2)
+    return x2, s * x2, t**n * gamma ** ((n + 1) // 2) * gx2, gx2
 
 
 def _require_odd(n: int):
@@ -275,15 +289,25 @@ def _require_odd(n: int):
 
 
 def three_point_map(params: CurveParams, t, u) -> ParamTriple:
-    """(X1, X2, X3, U) = (u, ...) with U^2 = g(u)*g(X2)*g(X3); field or Q."""
+    """(X1, X2, X3, U) = (u, ...) with U^2 = g(u)*g(X2)*g(X3); field or Q.
+
+    On a field or Q the triple carries values = (g(u), g(X2), g(X3)), each
+    evaluated once, and the identity is asserted on them. A symbolic t (as in
+    survey.degree_stats) runs the cancelled form, whose identity
+    certify_three_point proves over Q(a, b, c, t), and leaves values unset.
+    """
     _require_odd(params.n)
     gamma = g_eval(params, u)
     if not gamma:
         raise BasePointOnCurve(f"g({u}) = 0")
-    x2, x3, uu = _three_point(params.family, params.n, params.a, params.b, t, gamma)
-    triple = ParamTriple((u, x2, x3), uu)
-    assert verify_triple(params, triple)
-    return triple
+    symbolic = isinstance(t, RatFun)
+    form = "cancelled" if symbolic else "raw"
+    x2, x3, uu, gx2 = _three_point(params.family, params.n, params.a, params.b, t, gamma, form)
+    if symbolic:
+        return ParamTriple((u, x2, x3), uu)
+    values = (gamma, gx2, g_eval(params, x3))
+    assert _square_is_product(uu, values)
+    return ParamTriple((u, x2, x3), uu, values)
 
 
 def three_point_inner(family: str, n: int, form: str = "cancelled") -> dict:
@@ -293,7 +317,7 @@ def three_point_inner(family: str, n: int, form: str = "cancelled") -> dict:
     n; the (t, u) forms are the exact substitution c -> g(u)."""
     _require_odd(n)
     a, b, c, t = (RatFun.var(v) for v in "abct")
-    x2, x3, u = _three_point(family, n, a, b, t, c, form)
+    x2, x3, u, _ = _three_point(family, n, a, b, t, c, form)
     return {"x2": x2, "x3": x3, "u": u, "g_x1": c}
 
 
@@ -307,7 +331,7 @@ def three_point_display(family: str, n: int, form: str = "raw") -> ParamTriple:
     """
     _require_odd(n)
     a, b, t, u = (RatFun.var(v) for v in "abtu")
-    x2, x3, uu = _three_point(family, n, a, b, t, g_shape(family, n, a, b, u), form)
+    x2, x3, uu, _ = _three_point(family, n, a, b, t, g_shape(family, n, a, b, u), form)
     return ParamTriple((u, x2, x3), uu)
 
 
@@ -378,6 +402,11 @@ def encode(params: CurveParams, t, u) -> AffinePoint:
     component with g(X_i) = 0; otherwise the first X_i whose g-value is a
     nonzero square is completed with its canonical root. The three-point
     identity makes the character product +1, so such a component exists.
+
+    The g-values come from three_point_map, never evaluated again. Only
+    g(u) and g(X2) get a character: when both are -1, the identity makes
+    g(X3) a square, so X3 goes straight to the root, and a missing root or
+    y^2 != g(X3) raises AssertionError (the character product was -1).
     """
     _require_odd(params.n)
     ctx = _field_of(params, t, u)
@@ -388,16 +417,18 @@ def encode(params: CurveParams, t, u) -> AffinePoint:
     except DenominatorVanishes as exc:
         raise DomainExcluded(str(exc)) from exc
     if not triple.u:
-        for x in triple.xs:
-            gx = g_eval(params, x)
+        for x, gx in zip(triple.xs, triple.values):
             if not gx:
                 return AffinePoint(x, ctx.zero())
         raise AssertionError("U = 0 forces some g(X_i) = 0")
-    for x in triple.xs:
-        gx = g_eval(params, x)
+    for x, gx in zip(triple.xs[:2], triple.values[:2]):
         if ctx.legendre(gx) == 1:
-            return make_point(params, x, ctx.sqrt(gx))
-    raise AssertionError("character product cannot be -1 on the domain")
+            return make_point(params, x, ctx.sqrt(gx), gx)
+    x3, gx3 = triple.xs[2], triple.values[2]
+    y = ctx.sqrt(gx3)
+    if y is None or y * y != gx3:
+        raise AssertionError("character product cannot be -1 on the domain")
+    return AffinePoint(x3, y)
 
 
 def _field_of(params: CurveParams, *vals) -> Field:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,29 @@ def test_encode_base_point_short_circuit(capsys):
         ["encode", "--field", "11", "--curve", "g1:n=3,a=1,b=1", "--t", "5", "--u", "2"], capsys
     )
     assert code == 0 and payload == {"x": "2", "y": "0"}
+
+
+def test_encode_huge_degree_is_decided_in_log_n(capsys):
+    # over F_11, s = t^2*g(u) = -1 and s^(n-1) = 1: the geometric factor
+    # vanishes, which the closed form finds without an O(n) sum
+    start = time.perf_counter()
+    code, _, payload = run(
+        ["encode", "--field", "11", "--curve", "g1:n=99999999,a=1,b=1", "--t", "2", "--u", "3"], capsys
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and payload["error"] == "DomainExcluded"
+
+
+def test_encode_large_odd_degree_lands_on_the_curve(capsys):
+    p, n = 2**255 - 19, 1_000_001
+    code, _, payload = run(
+        ["encode", "--field", str(p), "--trust-prime", "--curve", f"g2:n={n},a=3,b=5",
+         "--t", "7", "--u", "11"],
+        capsys,
+    )
+    assert code == 0
+    x, y = int(payload["x"]), int(payload["y"])
+    assert y * y % p == (pow(x, n, p) + 3 * x * x + 5 * x) % p
 
 
 # --- sqrt -----------------------------------------------------------------

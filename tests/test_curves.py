@@ -1,11 +1,14 @@
 """Curve parametrizations, the encoder, and the exact certification suite."""
 
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypoint import curves
 from hypoint.curves import (
     AffinePoint,
     BasePointOnCurve,
@@ -15,6 +18,7 @@ from hypoint.curves import (
     DomainExcluded,
     NotOnCurve,
     NotReciprocal,
+    ParamTriple,
     UnsupportedParity,
     certify_auxiliary,
     certify_even_n_value,
@@ -40,7 +44,7 @@ from hypoint.curves import (
     two_point_symbolic,
     verify_triple,
 )
-from hypoint.ff import field_new
+from hypoint.ff import FieldSpec, field_new
 from hypoint.poly import MPoly, RatFun, rf_eq
 
 K11 = field_new(11)
@@ -214,6 +218,77 @@ def test_encode_whole_domain_f11():
                 except DomainExcluded:
                     continue
             assert pt.y * pt.y == g_eval(P11, pt.x)
+
+
+def test_three_point_map_returns_each_g_value():
+    tr = three_point_map(P11, K11.elem(2), K11.elem(3))
+    assert tr.values == tuple(g_eval(P11, x) for x in tr.xs)
+    # a symbolic t runs the certified cancelled form and carries no values
+    t = RatFun.var("t")
+    sym = three_point_map(CurveParams("g1", 3, F(1), F(1)), t, F(3))
+    assert sym.values is None
+    assert rf_eq(sym.xs[1], three_point_display("g1", 3, "cancelled").xs[1].substitute(
+        {"a": RatFun(1), "b": RatFun(1), "u": RatFun(3)}))
+
+
+@pytest.mark.parametrize("K", [field_new(13), field_new("3^3:1,2,0,1")], ids=["F13", "F27"])
+@pytest.mark.parametrize("family,n", [("g1", 3), ("g2", 5), ("g1", 27)])
+def test_raw_form_matches_cancelled_sums(K, family, n):
+    """The raw form that fields run equals the cancelled form on every
+    (t, gamma), s = 1 included (there U^2 = gamma*g(X2)*g(X3) holds for any
+    X2, so the identity check alone would not notice a wrong X2)."""
+    a, b = K.elem(2), K.elem(5)
+    ones = 0
+    for t in K.elements():
+        for gamma in K.elements():
+            if not gamma:
+                continue
+            ones += t * t * gamma == 1
+            out = {}
+            for form in ("raw", "cancelled"):
+                try:
+                    out[form] = curves._three_point(family, n, a, b, t, gamma, form)
+                except DenominatorVanishes as exc:
+                    out[form] = str(exc)
+            assert out["raw"] == out["cancelled"]
+    assert ones == K.q - 1
+
+
+def test_encode_256_bit_stream_is_pinned():
+    """sha256 of a seeded 256-bit encode stream: both primes (p = 3 and
+    p = 1 mod 4), g1 and g2, n in {3, 5, 7, 9}; digest computed before the
+    Jacobi character, the fused square root and the closed-form geometric
+    factor replaced Euler's criterion, the separate square test and the
+    O(n) sums."""
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    for p in (2**256 - 189, 2**255 - 19):
+        K = field_new(FieldSpec(p, trust_prime=True))
+        for family in ("g1", "g2"):
+            for n in (3, 5, 7, 9):
+                a, b = K.elem(rng.randrange(1, p)), K.elem(rng.randrange(1, p))
+                params = CurveParams(family, n, a, b)
+                for _ in range(8):
+                    pt = encode(params, K.elem(rng.randrange(p)), K.elem(rng.randrange(p)))
+                    h.update(f"{pt.x},{pt.y};".encode())
+    assert h.hexdigest() == "d16ad14f473f5158145417678af39cbb6457651a6ade1892a57527a095913929"
+
+
+@pytest.mark.parametrize("p", [11, 13], ids=["3mod4", "1mod4"])
+def test_encode_rejects_an_all_nonsquare_triple(p, monkeypatch):
+    """X3 gets no character test, but its root is checked: values whose
+    character product is -1 must raise, not return a point."""
+    K = field_new(p)
+    params = CurveParams("g1", 3, K.elem(1), K.elem(1))
+    bad = [K.elem(v) for v in range(1, p) if K.legendre(K.elem(v)) == -1][:3]
+    xs = (K.elem(3), K.elem(4), K.elem(5))
+
+    def fake_map(params_, t, u):
+        return ParamTriple(xs, K.one(), tuple(bad))
+
+    monkeypatch.setattr(curves, "three_point_map", fake_map)
+    with pytest.raises(AssertionError, match="character product cannot be -1"):
+        encode(params, K.elem(2), K.elem(3))
 
 
 def test_even_n_point_frozen_instance():

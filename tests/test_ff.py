@@ -5,6 +5,8 @@ full p <= 1000 range runs in the acceptance gate; this file keeps a smaller
 slice so the unit suite stays fast.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +174,33 @@ def test_256_bit_sqrt_roundtrip(p):
     r = K.sqrt(sq)
     assert r is not None and r * r == sq
     assert r == x or r == -x
+
+
+@pytest.mark.parametrize("p", [2**256 - 189, 2**255 - 19, 3 * 2**30 + 1], ids=["3mod4", "1mod4", "31bit"])
+def test_jacobi_legendre_matches_euler(p):
+    K = field_new(FieldSpec(p, trust_prime=True))
+    rng = random.Random(p)
+    assert K.legendre(K.zero()) == 0
+    for _ in range(2000):
+        v = rng.randrange(1, p)
+        assert K.legendre(K.elem(v)) == (1 if pow(v, (p - 1) // 2, p) == 1 else -1)
+
+
+def test_fused_sqrt_on_a_deep_two_adic_prime():
+    # p - 1 = 3 * 2^30: Tonelli-Shanks runs up to 30 rounds
+    p = 3 * 2**30 + 1
+    K = field_new(p)
+    assert K._tonelli_data()[1] == 30
+    rng = random.Random(1)
+    for i in range(3000):
+        v = rng.randrange(1, p)
+        if i % 2:
+            v = v * v % p
+        r = K.sqrt(K.elem(v))
+        if pow(v, (p - 1) // 2, p) != 1:
+            assert r is None
+        else:
+            assert r is not None and r.val * r.val % p == v and r.val <= p - r.val
 
 
 # --- property tests -------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from hypoint.curves import CurveParams
 from hypoint.ff import field_new
-from hypoint.survey import MISSED_CAP, coverage
+from hypoint.survey import DEFAULT_CAP, MISSED_CAP, coverage
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "coverage_sweep.py"
 
@@ -45,3 +45,11 @@ def test_unsupported_degree_is_a_usage_error(sweep, capsys, n):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--n must be odd" in err and "Traceback" not in err
+
+
+def test_p_max_past_the_enumeration_cap_is_a_usage_error(sweep, capsys):
+    with pytest.raises(SystemExit) as exc:
+        sweep.main(["--p-min", str(DEFAULT_CAP + 7), "--p-max", str(DEFAULT_CAP + 7)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--p-max must not exceed the enumeration cap" in err and "Traceback" not in err
