@@ -205,9 +205,10 @@ def certify_auxiliary(family: str, m: int, n: int) -> bool:
 # two-point map
 
 
-def _two_point(family: str, n: int, a, b, t, value_family: str) -> ParamTriple:
-    """(X1, X2, U) in any ring, X2 = t^2*X1 and U = t^n*g(X1), with g taken
-    from value_family (the family itself, except to reproduce an erratum)."""
+def _two_point(family: str, n: int, a, b, t, value_family: str):
+    """(X1, X2, U, g(X1)) in any ring, X2 = t^2*X1 and U = t^n*g(X1), with g
+    taken from value_family (the family itself, except to reproduce an
+    erratum)."""
     if n < 3:
         raise CurveError("two-point map needs n >= 3")
     e = _exponent(family, n)
@@ -217,14 +218,20 @@ def _two_point(family: str, n: int, a, b, t, value_family: str) -> ParamTriple:
     if not den:
         raise DenominatorVanishes(f"t^(2*{e - 1}) = 1")
     x1 = -(b * (t ** (2 * e) - 1)) / (a * den)
-    return ParamTriple((x1, t * t * x1), t**n * g_shape(value_family, n, a, b, x1))
+    gx1 = g_shape(value_family, n, a, b, x1)
+    return x1, t * t * x1, t**n * gx1, gx1
 
 
 def two_point_map(params: CurveParams, t) -> ParamTriple:
-    """(X1, X2, U) with U^2 = g(X1)*g(X2); t from a field or Q."""
-    triple = _two_point(params.family, params.n, params.a, params.b, t, params.family)
-    assert verify_triple(params, triple)
-    return triple
+    """(X1, X2, U) with U^2 = g(X1)*g(X2); t from a field or Q.
+
+    The triple carries values = (g(X1), g(X2)), each evaluated once, and the
+    identity is asserted on them.
+    """
+    x1, x2, u, gx1 = _two_point(params.family, params.n, params.a, params.b, t, params.family)
+    values = (gx1, g_eval(params, x2))
+    assert _square_is_product(u, values)
+    return ParamTriple((x1, x2), u, values)
 
 
 def two_point_symbolic(family: str, n: int, u_formula: str = "corrected") -> ParamTriple:
@@ -236,7 +243,8 @@ def two_point_symbolic(family: str, n: int, u_formula: str = "corrected") -> Par
     """
     value_family = "g1" if u_formula == "family1_literal" else family
     a, b, t = RatFun.var("a"), RatFun.var("b"), RatFun.var("t")
-    return _two_point(family, n, a, b, t, value_family)
+    x1, x2, u, _ = _two_point(family, n, a, b, t, value_family)
+    return ParamTriple((x1, x2), u)
 
 
 def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool:
@@ -538,6 +546,8 @@ def parse_curve_spec(text: str, ctx: Field) -> CurveParams:
         key, eq, val = part.partition("=")
         if eq != "=" or key not in ("n", "a", "b"):
             raise CurveError(f"bad curve spec component {part!r}")
+        if key in fields:
+            raise CurveError(f"curve spec repeats {key}=")
         fields[key] = val
     if set(fields) != {"n", "a", "b"}:
         raise CurveError("curve spec needs n=, a= and b=")

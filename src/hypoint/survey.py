@@ -14,17 +14,19 @@
 
 One engine, _DomainWalk, serves enumerate_T, domain_summary, coverage and
 sweep_soundness. It works on canonical element indices 0..q-1 (the order of
-Field.elements()) and first builds O(q) tables, none of them q x q: discrete
-logs over the first primitive element, inverses, g, the quadratic character
-and the canonical root (or None) of every element, and X2, X3 for every
-s = t^2 g(u), the only way they depend on (t, u), from the closed-form
-geometric sums (s^k - 1)/(s - 1), k at s = 1. The tables come from the
-generic field layer and curves.g_eval, so g and each character are evaluated
-once per element, not once per pair. Per pair the walk only multiplies, which
-on logs is addition, so prime and extension fields share one loop. Every pair
-still gets three checks: U^2 = g(u) g(X2) g(X3) for U = t^n g(u)^((n+1)/2)
-g(X2); a product of the three characters, each looked up on its own, that is
-never -1; and y^2 = g(x) for the point picked as encode picks it.
+Field.elements()) and builds O(q) tables, none of them q x q: discrete logs
+over the first primitive element, g, the quadratic character and the
+canonical root (or None) of every element, and X2, X3 and U for every
+s = t^2 g(u), the only way the map depends on (t, u). The s-table comes from
+curves._three_point itself, the formula encode runs and the certifier
+proves, and g and each character are evaluated once per element. Every check
+is then a check on one s: the pair's identity U^2 = g(u) g(X2) g(X3) is
+g(X3) = s^n g(X2), its character product is chi(s) chi(g(X2)) chi(g(X3)),
+and its output is X2 or X3 by s alone, or u itself when chi(s) = 1. Each u
+with chi(g(u)) = chi(s) meets s at exactly the two values +-t, so the walk
+checks each s (and each output u) once and weights it by the pairs it
+stands for: a survey costs O(q), and its counts are still pair counts. Only
+enumerate_T, whose output has q^2 entries, visits pairs.
 
 Everything is deterministic; reports serialize with all counts as decimal
 strings so consumers never face 64-bit overflow. Coverage is measured against
@@ -40,9 +42,10 @@ from fractions import Fraction
 from .curves import (
     AffinePoint,
     CurveParams,
-    _exponent,
+    DenominatorVanishes,
     _field_of,
     _require_odd,
+    _three_point,
     g_eval,
     point_json,
     three_point_map,
@@ -62,7 +65,7 @@ def _check_cap(q: int, cap):
     limit = DEFAULT_CAP if cap is None else cap
     if cap is not None and cap > DEFAULT_CAP:
         warnings.warn(
-            f"enumeration cap raised to {cap}; runtimes grow with q^2",
+            f"enumeration cap raised to {cap}; enumerating all of T visits q^2 pairs",
             stacklevel=3,
         )
     if q > limit:
@@ -117,12 +120,16 @@ def _antilog(ctx: Field, elems: list, index: dict) -> list:
 class _DomainWalk:
     """The encoder over all of T, on canonical element indices and O(q) tables.
 
-    Construction builds the tables; rows() walks T in row-major order (t
-    outer, both in canonical order), yielding (t, [u, ...]) per nonzero t and
-    adding to the counters size_T, raw_excluded, identity_failures,
-    char_violations and membership_failures as it goes. hit[x] is set when
-    some pair encodes to the point with x-coordinate x; the encoder's y is
-    always the canonical root of g(x), so x alone names the point.
+    X2 and X3 depend on a pair (t, u) only through s = t^2 g(u), and every u
+    with g(u) != 0 and chi(g(u)) = chi(s) meets s at exactly the two values
+    +-t. So run() makes each check once per s, from the s-table that
+    curves._three_point fills (t = 1, gamma = s), and weights it by those
+    2 * #{u} pairs; the counters size_T, raw_excluded, identity_failures,
+    char_violations and membership_failures are pair counts all the same.
+    hit[x] is set when some pair encodes to the point with x-coordinate x;
+    the encoder's y is always the canonical root of g(x), so x alone names
+    the point. rows() yields the admissible (t, [u, ...]) in row-major order
+    (t outer, both in canonical order) and checks nothing.
     """
 
     def __init__(self, params: CurveParams):
@@ -143,35 +150,29 @@ class _DomainWalk:
         half = qm1 // 2
         chi = [0] * q
         root = [0] + [None] * qm1
-        inv = [None] * q
         for k, i in enumerate(alog):
             chi[i] = -1 if k % 2 else 1
             if k % 2 == 0:
                 root[i] = min(alog[k // 2], alog[k // 2 + half])
-            inv[i] = alog[-k % qm1]
-
-        def recip(x):
-            return elems[inv[index[x.val]]]
 
         gx = [index[g_eval(params, x).val] for x in elems]
 
-        # X2(s) and X3(s) by log of s, None where the denominator core vanishes
-        e = _exponent(params.family, params.n)
-        a, b = params.a, params.b
+        # X2, X3 and log U by log of s, X2 None where the denominator core
+        # vanishes: the map at t = 1, gamma = s has the X2 and X3 of every
+        # pair with t^2 g(u) = s, and its U^2 = s g(X2) g(X3) holds exactly
+        # when g(X3) = s^n g(X2), which is each such pair's identity
+        fam, n, a, b, one = params.family, params.n, params.a, params.b, ctx.one()
         x2_of = [None] * qm1
         x3_of = [None] * qm1
+        lu_of = [None] * qm1
         for k, i in enumerate(alog):
-            s = elems[i]
-            if k == 0:
-                num, den_core = ctx.elem(e), ctx.elem(e - 1)
-            else:
-                se1 = s ** (e - 1)
-                w = recip(s - 1)
-                num, den_core = (se1 * s - 1) * w, (se1 - 1) * w
-            if den_core:
-                x2 = -(b * num) * recip(a * s * den_core)
-                x2_of[k] = index[x2.val]
-                x3_of[k] = index[(s * x2).val]
+            try:
+                x2, x3, uu, _ = _three_point(fam, n, a, b, one, elems[i], "raw")
+            except DenominatorVanishes:
+                continue
+            x2_of[k] = index[x2.val]
+            x3_of[k] = index[x3.val]
+            lu_of[k] = log[index[uu.val]]
 
         self.params = params
         self.ctx = ctx
@@ -180,10 +181,10 @@ class _DomainWalk:
         self.root = root
         self.chi = chi
         self._log = log
-        # doubled, so that a sum of two logs indexes them without a reduction
-        self._alog2 = alog + alog
-        self._x2_of = x2_of + x2_of
-        self._x3_of = x3_of + x3_of
+        self._alog = alog
+        self._x2_of = x2_of
+        self._x3_of = x3_of
+        self._lu_of = lu_of
         self.hit = bytearray(q)
         self.size_T = 0
         self.raw_excluded = 0
@@ -192,60 +193,67 @@ class _DomainWalk:
         self.membership_failures = 0
 
     def rows(self):
-        n, q = self.params.n, self.ctx.q
+        q = self.ctx.q
         qm1 = q - 1
-        log, alog2, gx, chi, root = self._log, self._alog2, self.gx, self.chi, self.root
-        x2_of, x3_of, hit = self._x2_of, self._x3_of, self.hit
-        up = (n + 1) // 2
-        # (u, log g(u), log g(u)^((n+1)/2), chi(g(u))) for every u off the roots of g
-        us = [(u, log[g], up * log[g] % qm1, chi[g]) for u, g in enumerate(gx) if g]
+        log = self._log
+        # doubled, so that a sum of two logs indexes it without a reduction
+        admissible = [x2 is not None for x2 in self._x2_of] * 2
+        lgus = [(u, log[g]) for u, g in enumerate(self.gx) if g]
         for t in range(1, q):
-            lt = log[t]
-            lt2 = 2 * lt % qm1
-            ltn = n * lt % qm1
-            row = []
-            raw = bad_id = bad_chi = bad_pt = 0
-            for u, lgu, lgup, chi_u in us:
-                ls = lt2 + lgu
-                x2 = x2_of[ls]
-                if x2 is None:
-                    continue
-                row.append(u)
-                if ls == 0 or ls == qm1:
-                    raw += 1
-                x3 = x3_of[ls]
-                g2, g3 = gx[x2], gx[x3]
-                lg2 = log[g2]
-                if lg2 is None:
-                    # U = 0 = U^2, and X2 is the first component on y = 0
-                    x = x2
-                else:
-                    # on logs: 2 log U = 2 (log t^n + log g(u)^((n+1)/2) + log g(X2))
-                    # must equal log g(u) + log g(X2) + log g(X3), mod q - 1
-                    lg3 = log[g3]
-                    if lg3 is None or (2 * (ltn + lgup + lg2) - lgu - lg2 - lg3) % qm1:
-                        bad_id += 1
-                        continue
-                    chi2, chi3 = chi[g2], chi[g3]
-                    if chi_u * chi2 * chi3 == -1:
-                        bad_chi += 1
-                        continue
-                    x = u if chi_u == 1 else x2 if chi2 == 1 else x3
-                y = root[gx[x]]
-                # y^2 is the antilog of 2 log y
-                if (alog2[2 * log[y]] if y else 0) != gx[x]:
-                    bad_pt += 1
-                hit[x] = 1
-            self.size_T += len(row)
-            self.raw_excluded += raw
-            self.identity_failures += bad_id
-            self.char_violations += bad_chi
-            self.membership_failures += bad_pt
-            yield t, row
+            lt2 = 2 * log[t] % qm1
+            yield t, [u for u, lgu in lgus if admissible[lt2 + lgu]]
+
+    def _on_curve(self, x) -> bool:
+        """y^2 = g(x) for the encoder's y, the canonical root of g(x)."""
+        g, y = self.gx[x], self.root[self.gx[x]]
+        # y^2 is the antilog of 2 log y
+        return (self._alog[2 * self._log[y] % (self.ctx.q - 1)] if y else 0) == g
 
     def run(self) -> _DomainWalk:
-        for _ in self.rows():
-            pass
+        qm1 = self.ctx.q - 1
+        log, alog, gx, chi, hit = self._log, self._alog, self.gx, self.chi, self.hit
+        # the u off the roots of g, by the character of g(u)
+        by_chi = {1: [], -1: []}
+        for u, g in enumerate(gx):
+            if g:
+                by_chi[chi[g]].append(u)
+        squares_passed = 0
+        for ls, (x2, x3, lu) in enumerate(zip(self._x2_of, self._x3_of, self._lu_of)):
+            chi_s = chi[alog[ls]]
+            weight = 2 * len(by_chi[chi_s])
+            if x2 is None or not weight:
+                continue
+            self.size_T += weight
+            if ls == 0:
+                self.raw_excluded += weight
+            g2, g3 = gx[x2], gx[x3]
+            lg2 = log[g2]
+            if lg2 is None:
+                # U = 0 = U^2, and X2 is the first component on y = 0
+                x = x2
+            else:
+                # on logs: 2 log U = log s + log g(X2) + log g(X3), mod q - 1
+                lg3 = log[g3]
+                if lg3 is None or (2 * lu - ls - lg2 - lg3) % qm1:
+                    self.identity_failures += weight
+                    continue
+                chi2, chi3 = chi[g2], chi[g3]
+                if chi_s * chi2 * chi3 == -1:
+                    self.char_violations += weight
+                    continue
+                if chi_s == 1:
+                    # every pair at this s outputs its own u, checked below
+                    squares_passed += 1
+                    continue
+                x = x2 if chi2 == 1 else x3
+            if not self._on_curve(x):
+                self.membership_failures += weight
+            hit[x] = 1
+        if squares_passed:
+            for u in by_chi[1]:
+                if not self._on_curve(u):
+                    self.membership_failures += 2 * squares_passed
+                hit[u] = 1
         return self
 
 
@@ -324,9 +332,10 @@ def _field_text(ctx: Field) -> str:
 def coverage(params: CurveParams, cap=None) -> CoverageReport:
     """Encode every admissible pair, compare the image with the affine points.
 
-    The walk visits every pair of T, so cost grows as q^2; intended for the
-    exhaustive desk scale, not for cryptographic sizes. The affine points are
-    read off the same tables, in enumerate_curve's order.
+    The walk checks each s = t^2 g(u) once and weights it by its pairs, so
+    cost grows as q, and the counts are exact over all of T; intended for
+    the exhaustive desk scale under the enumeration cap. The affine points
+    are read off the same tables, in enumerate_curve's order.
     """
     _check_cap(_field_of(params).q, cap)
     walk = _DomainWalk(params).run()

@@ -68,6 +68,13 @@ def test_encode_usage_errors(capsys):
     assert code == 1
 
 
+def test_encode_repeated_curve_key_is_curve_error(capsys):
+    code, _, payload = run(
+        ["encode", "--field", "11", "--curve", "g1:n=3,a=1,b=1,b=2", "--t", "2", "--u", "3"], capsys
+    )
+    assert code == 1 and payload["error"] == "CurveError"
+
+
 def test_encode_extension_field(capsys):
     code, _, payload = run(
         ["encode", "--field", "3^2:1,0,1", "--curve", "g1:n=3,a=0,1,b=1,1", "--t", "1,1", "--u", "0,2"],

@@ -117,6 +117,27 @@ def test_two_point_field_matches_rational():
         assert got == K.elem(exact.numerator) / K.elem(exact.denominator)
 
 
+def test_two_point_map_returns_each_g_value():
+    K = field_new(101)
+    for params, t in ((CurveParams("g2", 5, K.elem(3), K.elem(7)), K.elem(10)),
+                      (CurveParams("g1", 3, F(1), F(1)), F(2))):
+        tr = two_point_map(params, t)
+        assert tr.values == tuple(g_eval(params, x) for x in tr.xs)
+        assert tr.u * tr.u == tr.values[0] * tr.values[1]
+
+
+def test_two_point_map_evaluates_g_once_per_component(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return g_shape(*args)
+
+    monkeypatch.setattr(curves, "g_shape", counting)
+    tr = two_point_map(CurveParams("g1", 3, F(1), F(1)), F(2))
+    assert calls == list(tr.xs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["g1", "g2"]),
@@ -427,6 +448,12 @@ def test_parse_curve_spec():
         parse_curve_spec("g1:n=3,a=1", K11)
     with pytest.raises(CurveError):
         parse_curve_spec("g1:n=3,a=1,b=1,c=2", K11)
+
+
+@pytest.mark.parametrize("spec", ["g1:n=3,a=1,b=1,b=2", "g1:n=3,n=5,a=1,b=1", "g2:n=3,a=1,a=1,b=1"])
+def test_parse_curve_spec_rejects_repeated_keys(spec):
+    with pytest.raises(CurveError, match="repeats"):
+        parse_curve_spec(spec, K11)
 
 
 # --- property tests ------------------------------------------------------------

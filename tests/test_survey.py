@@ -239,6 +239,15 @@ def test_coverage_json_is_pinned(field, curve, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_coverage_json_is_pinned_at_q_1009():
+    # recorded from the per-pair walk; the per-s walk must reproduce it
+    rep = coverage(parse_curve_spec("g1:n=3,a=1,b=1", field_new(1009)))
+    j = rep.to_json()
+    assert j["coverage_ratio"] == "516/1033"
+    digest = hashlib.sha256(json.dumps(j, sort_keys=True).encode()).hexdigest()
+    assert digest == "b1ce6bffa9acda3fcd0f796c28125f6a154639f30bcd53c46385aae94b8a209d"
+
+
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("walk", [enumerate_T, domain_summary, coverage])
 def test_walk_entry_points_reject_even_n(walk, n):
@@ -284,6 +293,65 @@ def test_per_pair_checks_catch_corrupted_tables(corrupt, counter, monkeypatch):
         coverage(CurveParams("g1", 3, K13.elem(2), K13.elem(6)))
 
 
+COUNTERS = ("size_T", "raw_excluded", "identity_failures", "char_violations", "membership_failures")
+
+
+def pair_counts(walk):
+    """The walk's counters and hit, recounted pair by pair from its tables,
+    with each pair's own U = t^n g(u)^((n+1)/2) g(X2)."""
+    n, q = walk.params.n, walk.ctx.q
+    qm1 = q - 1
+    log, alog, gx, chi, root = walk._log, walk._alog, walk.gx, walk.chi, walk.root
+    counts = dict.fromkeys(COUNTERS, 0)
+    hit = bytearray(q)
+    for t in range(1, q):
+        for u in range(q):
+            if not gx[u]:
+                continue
+            lgu = log[gx[u]]
+            ls = (2 * log[t] + lgu) % qm1
+            x2, x3 = walk._x2_of[ls], walk._x3_of[ls]
+            if x2 is None:
+                continue
+            counts["size_T"] += 1
+            counts["raw_excluded"] += ls == 0
+            g2, g3 = gx[x2], gx[x3]
+            if not g2:
+                x = x2
+            else:
+                lu = n * log[t] + (n + 1) // 2 * lgu + log[g2]
+                if not g3 or (2 * lu - lgu - log[g2] - log[g3]) % qm1:
+                    counts["identity_failures"] += 1
+                    continue
+                if chi[gx[u]] * chi[g2] * chi[g3] == -1:
+                    counts["char_violations"] += 1
+                    continue
+                x = u if chi[gx[u]] == 1 else x2 if chi[g2] == 1 else x3
+            y = root[gx[x]]
+            if (alog[2 * log[y] % qm1] if y else 0) != gx[x]:
+                counts["membership_failures"] += 1
+            hit[x] = 1
+    return counts, hit
+
+
+@pytest.mark.parametrize("corrupt", [None, _wrong_roots, _x3_as_x2])
+@pytest.mark.parametrize(
+    "field,curve",
+    [("13", "g1:n=3,a=2,b=6"), ("31", "g2:n=7,a=3,b=5"), ("3^2:1,0,1", "g1:n=3,a=1,b=1"),
+     ("5^2:3,0,1", "g2:n=5,a=2,1,b=3,4")],
+)
+def test_per_s_walk_counts_every_pair(field, curve, corrupt):
+    """One check per s, weighted, gives the pair-by-pair counts, also on
+    corrupted tables, where the failure counters are not zero."""
+    walk = survey._DomainWalk(parse_curve_spec(curve, field_new(field)))
+    if corrupt:
+        corrupt(walk)
+    expect, hit = pair_counts(walk)
+    walk.run()
+    assert {k: getattr(walk, k) for k in COUNTERS} == expect
+    assert walk.hit == hit
+
+
 # --- degree statistics ---------------------------------------------------------
 
 
@@ -323,17 +391,25 @@ def test_sweep_matches_generic_layer_counts():
 
 
 @pytest.mark.parametrize("family", ["g1", "g2"])
-@pytest.mark.parametrize("p,n,a,b", [(11, 3, 1, 1), (13, 5, 2, 6), (17, 3, 3, 5)])
+@pytest.mark.parametrize(
+    "p,n,a,b",
+    [(11, 3, 1, 1), (13, 5, 2, 6), (17, 3, 3, 5), (11, 7, 1, 1), (13, 3, 2, 6), (17, 7, 3, 5),
+     (23, 5, 4, 9), (31, 3, 6, 2), (37, 7, 5, 7), (43, 5, 9, 4), (53, 3, 2, 3), (61, 7, 10, 3),
+     (101, 3, 7, 3), (101, 5, 7, 3), (101, 7, 7, 3)],
+)
 def test_sweep_image_equals_encode_image(family, p, n, a, b):
-    """Point-for-point drift check between the int path and the field layer."""
+    """The per-s sweep against per-pair encode: size_T, raw_excluded, image."""
     sw = sweep_soundness(p, n, a, b, family, collect_image=True)
     K = field_new(p)
     params = CurveParams(family, n, K.elem(a), K.elem(b))
-    slow = set()
+    size, raw, slow = 0, 0, set()
     for t, u in enumerate_T(params):
         pt = encode(params, t, u)
+        size += 1
+        raw += t * t * g_eval(params, u) == 1
         slow.add((int(str(pt.x)), int(str(pt.y))))
-    assert set(sw["image"]) == slow
+    assert (sw["size_T"], sw["raw_excluded"]) == (size, raw)
+    assert sw["image"] == sorted(slow)
     assert sw["size_T"] == domain_summary(params)["size_T"]
 
 
