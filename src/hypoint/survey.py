@@ -120,16 +120,13 @@ def _antilog(ctx: Field, elems: list, index: dict) -> list:
 class _DomainWalk:
     """The encoder over all of T, on canonical element indices and O(q) tables.
 
-    X2 and X3 depend on a pair (t, u) only through s = t^2 g(u), and every u
-    with g(u) != 0 and chi(g(u)) = chi(s) meets s at exactly the two values
-    +-t. So run() makes each check once per s, from the s-table that
-    curves._three_point fills (t = 1, gamma = s), and weights it by those
-    2 * #{u} pairs; the counters size_T, raw_excluded, identity_failures,
-    char_violations and membership_failures are pair counts all the same.
-    hit[x] is set when some pair encodes to the point with x-coordinate x;
-    the encoder's y is always the canonical root of g(x), so x alone names
-    the point. rows() yields the admissible (t, [u, ...]) in row-major order
-    (t outer, both in canonical order) and checks nothing.
+    run() makes each check once per s, weighted by the 2 * #{u : g(u) != 0,
+    chi(g(u)) = chi(s)} pairs that meet s, so the counters size_T,
+    raw_excluded, identity_failures, char_violations and membership_failures
+    are pair counts. hit[x] is set when some pair encodes to the point with
+    x-coordinate x; the encoder's y is always the canonical root of g(x), so
+    x alone names the point. rows() yields the admissible (t, [u, ...]) in
+    row-major order (t outer, both in canonical order) and checks nothing.
     """
 
     def __init__(self, params: CurveParams):
