@@ -115,10 +115,6 @@ class ParamTriple:
     u: object
     values: tuple | None = None
 
-    @property
-    def arity(self) -> int:
-        return len(self.xs)
-
 
 def _geom_sum(s, k: int):
     """1 + s + ... + s^(k-1); k >= 1."""
@@ -299,20 +295,14 @@ def _require_odd(n: int):
 def three_point_map(params: CurveParams, t, u) -> ParamTriple:
     """(X1, X2, X3, U) = (u, ...) with U^2 = g(u)*g(X2)*g(X3); field or Q.
 
-    On a field or Q the triple carries values = (g(u), g(X2), g(X3)), each
-    evaluated once, and the identity is asserted on them. A symbolic t (as in
-    survey.degree_stats) runs the cancelled form, whose identity
-    certify_three_point proves over Q(a, b, c, t), and leaves values unset.
+    The triple carries values = (g(u), g(X2), g(X3)), each evaluated once,
+    and the identity is asserted on them.
     """
     _require_odd(params.n)
     gamma = g_eval(params, u)
     if not gamma:
         raise BasePointOnCurve(f"g({u}) = 0")
-    symbolic = isinstance(t, RatFun)
-    form = "cancelled" if symbolic else "raw"
-    x2, x3, uu, gx2 = _three_point(params.family, params.n, params.a, params.b, t, gamma, form)
-    if symbolic:
-        return ParamTriple((u, x2, x3), uu)
+    x2, x3, uu, gx2 = _three_point(params.family, params.n, params.a, params.b, t, gamma, "raw")
     values = (gamma, gx2, g_eval(params, x3))
     assert _square_is_product(uu, values)
     return ParamTriple((u, x2, x3), uu, values)
@@ -461,8 +451,7 @@ def is_reciprocal(g: MPoly, n: int) -> bool:
     var = _poly_var(g)
     if g.degree(var) != n:
         return False
-    coeffs = {k: c for k, c in g.terms.items()}
-    return all(coeffs.get(k) == coeffs.get(n - k) for k in range(n + 1))
+    return all(g.terms.get(k) == g.terms.get(n - k) for k in range(n + 1))
 
 
 def _apply(g: MPoly, x) -> RatFun:

@@ -14,12 +14,15 @@ two classes here. Determinism is a contract, not an accident:
 
 The quadratic character of a prime field above 2^30 is the Jacobi symbol,
 computed by reciprocity on plain ints, with no exponentiation; smaller prime
-fields and extension fields use Euler's criterion. sqrt needs no character first: one exponentiation gives a
-candidate root (q = 3 mod 4) or the Tonelli-Shanks start values, and the
-same computation reports a non-square, so a test-and-root costs one power.
+fields and extension fields use Euler's criterion. sqrt needs no character
+first: one exponentiation gives a candidate root (q = 3 mod 4) or the
+Tonelli-Shanks start values, and the same computation reports a non-square,
+so a test-and-root costs one power.
 
-Extension fields take an explicit monic modulus, constant term first, whose
-irreducibility is verified (gcd(x^(p^k) - x, modulus) = 1 for k <= m/2).
+Extension fields take an explicit monic modulus f, constant term first, whose
+irreducibility is verified by Ben-Or's test, gcd(z^(p^k) - z, f) = 1 for
+k <= m/2. The powers z^(p^k) are taken in F_p[z]/(f) with the field's own
+element arithmetic, and the gcd over F_p is the module's one polynomial gcd.
 """
 
 from __future__ import annotations
@@ -108,70 +111,25 @@ def is_prime(n: int, trusted: bool = False) -> bool:
     return _miller_rabin(n, _DET_WITNESSES if n < DETERMINISTIC_PRIMALITY_BOUND else _EXT_WITNESSES)
 
 
-# ---------------------------------------------------------------------------
-# small F_p[x] helpers (lists of ints, constant term first) used only for the
-# modulus irreducibility check
-
-
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmulmod(f, g, mod, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % p
-    m = len(mod) - 1
-    for i in range(len(out) - 1, m - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(m):
-                out[i - m + j] = (out[i - m + j] - c * mod[j]) % p
-            out[i] = 0
-    return _ptrim(out[:m])
-
-
-def _ppowmod(f, e, mod, p):
-    result = [1]
-    base = f
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        e >>= 1
-        if e:
-            base = _pmulmod(base, base, mod, p)
-    return result
-
-
-def _pgcd(f, g, p):
+def _poly_gcd(f, g):
+    """A gcd (not made monic) of two dense coefficient lists, constant term
+    first, f with a nonzero leading coefficient. Coefficients may come from
+    any field whose elements support + - * / and truth testing."""
     f, g = list(f), list(g)
-    while _ptrim(g):
-        inv_lc = pow(g[-1], -1, p)
-        while len(f) >= len(g) and _ptrim(f):
-            c = f[-1] * inv_lc % p
-            shift = len(f) - len(g)
-            for j in range(len(g)):
-                f[shift + j] = (f[shift + j] - c * g[j]) % p
-            _ptrim(f)
+    while g:
+        if not g[-1]:
+            g.pop()
+            continue
+        # f <- f mod g, one leading coefficient at a time
+        while len(f) >= len(g):
+            c = f.pop()
+            if c:
+                c = c / g[-1]
+                shift = len(f) + 1 - len(g)
+                for j in range(len(g) - 1):
+                    f[shift + j] -= c * g[j]
         f, g = g, f
-    return _ptrim(f)
-
-
-def _check_irreducible(mod, p, m):
-    # no irreducible factor of degree <= m/2 plus correct shape => irreducible
-    x = [0, 1]
-    xq = x
-    for _ in range(m // 2):
-        xq = _ppowmod(xq, p, mod, p)
-        diff = [(a - b) % p for a, b in
-                ((xq[i] if i < len(xq) else 0, x[i] if i < len(x) else 0) for i in range(m))]
-        g = _pgcd(list(mod), diff, p)
-        if len(g) != 1:
-            raise NotIrreducible(f"modulus {mod} is reducible over F_{p}")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +249,21 @@ class FieldElement:
         return bool(self.val) if self.ctx.m == 1 else any(self.val)
 
     def __eq__(self, other):
+        # an int equals the element only as its representative 0 <= v < p,
+        # so that equal objects hash alike
         if isinstance(other, int):
+            if not 0 <= other < self.ctx.p:
+                return False
             other = self.ctx.elem(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
         return self.ctx.signature == other.ctx.signature and self.val == other.val
 
     def __hash__(self):
-        return hash((self.ctx.signature, self.val))
+        v = self.val
+        if self.ctx.m == 1:
+            return hash(v)
+        return hash(v[0]) if not any(v[1:]) else hash(v)
 
     def __str__(self):
         if self.ctx.m == 1:
@@ -320,8 +285,6 @@ class Field:
             raise EvenCharacteristic(f"characteristic {p} is even; odd fields only")
         if not is_prime(p, trusted=spec.trust_prime):
             raise NotPrime(f"{p} is not prime")
-        if p < 3:
-            raise NotPrime(f"p = {p} out of range")
         if m == 1:
             if spec.modulus is not None:
                 raise ValueError("prime fields take no modulus")
@@ -329,12 +292,9 @@ class Field:
         else:
             if spec.modulus is None:
                 raise ValueError("extension fields need a modulus (constant term first)")
-            mod = [c % p for c in spec.modulus]
-            if len(mod) != m + 1 or mod[-1] != 1:
+            modulus = tuple(c % p for c in spec.modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {m}")
-            _check_irreducible(mod, p, m)
-            modulus = tuple(mod)
-        self.spec = spec
         self.p = p
         self.m = m
         self.q = p**m
@@ -342,6 +302,20 @@ class Field:
         self.signature = (p, m, modulus)
         self._nonresidue = None
         self._tonelli = None
+        if m > 1:
+            self._check_irreducible(spec.trust_prime)
+
+    def _check_irreducible(self, trust_prime: bool):
+        """Ben-Or's test, gcd(z^(p^k) - z, modulus) = 1 for k <= m/2, in the
+        ring F_p[z]/(modulus), whose arithmetic needs no irreducibility."""
+        fp = Field(FieldSpec(self.p, trust_prime=trust_prime))
+        mod = [fp.elem(c) for c in self.modulus]
+        z = self.elem([0, 1])
+        zq = z
+        for _ in range(self.m // 2):
+            zq = zq**self.p
+            if len(_poly_gcd(mod, [fp.elem(c) for c in (zq - z).val])) != 1:
+                raise NotIrreducible(f"modulus {list(self.modulus)} is reducible over F_{self.p}")
 
     def __repr__(self):
         return f"F_{self.p}" if self.m == 1 else f"F_{self.p}^{self.m}"

@@ -48,9 +48,8 @@ from .curves import (
     _three_point,
     g_eval,
     point_json,
-    three_point_map,
 )
-from .ff import Field, field_new
+from .ff import Field, _poly_gcd, field_new
 from .poly import MPoly, RatFun
 
 DEFAULT_CAP = 10_000
@@ -378,8 +377,6 @@ def sweep_soundness(p: int, n: int, a: int, b: int, family: str = "g1",
     _require_odd(n)  # before CurveParams, which accepts any n >= 2
     a %= p
     b %= p
-    if a == 0 or b == 0:
-        raise ValueError("need a*b != 0 mod p")
     ctx = field_new(p)
     walk = _DomainWalk(CurveParams(family, n, ctx.elem(a), ctx.elem(b))).run()
     out = {
@@ -434,53 +431,23 @@ def _uni_coeffs(f: MPoly) -> list:
     return out
 
 
-def _uni_trim(cs):
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _uni_mod(f, g):
-    # remainder of dense Fraction lists; g nonzero
-    f = f[:]
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg and f:
-        k = len(f) - 1 - dg
-        q = f[-1] / lg
-        for i, gc in enumerate(g):
-            f[k + i] -= q * gc
-        f.pop()
-        _uni_trim(f)
-    return f
-
-
-def _uni_gcd_degree(f, g) -> int:
-    """Degree of gcd of two dense coefficient lists, at least one nonzero."""
-    f, g = _uni_trim(f[:]), _uni_trim(g[:])
-    while g:
-        f, g = g, _uni_mod(f, g)
-    return len(f) - 1
-
-
 def degree_stats(a, b, u) -> DegreeStats:
     """Degrees of the coprime N/D with X1*X2*X3 = N/D, first family, n = 3.
 
-    u must avoid the roots of g. The product is formed from the deployed
-    (cancelled) map over rational t and reduced to lowest terms by univariate
-    gcd; that single-variable gcd is this module's private exception to the
-    no-gcd rule of the symbolic layer.
+    u must avoid the roots of g. The product is formed from the cancelled
+    map over rational t and reduced to lowest terms by univariate gcd (the
+    one ff's modulus check runs over F_p); that single-variable gcd is this
+    module's private exception to the no-gcd rule of the symbolic layer.
     """
     a, b, u = Fraction(a), Fraction(b), Fraction(u)
-    params = CurveParams("g1", 3, a, b)
-    if not g_eval(params, u):
+    gu = g_eval(CurveParams("g1", 3, a, b), u)
+    if not gu:
         raise ValueError(f"g({u}) = 0; pick u off the roots of g")
-    t = RatFun.var("t")
-    triple = three_point_map(params, t, u)
-    prod = triple.xs[0] * triple.xs[1] * triple.xs[2]
+    x2, x3, _, _ = _three_point("g1", 3, a, b, RatFun.var("t"), gu)
+    prod = u * x2 * x3
     num, den = _uni_coeffs(prod.num), _uni_coeffs(prod.den)
     if not num:
         return DegreeStats(a, b, u, -1, 0)
-    shared = _uni_gcd_degree(num, den)
+    shared = len(_poly_gcd(num, den)) - 1
     return DegreeStats(a, b, u, len(num) - 1 - shared, len(den) - 1 - shared)
 

@@ -244,10 +244,10 @@ def test_encode_whole_domain_f11():
 def test_three_point_map_returns_each_g_value():
     tr = three_point_map(P11, K11.elem(2), K11.elem(3))
     assert tr.values == tuple(g_eval(P11, x) for x in tr.xs)
-    # a symbolic t runs the certified cancelled form and carries no values
+    # a symbolic t runs the same raw form and carries its values too
     t = RatFun.var("t")
     sym = three_point_map(CurveParams("g1", 3, F(1), F(1)), t, F(3))
-    assert sym.values is None
+    assert all(rf_eq(v, g_eval(CurveParams("g1", 3, F(1), F(1)), x)) for x, v in zip(sym.xs, sym.values, strict=True))
     assert rf_eq(sym.xs[1], three_point_display("g1", 3, "cancelled").xs[1].substitute(
         {"a": RatFun(1), "b": RatFun(1), "u": RatFun(3)}))
 

@@ -5,6 +5,7 @@ full p <= 1000 range runs in the acceptance gate; this file keeps a smaller
 slice so the unit suite stays fast.
 """
 
+import itertools
 import random
 
 import pytest
@@ -150,6 +151,38 @@ def test_error_paths():
     with pytest.raises(ValueError):
         field_new(FieldSpec(11, 1, (1, 1)))
 
+
+@pytest.mark.parametrize("p,m,count", [(3, 2, 3), (3, 3, 8), (3, 4, 18), (5, 2, 10),
+                                       (5, 3, 40), (7, 2, 21), (11, 2, 55)])
+def test_modulus_check_accepts_exactly_the_irreducible_monics(p, m, count):
+    """Gauss's count (1/m) sum_{d | m} mu(d) p^(m/d) of monic irreducibles;
+    at m = 4 a product of two irreducible quadratics such as (z^2 + 1)^2 over
+    F_3 has no root, so only the k = 2 round rejects it."""
+    accepted = 0
+    for low in itertools.product(range(p), repeat=m):
+        try:
+            field_new(FieldSpec(p, m, low + (1,)))
+        except NotIrreducible:
+            continue
+        accepted += 1
+    assert accepted == count
+
+
+def test_reducible_modulus_message():
+    with pytest.raises(NotIrreducible, match=r"^modulus \[1, 0, 1\] is reducible over F_5$"):
+        field_new("5^2:1,0,1")
+    with pytest.raises(NotIrreducible, match=r"^modulus \[1, 0, 2, 0, 1\] is reducible over F_3$"):
+        field_new("3^4:1,0,2,0,1")  # (z^2 + 1)^2
+
+
+def test_int_equality_is_by_representative_and_hashes_alike():
+    F11 = field_new(11)
+    assert F11.elem(3) == 3 and F11.elem(3) != 14
+    assert F11.elem(10) != -1 and F11.elem(10) == 10
+    assert len({F11.elem(3), 3}) == 1
+    assert len({F9.elem(2), 2}) == 1
+    assert F9.elem([2, 1]) != 2 and F9.elem(2) != 5
+    assert len({F9.elem([0, 1]), F9.elem([0, 1]), 1}) == 2
 
 def test_primality_policy():
     assert is_prime(2**61 - 1)
