@@ -201,10 +201,20 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._difference(self.val, other.val)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._difference(other.val, self.val)
+
+    def _difference(self, x, y):
+        ctx = self.ctx
+        if ctx.m == 1:
+            return FieldElement(ctx, (x - y) % ctx.p)
+        p = ctx.p
+        return FieldElement(ctx, tuple((xi - yi) % p for xi, yi in zip(x, y)))
 
     def __mul__(self, other):
         other = self._coerce(other)

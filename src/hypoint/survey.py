@@ -17,9 +17,14 @@ sweep_soundness. It works on canonical element indices 0..q-1 (the order of
 Field.elements()) and builds O(q) tables, none of them q x q: discrete logs
 over the first primitive element, g, the quadratic character and the
 canonical root (or None) of every element, and X2, X3 and U for every
-s = t^2 g(u), the only way the map depends on (t, u). The s-table comes from
-curves._three_point itself, the formula encode runs and the certifier
-proves, and g and each character are evaluated once per element. Every check
+s = t^2 g(u), the only way the map depends on (t, u). The tables are built
+in log/Zech form: an element is its discrete log (zero is None), the
+antilog comes from the field's own multiplication and the Zech table
+log(1 + gen^k) from its own addition of one, so a product is an int sum and
+a sum one table read, on prime and extension fields alike. The g-table is
+curves.g_shape and the s-table curves._three_point itself, the formula
+encode runs and the certifier proves, run on log elements, and g and each
+character are evaluated once per element. Every check
 is then a check on one s: the pair's identity U^2 = g(u) g(X2) g(X3) is
 g(X3) = s^n g(X2), its character product is chi(s) chi(g(X2)) chi(g(X3)),
 and its output is X2 or X3 by s alone, or u itself when chi(s) = 1. Each u
@@ -47,9 +52,10 @@ from .curves import (
     _require_odd,
     _three_point,
     g_eval,
+    g_shape,
     point_json,
 )
-from .ff import Field, _poly_gcd, field_new
+from .ff import DivisionByZero, Field, _poly_gcd, field_new
 from .poly import MPoly, RatFun
 
 DEFAULT_CAP = 10_000
@@ -116,16 +122,127 @@ def _antilog(ctx: Field, elems: list, index: dict) -> list:
     raise ArithmeticError(f"no primitive element in {ctx}")
 
 
+def _zech(elems: list, index: dict, alog: list, log: list) -> list:
+    """log(1 + gen^k) for k = 0..q-2, None where 1 + gen^k = 0, from the
+    field's own addition of one."""
+    one = elems[alog[0]]
+    return [log[index[(elems[i] + one).val]] for i in alog]
+
+
+class _Logs:
+    """F_q in log form over a walk's generator: the antilog, log and Zech
+    tables, and the ints coerced through the logs of their field values."""
+
+    def __init__(self, ctx: Field, elems: list, index: dict, alog: list, log: list):
+        self.ctx, self.index, self.alog, self.log = ctx, index, alog, log
+        self.qm1 = ctx.q - 1
+        # -1 is the one element of order 2, gen^((q-1)/2)
+        self.half = self.qm1 // 2
+        self.zech = _zech(elems, index, alog, log)
+        # logs, not _Log objects, so that no element refers back to this
+        # object and the walk's tables are freed without the cycle collector
+        self.int_logs = {}
+
+    def log_of(self, x):
+        """The log of an int, through its field value, or of a field element."""
+        if type(x) is int:
+            if x not in self.int_logs:
+                self.int_logs[x] = self.log_of(self.ctx.elem(x))
+            return self.int_logs[x]
+        return self.log[self.index[x.val]]
+
+    def index_of(self, x: _Log) -> int:
+        """The canonical index of x; zero is index 0 on every field."""
+        return 0 if x.k is None else self.alog[x.k]
+
+
+class _Log:
+    """An element of F_q as its discrete log k mod q - 1, zero as k = None.
+
+    Products, quotients, powers and negation are int arithmetic on k, and a
+    sum reads the Zech table: gen^i + gen^j = gen^(i + zech[j - i]). Ints
+    are coerced through the log of their field value, so the ring-generic
+    formulas of curves run on this type unchanged.
+    """
+
+    __slots__ = ("f", "k")
+
+    def __init__(self, f: _Logs, k):
+        self.f = f
+        self.k = k
+
+    def __add__(self, other):
+        f = self.f
+        i, j = self.k, (other.k if type(other) is _Log else f.log_of(other))
+        if i is None:
+            return _Log(f, j)
+        if j is None:
+            return self
+        z = f.zech[(j - i) % f.qm1]
+        return _Log(f, None if z is None else (i + z) % f.qm1)
+
+    def __neg__(self):
+        if self.k is None:
+            return self
+        f = self.f
+        return _Log(f, (self.k + f.half) % f.qm1)
+
+    def __sub__(self, other):
+        # self + (-other), with -gen^j = gen^(j + (q-1)/2)
+        f = self.f
+        i, j = self.k, (other.k if type(other) is _Log else f.log_of(other))
+        if j is None:
+            return self
+        j = (j + f.half) % f.qm1
+        if i is None:
+            return _Log(f, j)
+        z = f.zech[(j - i) % f.qm1]
+        return _Log(f, None if z is None else (i + z) % f.qm1)
+
+    def __mul__(self, other):
+        f = self.f
+        i, j = self.k, (other.k if type(other) is _Log else f.log_of(other))
+        if i is None or j is None:
+            return _Log(f, None)
+        return _Log(f, (i + j) % f.qm1)
+
+    def __truediv__(self, other):
+        f = self.f
+        i, j = self.k, (other.k if type(other) is _Log else f.log_of(other))
+        if j is None:
+            raise DivisionByZero(f"inverse of zero in {f.ctx}")
+        if i is None:
+            return self
+        return _Log(f, (i - j) % f.qm1)
+
+    def __pow__(self, e: int):
+        f = self.f
+        if self.k is None:
+            return _Log(f, None if e else 0)
+        return _Log(f, self.k * e % f.qm1)
+
+    def __bool__(self):
+        return self.k is not None
+
+    def __eq__(self, other):
+        return self.k == (other.k if type(other) is _Log else self.f.log_of(other))
+
+
 class _DomainWalk:
     """The encoder over all of T, on canonical element indices and O(q) tables.
 
-    run() makes each check once per s, weighted by the 2 * #{u : g(u) != 0,
-    chi(g(u)) = chi(s)} pairs that meet s, so the counters size_T,
-    raw_excluded, identity_failures, char_violations and membership_failures
-    are pair counts. hit[x] is set when some pair encodes to the point with
-    x-coordinate x; the encoder's y is always the canonical root of g(x), so
-    x alone names the point. rows() yields the admissible (t, [u, ...]) in
-    row-major order (t outer, both in canonical order) and checks nothing.
+    The tables are built in log form (_Log): the antilog from the field's own
+    multiplication by the generator, the Zech table from its own addition of
+    one, and then g and curves._three_point run on log elements, so every
+    product is an int sum and every sum one table read, on prime and
+    extension fields alike. run() makes each check once per s, weighted by
+    the 2 * #{u : g(u) != 0, chi(g(u)) = chi(s)} pairs that meet s, so the
+    counters size_T, raw_excluded, identity_failures, char_violations and
+    membership_failures are pair counts. hit[x] is set when some pair
+    encodes to the point with x-coordinate x; the encoder's y is always the
+    canonical root of g(x), so x alone names the point. rows() yields the
+    admissible (t, [u, ...]) in row-major order (t outer, both in canonical
+    order) and checks nothing.
     """
 
     def __init__(self, params: CurveParams):
@@ -151,24 +268,26 @@ class _DomainWalk:
             if k % 2 == 0:
                 root[i] = min(alog[k // 2], alog[k // 2 + half])
 
-        gx = [index[g_eval(params, x).val] for x in elems]
+        logs = _Logs(ctx, elems, index, alog, log)
+        fam, n = params.family, params.n
+        a, b, one = (_Log(logs, logs.log_of(x)) for x in (params.a, params.b, 1))
+        gx = [logs.index_of(g_shape(fam, n, a, b, _Log(logs, k))) for k in log]
 
         # X2, X3 and log U by log of s, X2 None where the denominator core
         # vanishes: the map at t = 1, gamma = s has the X2 and X3 of every
         # pair with t^2 g(u) = s, and its U^2 = s g(X2) g(X3) holds exactly
         # when g(X3) = s^n g(X2), which is each such pair's identity
-        fam, n, a, b, one = params.family, params.n, params.a, params.b, ctx.one()
         x2_of = [None] * qm1
         x3_of = [None] * qm1
         lu_of = [None] * qm1
-        for k, i in enumerate(alog):
+        for k in range(qm1):
             try:
-                x2, x3, uu, _ = _three_point(fam, n, a, b, one, elems[i], "raw")
+                x2, x3, uu, _ = _three_point(fam, n, a, b, one, _Log(logs, k), "raw")
             except DenominatorVanishes:
                 continue
-            x2_of[k] = index[x2.val]
-            x3_of[k] = index[x3.val]
-            lu_of[k] = log[index[uu.val]]
+            x2_of[k] = logs.index_of(x2)
+            x3_of[k] = logs.index_of(x3)
+            lu_of[k] = uu.k
 
         self.params = params
         self.ctx = ctx

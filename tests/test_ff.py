@@ -274,3 +274,14 @@ def test_extension_field_axioms(K, i, j, k):
     assert (x + y) * z == x * z + y * z
     if y:
         assert (x / y) * y == x
+
+
+@pytest.mark.parametrize("K", [field_new(11), F9, F25, F27], ids=str)
+def test_subtraction_is_adding_the_negative(K):
+    xs = list(K.elements())
+    for x in xs:
+        for y in xs:
+            assert (x - y).val == (x + (-y)).val
+        for c in range(-K.p - 1, 2 * K.p + 1):
+            assert (x - c).val == (x + K.elem(-c)).val
+            assert (c - x).val == (K.elem(c) + (-x)).val

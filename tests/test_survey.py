@@ -20,6 +20,7 @@ from hypoint.curves import (
     DenominatorVanishes,
     DomainExcluded,
     UnsupportedParity,
+    _three_point,
     encode,
     g_eval,
     parse_curve_spec,
@@ -229,6 +230,10 @@ COVERAGE_DIGESTS = [
     ("13", "g2:n=5,a=2,b=6", "10d02cc79f94940186fc9b159dbc3f6a32b64540b067f5f3526c26af990c226a"),
     ("3^3:1,2,0,1", "g1:n=3,a=1,2,b=2,0,1", "55ca9f5378a8607a53649009eb081b9a67c809926062aedfe90a60a707d71c40"),
     ("5^2:3,0,1", "g2:n=3,a=2,1,b=3,4", "7d107d0a4d5e645b42eab5aff2f6a921db74f7a11be5b21b849f25a8ab9c0fd3"),
+    # recorded from the FieldElement-built tables that the log/Zech tables
+    # replaced, on the fields where the table arithmetic changed the most
+    ("3^5:1,2,0,0,0,1", "g1:n=3,a=1,b=1", "dbd92bb61d17916b30853be4bd832576097dd4419219fbb11fe12f6f75cee0e9"),
+    ("7^3:1,1,0,1", "g2:n=3,a=2,1,b=3,0,1", "67f499cfb059f33612c385aaadfc3d1c4ad4f3adb1ec09934431e98728f8c229"),
 ]
 
 
@@ -291,6 +296,73 @@ def test_per_pair_checks_catch_corrupted_tables(corrupt, counter, monkeypatch):
     K13 = field_new(13)
     with pytest.raises(AssertionError):
         coverage(CurveParams("g1", 3, K13.elem(2), K13.elem(6)))
+
+
+# --- the log/Zech tables against FieldElement arithmetic -------------------------
+
+
+def field_element_tables(walk):
+    """gx, X2, X3 and log U by log of s, rebuilt from g_eval and _three_point
+    in FieldElement arithmetic over the walk's own antilog."""
+    params, elems = walk.params, walk.elems
+    index = {x.val: i for i, x in enumerate(elems)}
+    gx = [index[g_eval(params, x).val] for x in elems]
+    x2_of, x3_of, lu_of = [], [], []
+    for i in walk._alog:
+        try:
+            x2, x3, uu, _ = _three_point(params.family, params.n, params.a, params.b,
+                                         walk.ctx.one(), elems[i], "raw")
+        except DenominatorVanishes:
+            x2, x3, lu = None, None, None
+        else:
+            x2, x3, lu = index[x2.val], index[x3.val], walk._log[index[uu.val]]
+        x2_of.append(x2)
+        x3_of.append(x3)
+        lu_of.append(lu)
+    return gx, x2_of, x3_of, lu_of
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("family", ["g1", "g2"])
+@pytest.mark.parametrize(
+    "field,a,b",
+    [("13", "2", "6"), ("101", "3", "5"), ("3^2:1,0,1", "1,1", "2"), ("5^2:3,0,1", "2,1", "3,4"),
+     ("3^3:1,2,0,1", "1,2", "2,0,1"), ("7^2:1,0,1", "3,2", "5,1"), ("3^5:1,2,0,0,0,1", "1,0,2", "0,1")],
+)
+def test_log_tables_match_field_element_arithmetic(field, a, b, family, n):
+    walk = survey._DomainWalk(parse_curve_spec(f"{family}:n={n},a={a},b={b}", field_new(field)))
+    gx, x2_of, x3_of, lu_of = field_element_tables(walk)
+    assert walk.gx == gx
+    assert walk._x2_of == x2_of
+    assert walk._x3_of == x3_of
+    assert walk._lu_of == lu_of
+
+
+def _corrupt_zech(monkeypatch, k):
+    build = survey._zech
+
+    def corrupted(*tables):
+        zech = build(*tables)
+        zech[k] = 0 if zech[k] is None else (zech[k] + 1) % len(zech)
+        return zech
+
+    monkeypatch.setattr(survey, "_zech", corrupted)
+
+
+# entry (q - 1)/2 is log(1 + gen^((q-1)/2)) = log(1 - 1), None before corruption
+@pytest.mark.parametrize("field,curve,k", [
+    ("3^3:1,2,0,1", "g1:n=3,a=1,2,b=2,0,1", 1), ("3^3:1,2,0,1", "g1:n=3,a=1,2,b=2,0,1", 13),
+    ("3^3:1,2,0,1", "g1:n=3,a=1,2,b=2,0,1", 20), ("59", "g1:n=3,a=2,b=6", 0),
+    ("59", "g1:n=3,a=2,b=6", 29), ("59", "g1:n=3,a=2,b=6", 40),
+])
+def test_walk_checks_catch_a_corrupted_zech_entry(field, curve, k, monkeypatch):
+    params = parse_curve_spec(curve, field_new(field))
+    _corrupt_zech(monkeypatch, k)
+    with pytest.raises(AssertionError):
+        coverage(params)
+    if params.a.ctx.m == 1:
+        sw = sweep_soundness(params.a.ctx.p, params.n, params.a.val, params.b.val, params.family)
+        assert sw["identity_failures"] + sw["char_violations"] + sw["membership_failures"] > 0
 
 
 COUNTERS = ("size_T", "raw_excluded", "identity_failures", "char_violations", "membership_failures")
