@@ -35,10 +35,10 @@ not n.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
+from ._record import Record
 from .ff import Field, FieldElement
 from .poly import MPoly, RatFun, poly_exact_sqrt, rf_eq
 
@@ -77,16 +77,13 @@ class NotOnCurve(CurveError):
     pass
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(Record):
     """y^2 = g(x) data; a and b live in whatever ring the caller works in."""
 
-    family: str
-    n: int
-    a: object
-    b: object
+    __slots__ = ("family", "n", "a", "b")
 
-    def __post_init__(self):
+    def __init__(self, family: str, n: int, a, b):
+        self._init(family, n, a, b)
         if self.family not in FAMILIES:
             raise CurveError(f"unknown family {self.family!r}")
         if not isinstance(self.n, int) or self.n < 2:
@@ -98,22 +95,23 @@ class CurveParams:
         return f"{self.family}:n={self.n},a={self.a},b={self.b}"
 
 
-@dataclass(frozen=True)
-class AffinePoint:
-    x: object
-    y: object
+class AffinePoint(Record):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self._init(x, y)
 
 
-@dataclass(frozen=True)
-class ParamTriple:
+class ParamTriple(Record):
     """Components (x_1..x_k) and u with u^2 = prod g(x_i), k in {2, 3}.
 
     values holds (g(x_1), ..., g(x_k)) when the map already computed them.
     """
 
-    xs: tuple
-    u: object
-    values: tuple | None = None
+    __slots__ = ("xs", "u", "values")
+
+    def __init__(self, xs: tuple, u, values: tuple | None = None):
+        self._init(xs, u, values)
 
 
 def _geom_sum(s, k: int):

@@ -27,8 +27,9 @@ element arithmetic, and the gcd over F_p is the module's one polynomial gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+
+from ._record import Record
 
 
 class FieldError(ValueError):
@@ -135,14 +136,14 @@ def _poly_gcd(f, g):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Defining data of F_(p^m); modulus is required exactly when m > 1."""
 
-    p: int
-    m: int = 1
-    modulus: tuple[int, ...] | None = None
-    trust_prime: bool = False
+    __slots__ = ("p", "m", "modulus", "trust_prime")
+
+    def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None,
+                 trust_prime: bool = False):
+        self._init(p, m, modulus, trust_prime)
 
 
 def parse_field_spec(text: str, trust_prime: bool = False) -> FieldSpec:

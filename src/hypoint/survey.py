@@ -21,17 +21,22 @@ s = t^2 g(u), the only way the map depends on (t, u). The tables are built
 in log/Zech form: an element is its discrete log (zero is None), the
 antilog comes from the field's own multiplication and the Zech table
 log(1 + gen^k) from its own addition of one, so a product is an int sum and
-a sum one table read, on prime and extension fields alike. The g-table is
-curves.g_shape and the s-table curves._three_point itself, the formula
-encode runs and the certifier proves, run on log elements, and g and each
-character are evaluated once per element. Every check
-is then a check on one s: the pair's identity U^2 = g(u) g(X2) g(X3) is
-g(X3) = s^n g(X2), its character product is chi(s) chi(g(X2)) chi(g(X3)),
-and its output is X2 or X3 by s alone, or u itself when chi(s) = 1. Each u
-with chi(g(u)) = chi(s) meets s at exactly the two values +-t, so the walk
-checks each s (and each output u) once and weights it by the pairs it
-stands for: a survey costs O(q), and its counts are still pair counts. Only
-enumerate_T, whose output has q^2 entries, visits pairs.
+a sum one table read, on prime and extension fields alike. The formulas run
+on whole-table log vectors, each operation one pass over a table: the
+g-table is one call of curves.g_shape on every element, and the s-table is
+curves._three_point itself, the formula encode runs and the certifier
+proves, called on every s at once. Where an s's denominator core vanishes,
+its division records the position in the vector's mask instead of raising,
+and the walk reads masked positions as excluded s. s = 1 is a call of its
+own, because the raw form has its own branch there. g and each character
+are evaluated once per element. Every check is then a check on one s: the
+pair's identity U^2 = g(u) g(X2) g(X3) is g(X3) = s^n g(X2), its character
+product is chi(s) chi(g(X2)) chi(g(X3)), and its output is X2 or X3 by s
+alone, or u itself when chi(s) = 1. Each u with chi(g(u)) = chi(s) meets s
+at exactly the two values +-t, so the walk checks each s (and each output
+u) once and weights it by the pairs it stands for: a survey costs O(q), and
+its counts are still pair counts. Only enumerate_T, whose output has q^2
+entries, visits pairs.
 
 Everything is deterministic; reports serialize with all counts as decimal
 strings so consumers never face 64-bit overflow. Coverage is measured against
@@ -41,9 +46,9 @@ affine points only (the encoder never outputs the point at infinity).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .curves import (
     AffinePoint,
     CurveParams,
@@ -55,7 +60,7 @@ from .curves import (
     g_shape,
     point_json,
 )
-from .ff import DivisionByZero, Field, _poly_gcd, field_new
+from .ff import Field, _poly_gcd, field_new
 from .poly import MPoly, RatFun
 
 DEFAULT_CAP = 10_000
@@ -108,18 +113,30 @@ def enumerate_curve(params: CurveParams, cap=None) -> list:
 # the domain walk
 
 
+def _prime_factors(m: int) -> list:
+    """The distinct primes dividing m >= 1, by trial division."""
+    out, r = [], 2
+    while r * r <= m:
+        if m % r == 0:
+            out.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    return out + [m] if m > 1 else out
+
+
 def _antilog(ctx: Field, elems: list, index: dict) -> list:
     """Indices of gen^0, ..., gen^(q-2) for the first generator of F_q^* in
-    canonical order; a candidate of lower order closes its cycle early."""
-    one = ctx.one()
-    for gen in elems[1:]:
-        alog, x = [index[one.val]], gen
-        while x != one:
-            alog.append(index[x.val])
-            x = x * gen
-        if len(alog) == ctx.q - 1:
-            return alog
-    raise ArithmeticError(f"no primitive element in {ctx}")
+    canonical order. A candidate is tested by its order, gen^((q-1)/r) != 1
+    for every prime r | q - 1, so only the generator's cycle is walked."""
+    one, qm1 = ctx.one(), ctx.q - 1
+    cofactors = [qm1 // r for r in _prime_factors(qm1)]
+    gen = next(x for x in elems[1:] if all(x**c != one for c in cofactors))
+    alog, x = [], one
+    for _ in range(qm1):
+        alog.append(index[x.val])
+        x = x * gen
+    return alog
 
 
 def _zech(elems: list, index: dict, alog: list, log: list) -> list:
@@ -134,13 +151,13 @@ class _Logs:
     tables, and the ints coerced through the logs of their field values."""
 
     def __init__(self, ctx: Field, elems: list, index: dict, alog: list, log: list):
-        self.ctx, self.index, self.alog, self.log = ctx, index, alog, log
+        self.ctx, self.index, self.log = ctx, index, log
         self.qm1 = ctx.q - 1
         # -1 is the one element of order 2, gen^((q-1)/2)
         self.half = self.qm1 // 2
         self.zech = _zech(elems, index, alog, log)
-        # logs, not _Log objects, so that no element refers back to this
-        # object and the walk's tables are freed without the cycle collector
+        # logs, not vectors, so that nothing here refers back to a vector
+        # and the walk's tables are freed without the cycle collector
         self.int_logs = {}
 
     def log_of(self, x):
@@ -151,93 +168,105 @@ class _Logs:
             return self.int_logs[x]
         return self.log[self.index[x.val]]
 
-    def index_of(self, x: _Log) -> int:
-        """The canonical index of x; zero is index 0 on every field."""
-        return 0 if x.k is None else self.alog[x.k]
 
+class _LogVec:
+    """A whole table of F_q elements, each as its discrete log mod q - 1 and
+    zero as None; every operation is one pass over the table.
 
-class _Log:
-    """An element of F_q as its discrete log k mod q - 1, zero as k = None.
-
-    Products, quotients, powers and negation are int arithmetic on k, and a
-    sum reads the Zech table: gen^i + gen^j = gen^(i + zech[j - i]). Ints
-    are coerced through the log of their field value, so the ring-generic
-    formulas of curves run on this type unchanged.
+    Products, quotients, powers and negation are int arithmetic on the logs,
+    and a sum reads the Zech table: gen^i + gen^j = gen^(i + zech[j - i]).
+    Ints and field elements broadcast through the logs of their field
+    values, so the ring-generic formulas of curves run on this type
+    unchanged, on every entry at once. As a whole the vector equals x when
+    every entry does and is true when some entry is nonzero, so a formula's
+    zero test reads "zero everywhere". Division by a zero entry does not
+    raise: it records the position in mask, which every later result
+    carries.
     """
 
-    __slots__ = ("f", "k")
+    __slots__ = ("f", "ks", "mask")
 
-    def __init__(self, f: _Logs, k):
+    def __init__(self, f: _Logs, ks: list, mask: frozenset = frozenset()):
         self.f = f
-        self.k = k
+        self.ks = ks
+        self.mask = mask
+
+    def _other(self, other):
+        """other's logs, one per entry, and the mask of the result."""
+        if type(other) is _LogVec:
+            return other.ks, self.mask | other.mask
+        return [self.f.log_of(other)] * len(self.ks), self.mask
 
     def __add__(self, other):
-        f = self.f
-        i, j = self.k, (other.k if type(other) is _Log else f.log_of(other))
-        if i is None:
-            return _Log(f, j)
-        if j is None:
-            return self
-        z = f.zech[(j - i) % f.qm1]
-        return _Log(f, None if z is None else (i + z) % f.qm1)
+        zech, qm1 = self.f.zech, self.f.qm1
+        js, mask = self._other(other)
+        # j - i lies in (-(q-1), q-1), and a negative list index counts from
+        # the end, so zech[j - i] is zech[(j - i) mod (q - 1)]
+        return _LogVec(self.f, [
+            j if i is None else i if j is None
+            else None if (z := zech[j - i]) is None else (i + z) % qm1
+            for i, j in zip(self.ks, js)], mask)
 
     def __neg__(self):
-        if self.k is None:
-            return self
-        f = self.f
-        return _Log(f, (self.k + f.half) % f.qm1)
+        # -gen^i = gen^(i + (q-1)/2)
+        half, qm1 = self.f.half, self.f.qm1
+        return _LogVec(self.f, [None if i is None else (i + half) % qm1 for i in self.ks], self.mask)
 
     def __sub__(self, other):
-        # self + (-other), with -gen^j = gen^(j + (q-1)/2)
-        f = self.f
-        i, j = self.k, (other.k if type(other) is _Log else f.log_of(other))
-        if j is None:
-            return self
-        j = (j + f.half) % f.qm1
-        if i is None:
-            return _Log(f, j)
-        z = f.zech[(j - i) % f.qm1]
-        return _Log(f, None if z is None else (i + z) % f.qm1)
+        return self + (-other)
 
     def __mul__(self, other):
-        f = self.f
-        i, j = self.k, (other.k if type(other) is _Log else f.log_of(other))
-        if i is None or j is None:
-            return _Log(f, None)
-        return _Log(f, (i + j) % f.qm1)
+        if type(other) is not _LogVec and self.f.log_of(other) == 0:
+            return self  # the formulas' t = 1
+        qm1 = self.f.qm1
+        js, mask = self._other(other)
+        return _LogVec(self.f, [None if i is None or j is None else (i + j) % qm1
+                                for i, j in zip(self.ks, js)], mask)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        f = self.f
-        i, j = self.k, (other.k if type(other) is _Log else f.log_of(other))
-        if j is None:
-            raise DivisionByZero(f"inverse of zero in {f.ctx}")
-        if i is None:
-            return self
-        return _Log(f, (i - j) % f.qm1)
+        qm1 = self.f.qm1
+        js, mask = self._other(other)
+        if None in js:
+            mask = mask.union(p for p, j in enumerate(js) if j is None)
+        return _LogVec(self.f, [None if i is None or j is None else (i - j) % qm1
+                                for i, j in zip(self.ks, js)], mask)
 
     def __pow__(self, e: int):
-        f = self.f
-        if self.k is None:
-            return _Log(f, None if e else 0)
-        return _Log(f, self.k * e % f.qm1)
+        if not e:
+            return _LogVec(self.f, [0] * len(self.ks), self.mask)
+        qm1 = self.f.qm1
+        return _LogVec(self.f, [None if i is None else i * e % qm1 for i in self.ks], self.mask)
 
     def __bool__(self):
-        return self.k is not None
+        return self.ks.count(None) < len(self.ks)
 
     def __eq__(self, other):
-        return self.k == (other.k if type(other) is _Log else self.f.log_of(other))
+        return self.ks == self._other(other)[0]
+
+    def column(self, alog: list | None = None) -> list:
+        """The entries as canonical indices through alog (zero is index 0 on
+        every field), or as logs without it; None at masked positions."""
+        out = list(self.ks) if alog is None else [0 if k is None else alog[k] for k in self.ks]
+        for p in self.mask:
+            out[p] = None
+        return out
 
 
 class _DomainWalk:
     """The encoder over all of T, on canonical element indices and O(q) tables.
 
-    The tables are built in log form (_Log): the antilog from the field's own
+    The tables are built in log form: the antilog from the field's own
     multiplication by the generator, the Zech table from its own addition of
-    one, and then g and curves._three_point run on log elements, so every
-    product is an int sum and every sum one table read, on prime and
-    extension fields alike. run() makes each check once per s, weighted by
-    the 2 * #{u : g(u) != 0, chi(g(u)) = chi(s)} pairs that meet s, so the
-    counters size_T, raw_excluded, identity_failures, char_violations and
+    one, and then g and curves._three_point run once each on whole-table
+    vectors (_LogVec), so every product is an int sum and every sum one
+    table read, on prime and extension fields alike. The s-table takes two
+    calls, s = 1 alone and every other s; the mask of the second call, and
+    a call whose core vanishes at every s, mark the excluded s. run() makes
+    each check once per s, weighted by the 2 * #{u : g(u) != 0,
+    chi(g(u)) = chi(s)} pairs that meet s, so the counters size_T,
+    raw_excluded, identity_failures, char_violations and
     membership_failures are pair counts. hit[x] is set when some pair
     encodes to the point with x-coordinate x; the encoder's y is always the
     canonical root of g(x), so x alone names the point. rows() yields the
@@ -269,25 +298,24 @@ class _DomainWalk:
                 root[i] = min(alog[k // 2], alog[k // 2 + half])
 
         logs = _Logs(ctx, elems, index, alog, log)
-        fam, n = params.family, params.n
-        a, b, one = (_Log(logs, logs.log_of(x)) for x in (params.a, params.b, 1))
-        gx = [logs.index_of(g_shape(fam, n, a, b, _Log(logs, k))) for k in log]
+        fam, n, a, b = params.family, params.n, params.a, params.b
+        gx = g_shape(fam, n, a, b, _LogVec(logs, log)).column(alog)
 
-        # X2, X3 and log U by log of s, X2 None where the denominator core
+        # X2, X3 and log U by log of s, None where the denominator core
         # vanishes: the map at t = 1, gamma = s has the X2 and X3 of every
         # pair with t^2 g(u) = s, and its U^2 = s g(X2) g(X3) holds exactly
-        # when g(X3) = s^n g(X2), which is each such pair's identity
-        x2_of = [None] * qm1
-        x3_of = [None] * qm1
-        lu_of = [None] * qm1
-        for k in range(qm1):
+        # when g(X3) = s^n g(X2), which is each such pair's identity. s = 1
+        # is a call of its own, because the raw form has its own branch there
+        x2_of, x3_of, lu_of = [], [], []
+        for ks in ([0], list(range(1, qm1))):
             try:
-                x2, x3, uu, _ = _three_point(fam, n, a, b, one, _Log(logs, k), "raw")
+                x2, x3, uu, _ = _three_point(fam, n, a, b, 1, _LogVec(logs, ks), "raw")
             except DenominatorVanishes:
-                continue
-            x2_of[k] = logs.index_of(x2)
-            x3_of[k] = logs.index_of(x3)
-            lu_of[k] = uu.k
+                # the core vanishes at every s of the call
+                x2 = x3 = uu = _LogVec(logs, ks, frozenset(range(len(ks))))
+            x2_of += x2.column(alog)
+            x3_of += x3.column(alog)
+            lu_of += uu.column()
 
         self.params = params
         self.ctx = ctx
@@ -397,20 +425,15 @@ def domain_summary(params: CurveParams, cap=None) -> dict:
     return _domain_fields(_DomainWalk(params).run())
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    q: int
-    field: str
-    params: str
-    size_T: int
-    raw_excluded: int
-    bound: int
-    bound_applicable: bool
-    bound_holds: bool
-    curve_size: int
-    image_size: int
-    missed: tuple
-    missed_truncated: bool
+class CoverageReport(Record):
+    __slots__ = ("q", "field", "params", "size_T", "raw_excluded", "bound", "bound_applicable",
+                 "bound_holds", "curve_size", "image_size", "missed", "missed_truncated")
+
+    def __init__(self, q: int, field: str, params: str, size_T: int, raw_excluded: int, bound: int,
+                 bound_applicable: bool, bound_holds: bool, curve_size: int, image_size: int,
+                 missed: tuple, missed_truncated: bool):
+        self._init(q, field, params, size_T, raw_excluded, bound, bound_applicable, bound_holds,
+                   curve_size, image_size, missed, missed_truncated)
 
     @property
     def coverage_ratio(self) -> Fraction:
@@ -519,13 +542,11 @@ def sweep_soundness(p: int, n: int, a: int, b: int, family: str = "g1",
 # Degree statistics for the n = 3 first-family coordinate product
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    a: Fraction
-    b: Fraction
-    u: Fraction
-    deg_num: int
-    deg_den: int
+class DegreeStats(Record):
+    __slots__ = ("a", "b", "u", "deg_num", "deg_den")
+
+    def __init__(self, a: Fraction, b: Fraction, u: Fraction, deg_num: int, deg_den: int):
+        self._init(a, b, u, deg_num, deg_den)
 
     def to_json(self) -> dict:
         return {

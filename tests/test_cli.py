@@ -349,6 +349,16 @@ def test_console_script_installed():
     assert json.loads(proc.stdout) == {"sqrt": "4"}
 
 
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hypoint.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
 def test_text_output_has_no_json(capsys):
     code, out, _ = run(
         ["encode", "--field", "11", "--curve", "g1:n=3,a=1,b=1", "--t", "2", "--u", "3",

@@ -1,6 +1,8 @@
 """Curve parametrizations, the encoder, and the exact certification suite."""
 
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -53,6 +55,38 @@ P11 = CurveParams("g1", 3, K11.elem(1), K11.elem(1))
 
 def as_ints(pt):
     return int(str(pt.x)), int(str(pt.y))
+
+
+# --- records -----------------------------------------------------------------
+
+
+def test_records_keep_frozen_dataclass_behaviour():
+    pt = AffinePoint(K11.elem(1), K11.elem(2))
+    assert repr(pt) == "AffinePoint(x=FieldElement(1 in F_11), y=FieldElement(2 in F_11))"
+    assert pt == AffinePoint(K11.elem(1), K11.elem(2)) and pt != AffinePoint(K11.elem(1), K11.elem(9))
+    assert hash(pt) == hash((K11.elem(1), K11.elem(2)))
+    # equal only to its own class, never to a plain tuple
+    assert pt != (K11.elem(1), K11.elem(2)) and (K11.elem(1), K11.elem(2)) != pt
+    assert len({pt, AffinePoint(K11.elem(1), K11.elem(2))}) == 1
+    with pytest.raises(AttributeError):
+        pt.x = K11.elem(3)
+    with pytest.raises(AttributeError):
+        pt.z = 0
+    with pytest.raises(AttributeError):
+        del pt.y
+    assert repr(ParamTriple((1, 2), 3)) == "ParamTriple(xs=(1, 2), u=3, values=None)"
+    assert ParamTriple(xs=(1,), u=2, values=(4,)).values == (4,)
+    assert repr(FieldSpec(p=5, trust_prime=True)) == "FieldSpec(p=5, m=1, modulus=None, trust_prime=True)"
+    assert FieldSpec(3, 2, (1, 0, 1)) == FieldSpec(p=3, m=2, modulus=(1, 0, 1), trust_prime=False)
+    params = CurveParams(family="g1", n=3, a=K11.elem(1), b=K11.elem(2))
+    assert repr(params) == "CurveParams(family='g1', n=3, a=FieldElement(1 in F_11), b=FieldElement(2 in F_11))"
+    assert str(params) == "g1:n=3,a=1,b=2"
+    assert params == CurveParams("g1", 3, K11.elem(1), K11.elem(2))
+    with pytest.raises(AttributeError):
+        params.n = 5
+    with pytest.raises(TypeError):
+        AffinePoint(1, 2, 3)
+    assert pickle.loads(pickle.dumps(params)) == params and copy.copy(pt) == pt
 
 
 # --- parameter validation ---------------------------------------------------

@@ -5,6 +5,7 @@ denominator rule would leave only 96 admissible pairs there, under the proven
 lower bound of 100, while the deployed geometric-sum denominator admits 108.
 """
 
+import gc
 import hashlib
 import json
 import warnings
@@ -422,6 +423,61 @@ def test_per_s_walk_counts_every_pair(field, curve, corrupt):
     walk.run()
     assert {k: getattr(walk, k) for k in COUNTERS} == expect
     assert walk.hit == hit
+
+
+# the s-table's core vanishes at every s != 1 where (q - 1) | (e - 1), and at
+# s = 1 itself (the raw form's e - 1) where p | (e - 1); e is n for g1, n - 1
+# for g2
+VANISHING_CORES = [
+    ("3", "g1:n=3,a=1,b=1"), ("5", "g1:n=5,a=1,b=2"), ("7", "g1:n=7,a=1,b=3"), ("13", "g1:n=13,a=2,b=6"),
+    ("3^2:1,0,1", "g1:n=7,a=1,b=1"), ("3^2:1,0,1", "g2:n=5,a=1,1,b=2"),
+    ("3^3:1,2,0,1", "g1:n=7,a=1,2,b=2,0,1"), ("3^3:1,2,0,1", "g2:n=5,a=1,2,b=2,0,1"),
+]
+
+
+@pytest.mark.parametrize("field,curve", VANISHING_CORES)
+def test_walk_matches_per_pair_encode_where_cores_vanish(field, curve):
+    params = parse_curve_spec(curve, field_new(field))
+    ctx, e = params.a.ctx, params.n if params.family == "g1" else params.n - 1
+    pairs, raw, image = generic_walk(params)
+    assert list(enumerate_T(params)) == pairs
+    walk = survey._DomainWalk(params).run()
+    counts = {k: getattr(walk, k) for k in COUNTERS}
+    assert counts == {**dict.fromkeys(COUNTERS, 0), "size_T": len(pairs), "raw_excluded": raw}
+    index = {x.val: i for i, x in enumerate(walk.elems)}
+    xs = {index[pt.x.val] for pt in image}
+    assert walk.hit == bytearray(x in xs for x in range(ctx.q))
+    if (ctx.q - 1) % (e - 1) == 0:
+        assert 0 < raw == len(pairs)  # only s = 1 is admissible
+    else:
+        assert (e - 1) % ctx.p == 0 and raw == 0 < len(pairs)
+
+
+@pytest.mark.parametrize("field", ["3", "59", "251", "3^2:1,0,1", "3^3:1,2,0,1", "5^2:3,0,1", "3^5:1,2,0,0,0,1"])
+def test_antilog_picks_the_first_generator(field):
+    ctx = field_new(field)
+    elems = list(ctx.elements())
+    index = {x.val: i for i, x in enumerate(elems)}
+    # the first element whose powers reach all of F_q^*, found by walking them
+    for gen in elems[1:]:
+        powers = [ctx.one()]
+        while len(powers) < ctx.q and (len(powers) == 1 or powers[-1] != ctx.one()):
+            powers.append(powers[-1] * gen)
+        if len(powers) == ctx.q:
+            break
+    assert survey._antilog(ctx, elems, index) == [index[x.val] for x in powers[:-1]]
+
+
+@pytest.mark.parametrize("field,curve", [("251", "g1:n=3,a=1,b=1"), ("3^3:1,2,0,1", "g1:n=3,a=1,2,b=2,0,1")])
+def test_walk_leaves_no_cyclic_garbage(field, curve):
+    params = parse_curve_spec(curve, field_new(field))
+    gc.collect()
+    gc.disable()
+    try:
+        coverage(params)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- degree statistics ---------------------------------------------------------
