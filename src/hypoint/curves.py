@@ -149,9 +149,10 @@ def point_json(pt: AffinePoint) -> dict:
 
 
 def _square_is_product(u, values) -> bool:
-    """u^2 = v_1*...*v_k, exact in u's ring (rf_eq for symbolic). The product
-    is folded left; for most certified sides that order gives u^2 and the
-    product the same denominator, so rf_eq compares numerators only."""
+    """u^2 = v_1*...*v_k, exact in u's ring (rf_eq for symbolic). Over RatFun
+    the denominators stay formal products: for the map identities u^2 and the
+    product carry the same atoms with the same exponents, so rf_eq compares
+    numerators only; other sides meet at the formal lcm."""
     return u * u == reduce(mul, values)
 
 

@@ -4,10 +4,12 @@ This is the certification layer: every identity the curve constructions rely
 on is checked here by exact arithmetic, never numerically. Two deliberate
 restrictions shape the design:
 
-* ``RatFun`` numerator/denominator pairs are kept *unreduced*. Equality
-  (``rf_eq``) compares the numerators when the two denominators are the same
-  polynomial and cross-multiplies every other pair, so no multivariate GCD or
-  factorization exists anywhere in this module.
+* ``RatFun`` values are kept *unreduced*, with the denominator held as a
+  formal product of polynomial atoms. Sums and equality (``rf_eq``) bring
+  both sides to the formal lcm, multiplying each numerator by only the atoms
+  it lacks, and compare numerators alone when the denominators agree. Atoms
+  are matched by polynomial equality and never split, so no multivariate GCD
+  or factorization exists anywhere in this module.
 * The variable universe is fixed to ``a b c d t u``. Exponent vectors are
   packed into a single int (16 bits per variable), which makes monomial
   products a single integer addition.
@@ -51,11 +53,12 @@ class MPoly:
     """Sparse polynomial in a subset of the fixed variable universe.
 
     ``vars`` is the tuple of variables actually used, in canonical order;
-    ``terms`` maps packed exponent keys to nonzero coefficients. Instances
-    are treated as immutable; all operations return new objects.
+    ``terms`` maps packed exponent keys to nonzero coefficients; ``degs``
+    holds the degree in each of ``vars``. Instances are treated as
+    immutable; no operation modifies its operands.
     """
 
-    __slots__ = ("vars", "terms", "_maxdeg")
+    __slots__ = ("vars", "terms", "degs", "_frac")
 
     def __init__(self, vars=(), terms=None):
         _check_vars(vars)
@@ -63,15 +66,28 @@ class MPoly:
         self.terms = {} if terms is None else terms
         self._normalize()
 
+    @classmethod
+    def _raw(cls, vars, terms, degs, frac):
+        """Wrap already normal data: vars canonical and each one used, every
+        coefficient nonzero and integral ones plain ints, degs[i] the degree
+        in vars[i], frac whether any coefficient is a Fraction."""
+        f = object.__new__(cls)
+        f.vars, f.terms, f.degs, f._frac = vars, terms, degs, frac
+        return f
+
     def _normalize(self):
         # One pass: drop zeros, collapse integral Fractions (an exact class
         # test, cheaper than isinstance through the numbers ABCs) and OR the
         # packed keys, whose limbs are nonzero exactly for the used variables.
         terms = {}
         used = 0
+        frac = False
         for k, c in self.terms.items():
-            if c.__class__ is Fraction and c.denominator == 1:
-                c = c.numerator
+            if c.__class__ is Fraction:
+                if c.denominator == 1:
+                    c = c.numerator
+                else:
+                    frac = True
             if c:
                 terms[k] = c
                 used |= k
@@ -83,12 +99,7 @@ class MPoly:
             if len(set(vs)) < len(vs):
                 raise ValueError(f"repeated variable in {vs}")
             keep.sort(key=lambda i: _VAR_INDEX[vs[i]])
-        maxdeg = 0
-        for i in keep:
-            shift = _SHIFT * i
-            d = max((k >> shift) & _MASK for k in terms)
-            if d > maxdeg:
-                maxdeg = d
+        degs = tuple(max((k >> (_SHIFT * i)) & _MASK for k in terms) for i in keep)
         if len(keep) < len(vs) or not ordered:
             remapped = {}
             for k, c in terms.items():
@@ -99,8 +110,9 @@ class MPoly:
             terms = remapped
             self.vars = tuple(vs[i] for i in keep)
         self.terms = terms
-        self._maxdeg = maxdeg
-        if maxdeg >= _DEG_LIMIT:
+        self.degs = degs
+        self._frac = frac
+        if degs and max(degs) >= _DEG_LIMIT:
             raise OverflowError("per-variable degree exceeds packing limit")
 
     # -- constructors ------------------------------------------------------
@@ -165,8 +177,7 @@ class MPoly:
             return max(sum(self.exponents(k)) for k in self.terms)
         if var not in self.vars:
             return 0
-        i = self.vars.index(var)
-        return max((k >> (_SHIFT * i)) & _MASK for k in self.terms)
+        return self.degs[self.vars.index(var)]
 
     # -- ring operations ---------------------------------------------------
 
@@ -190,50 +201,79 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {k: -c for k, c in self.terms.items()})
+        return MPoly._raw(self.vars, {k: -c for k, c in self.terms.items()}, self.degs, self._frac)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        vs, t1, t2 = self._unify(other)
+        out = dict(t1)
+        get = out.get
+        for k, c in t2.items():
+            out[k] = get(k, 0) - c
+        return MPoly(vs, out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
+        """Product without renormalising: over Q the product of nonzero
+        polynomials uses every variable of either factor, with the degrees
+        added, so only cancelled coefficients need dropping."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not self.terms or not other.terms:
             return MPoly()
-        if self._maxdeg + other._maxdeg >= _DEG_LIMIT:
+        deg = dict(zip(self.vars, self.degs))
+        for v, d in zip(other.vars, other.degs):
+            deg[v] = deg.get(v, 0) + d
+        if max(deg.values(), default=0) >= _DEG_LIMIT:
             raise OverflowError("product degree exceeds packing limit")
         vs, t1, t2 = self._unify(other)
-        if len(t1) < len(t2):
-            t1, t2 = t2, t1
         out = {}
         get = out.get
-        for k2, c2 in t2.items():
-            for k1, c1 in t1.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return MPoly(vs, out)
+        if t1 is t2:
+            # squaring: each cross term once, doubled
+            items = list(t1.items())
+            for i, (k1, c1) in enumerate(items):
+                k = k1 + k1
+                out[k] = get(k, 0) + c1 * c1
+                c1 += c1
+                for k2, c2 in items[i + 1:]:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        else:
+            if len(t1) < len(t2):
+                t1, t2 = t2, t1
+            for k2, c2 in t2.items():
+                for k1, c1 in t1.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        if self._frac or other._frac:
+            return MPoly(vs, out)
+        for k in [k for k, c in out.items() if not c]:
+            del out[k]
+        return MPoly._raw(vs, out, tuple(map(deg.__getitem__, vs)), False)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("MPoly exponent must be a non-negative int")
-        result = MPoly.const(1)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return MPoly.const(1) if result is None else result
+            base = base * base
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -265,44 +305,25 @@ class MPoly:
     def substitute(self, bindings) -> "RatFun":
         """Substitute rational functions for variables; unbound ones persist.
 
-        Uses the common-denominator expansion, so the result's denominator is
-        the product of binding denominators raised to per-variable degrees
-        (no cancellation happens here, by design).
+        The terms are summed as RatFuns, so the result's denominator is the
+        formal product of the binding denominators, each raised to the degree
+        of its variable (no cancellation happens here, by design).
         """
-        rfb = {}
-        for v, f in bindings.items():
-            _check_vars((v,))
-            rfb[v] = as_ratfun(f)
-        nums, dens, degs = [], [], []
-        for v in self.vars:
-            f = rfb.get(v)
-            if f is None:
-                nums.append(MPoly.var(v))
-                dens.append(MPoly.const(1))
-            else:
-                nums.append(f.num)
-                dens.append(f.den)
-            degs.append(self.degree(v))
-        npow = [{0: MPoly.const(1)} for _ in self.vars]
-        dpow = [{0: MPoly.const(1)} for _ in self.vars]
-
-        def power(cache, base, e):
-            if e not in cache:
-                cache[e] = base ** e
-            return cache[e]
-
-        total = MPoly()
+        _check_vars(bindings)
+        bound = {v: as_ratfun(f) for v, f in bindings.items()}
+        vals = [bound[v] if v in bound else RatFun.var(v) for v in self.vars]
+        powers = [{} for _ in vals]
+        total = RatFun(0)
         for k, c in self.terms.items():
-            term = MPoly.const(c)
-            for i in range(len(self.vars)):
+            term = RatFun(c)
+            for i, x in enumerate(vals):
                 e = (k >> (_SHIFT * i)) & _MASK
-                term = term * power(npow[i], nums[i], e)
-                term = term * power(dpow[i], dens[i], degs[i] - e)
+                if e:
+                    if e not in powers[i]:
+                        powers[i][e] = x**e
+                    term = term * powers[i][e]
             total = total + term
-        den = MPoly.const(1)
-        for i in range(len(self.vars)):
-            den = den * power(dpow[i], dens[i], degs[i])
-        return RatFun(total, den)
+        return total
 
     # -- text form -----------------------------------------------------------
 
@@ -331,38 +352,94 @@ class MPoly:
         return f"MPoly({self})"
 
 
+_ONE = MPoly.const(1)
+
+
 def as_ratfun(f) -> "RatFun":
     if isinstance(f, RatFun):
         return f
-    if isinstance(f, MPoly):
-        return RatFun(f, MPoly.const(1))
-    if isinstance(f, (int, Fraction)):
-        return RatFun(MPoly.const(f), MPoly.const(1))
+    if isinstance(f, (MPoly, int, Fraction)):
+        return RatFun(f)
     raise TypeError(f"cannot interpret {type(f).__name__} as a rational function")
 
 
-class RatFun:
-    """Quotient of two MPoly values, *never* reduced.
+def _align(f1, f2):
+    """(atom, e1, e2) for every atom of either factor list; an atom missing
+    from a list has exponent 0 there."""
+    out = [(atom, e, 0) for atom, e in f1]
+    for atom, e in f2:
+        for i, (a, e1, _) in enumerate(out):
+            if a is atom or a == atom:
+                out[i] = (a, e1, e)
+                break
+        else:
+            out.append((atom, 0, e))
+    return out
 
-    Equality (``rf_eq`` / ``==``) compares numerators when the denominators
-    are equal polynomials and cross-multiplies otherwise; both are exact and
-    need no GCD machinery. Arithmetic accumulates numerators/denominators
-    verbatim, so two equal functions may have different representations.
+
+def _merge(f1, f2):
+    """Formal product of two factor lists: the exponents of equal atoms add."""
+    if not f1 or not f2:
+        return f1 or f2
+    return tuple((a, e1 + e2) for a, e1, e2 in _align(f1, f2))
+
+
+def _expand(factors) -> MPoly:
+    """The polynomial a_1^e_1 * ... * a_k^e_k of a factor list."""
+    out = None
+    for atom, e in factors:
+        p = atom**e
+        out = p if out is None else out * p
+    return _ONE if out is None else out
+
+
+def _times(num: MPoly, factors) -> MPoly:
+    return num * _expand(factors) if factors else num
+
+
+class RatFun:
+    """Quotient of an MPoly numerator by a formal product of MPoly atoms,
+    *never* reduced.
+
+    ``factors`` is a tuple of (atom, exponent) pairs with nonzero atoms; the
+    denominator is their product, and ``den`` expands it on first use.
+    Products merge exponents, powers scale them, and division adds the
+    divisor's numerator as an atom. Sums and ``rf_eq`` bring both sides to
+    the formal lcm, the larger exponent of each atom, multiplying each
+    numerator by only the factors it lacks. Atoms are matched by polynomial
+    equality and never split, so no GCD is needed: the ring is an integral
+    domain and no atom is zero, so the formal lcm is a common multiple and
+    the comparison exact. Two equal functions may still have different
+    representations.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "factors", "_den")
 
     def __init__(self, num, den=None):
         num = num if isinstance(num, MPoly) else MPoly.const(num)
-        den = MPoly.const(1) if den is None else (den if isinstance(den, MPoly) else MPoly.const(den))
+        den = _ONE if den is None else (den if isinstance(den, MPoly) else MPoly.const(den))
         if den.is_zero():
             raise DivisionByZeroFunction("zero denominator")
         self.num = num
-        self.den = den
+        self.factors = () if den == _ONE else ((den, 1),)
+        self._den = den
+
+    @classmethod
+    def _make(cls, num, factors) -> "RatFun":
+        f = object.__new__(cls)
+        f.num, f.factors, f._den = num, factors, None
+        return f
 
     @classmethod
     def var(cls, name: str) -> "RatFun":
         return cls(MPoly.var(name))
+
+    @property
+    def den(self) -> MPoly:
+        """The expanded denominator, computed once on demand."""
+        if self._den is None:
+            self._den = _expand(self.factors)
+        return self._den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -370,34 +447,48 @@ class RatFun:
     def __bool__(self):
         return bool(self.num.terms)
 
-    def __add__(self, other):
+    def _cofactors(self, other):
+        """The formal lcm of both denominators, and the factors of it that
+        this side and the other side lack."""
+        aligned = _align(self.factors, other.factors)
+        return (tuple((a, max(e1, e2)) for a, e1, e2 in aligned),
+                [(a, e2 - e1) for a, e1, e2 in aligned if e2 > e1],
+                [(a, e1 - e2) for a, e1, e2 in aligned if e1 > e2])
+
+    def _at_lcm(self, other, op):
+        """op(numerator, other numerator) over the formal lcm; op is
+        MPoly.__add__ or MPoly.__sub__."""
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        lcm, c1, c2 = self._cofactors(other)
+        return RatFun._make(op(_times(self.num, c1), _times(other.num, c2)), lcm)
+
+    def __add__(self, other):
+        return self._at_lcm(other, MPoly.__add__)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return RatFun._make(-self.num, self.factors)
 
     def __sub__(self, other):
+        return self._at_lcm(other, MPoly.__sub__)
+
+    def __rsub__(self, other):
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return other - self
 
     def __mul__(self, other):
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
+        return RatFun._make(self.num * other.num, _merge(self.factors, other.factors))
 
     __rmul__ = __mul__
 
@@ -406,9 +497,11 @@ class RatFun:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        if other.num.is_zero():
+        d = other.num
+        if d.is_zero():
             raise DivisionByZeroFunction("division by the zero function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        factors = self.factors if d == _ONE else _merge(self.factors, ((d, 1),))
+        return RatFun._make(_times(self.num, other.factors), factors)
 
     def __rtruediv__(self, other):
         return as_ratfun(other) / self
@@ -419,27 +512,37 @@ class RatFun:
         if e < 0:
             if self.num.is_zero():
                 raise DivisionByZeroFunction("negative power of the zero function")
-            return RatFun(self.den ** (-e), self.num ** (-e))
-        return RatFun(self.num ** e, self.den ** e)
+            return (1 / self) ** -e
+        return RatFun._make(self.num**e, tuple((a, e * k) for a, k in self.factors if e))
 
     def __eq__(self, other):
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        if self.den == other.den:
+        _, c1, c2 = self._cofactors(other)
+        if not (c1 or c2) or self._same_den(other):
             # exact: the polynomial ring is an integral domain and no
             # denominator is zero, so n1/d = n2/d iff n1 = n2
             return self.num == other.num
-        return self.num * other.den == other.num * self.den
+        return _times(self.num, c1) == _times(other.num, c2)
+
+    def _same_den(self, other) -> bool:
+        """Equal expanded denominators under different factor lists, as for
+        RatFun(num, den) against a factored function. Unequal degrees decide
+        most cases without expanding; an expansion made here is not kept."""
+        if sum(e * sum(a.degs) for a, e in self.factors) != sum(e * sum(a.degs) for a, e in other.factors):
+            return False
+        d1 = _expand(self.factors) if self._den is None else self._den
+        d2 = _expand(other.factors) if other._den is None else other._den
+        return d1 == d2
 
     def substitute(self, bindings) -> "RatFun":
         n = self.num.substitute(bindings)
         d = self.den.substitute(bindings)
         if d.num.is_zero():
             raise DivisionByZeroFunction("substitution produced an identically zero denominator")
-        # (n.num/n.den) / (d.num/d.den), flattened
-        return RatFun(n.num * d.den, n.den * d.num)
+        return n / d
 
     def evaluate(self, point) -> Fraction:
         dval = self.den.evaluate(point)
@@ -448,7 +551,7 @@ class RatFun:
         return self.num.evaluate(point) / dval
 
     def __str__(self):
-        if self.den == MPoly.const(1):
+        if self.den == _ONE:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -457,8 +560,10 @@ class RatFun:
 
 
 def rf_eq(f, g) -> bool:
-    """Exact equality of rational functions: numerators over a shared
-    denominator, cross-multiplication otherwise."""
+    """Exact equality of rational functions: numerators alone when the
+    denominators agree (same factor list or same expanded polynomial),
+    otherwise each numerator times the factors of the formal lcm its own
+    denominator lacks. No GCD is taken."""
     return as_ratfun(f) == as_ratfun(g)
 
 

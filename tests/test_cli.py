@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, JSON schema, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -149,6 +150,18 @@ def test_identities_erratum_check(capsys):
     assert len(flagged) == 2
     assert all(r["status"] == "failed_as_expected" for r in flagged)
     assert all("suspected erratum" in r["note"] for r in flagged)
+
+
+# sha256 of the stdout of `hypoint identities --n-min 3 --n-max 9
+# --erratum-check`, recorded before denominators were kept factored; any
+# changed, added or reordered row of the full document changes it
+IDENTITIES_3_9_SHA256 = "3d38d6dfcc20080239b370971534b2aaa06bbc491ed29ccbc06b46c07a75b331"
+
+
+def test_identities_full_document_is_pinned(capsys):
+    code, out, payload = run(["identities", "--n-min", "3", "--n-max", "9", "--erratum-check"], capsys)
+    assert code == 0 and payload["all_certified"] and len(payload["identities"]) == 72
+    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITIES_3_9_SHA256
 
 
 def test_identities_range_validation(capsys):

@@ -41,6 +41,7 @@ from hypoint.curves import (
     reciprocal_pair_curve,
     reciprocal_triple_curve,
     three_point_display,
+    three_point_inner,
     three_point_map,
     two_point_map,
     two_point_symbolic,
@@ -392,6 +393,34 @@ def test_deep_identity_rejects_one_extra_monomial():
     for x in disp.xs:
         rhs = rhs * g_shape("g1", 3, a, b, x)
     assert lhs.den == rhs.den and rf_eq(lhs, rhs)
+    bumped = RatFun(lhs.num + MPoly.var("a") * MPoly.var("t") ** 5, lhs.den)
+    assert not rf_eq(bumped, rhs)
+    assert not rf_eq(rhs, bumped)
+
+
+def _two_point_sides_rescaled():
+    # two-point g2, n = 5, with X1 written as (X1*t)/t: the same function,
+    # but g(X1) gains the atom t, so the product's denominator is not U^2's
+    a, b, t = (RatFun.var(v) for v in "abt")
+    tri = two_point_symbolic("g2", 5)
+    x1 = tri.xs[0] * t / t
+    return tri.u * tri.u, g_shape("g2", 5, a, b, x1) * g_shape("g2", 5, a, b, tri.xs[1])
+
+
+def _three_point_sides_across_forms():
+    # U^2 of the raw form against c*g(X2)*g(X3) of the cancelled form, n = 5
+    a, b = RatFun.var("a"), RatFun.var("b")
+    raw, canc = three_point_inner("g1", 5, "raw"), three_point_inner("g1", 5, "cancelled")
+    gx2, gx3 = (g_shape("g1", 5, a, b, canc[x]) for x in ("x2", "x3"))
+    return raw["u"] * raw["u"], canc["g_x1"] * gx2 * gx3
+
+
+@pytest.mark.parametrize("sides", [_two_point_sides_rescaled, _three_point_sides_across_forms])
+def test_lcm_path_rejects_one_extra_monomial(sides):
+    # Different denominators: rf_eq must bring both sides to the formal lcm,
+    # and one monomial more in U^2 must still flip the verdict.
+    lhs, rhs = sides()
+    assert lhs.den != rhs.den and rf_eq(lhs, rhs) and rf_eq(rhs, lhs)
     bumped = RatFun(lhs.num + MPoly.var("a") * MPoly.var("t") ** 5, lhs.den)
     assert not rf_eq(bumped, rhs)
     assert not rf_eq(rhs, bumped)

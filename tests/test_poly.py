@@ -161,6 +161,15 @@ def test_degree_guard():
         T ** (1 << 15)
 
 
+def test_product_degree_guard_is_per_variable():
+    # the limit binds each variable's degree, not the sum over variables
+    half = _DEG_LIMIT >> 1
+    f = T**half * U**half
+    assert (f.degree("t"), f.degree("u"), f.degree()) == (half, half, 2 * half)
+    with pytest.raises(OverflowError):
+        T**half * T**half
+
+
 def test_normalization_collapses_and_prunes():
     f = MPoly(("t", "u"), {1: 0, 1 << 16: 3})
     assert f.vars == ("u",) and f.terms == {1: 3}
@@ -239,3 +248,100 @@ def test_exact_sqrt_roundtrip(f):
     root = poly_exact_sqrt(sq)
     assert root is not None
     assert root * root == sq
+
+
+fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def frac_polys(draw, vars_=("t", "u")):
+    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in vars_)), fracs, max_size=5))
+    return MPoly.from_terms(terms, vars_) if terms else MPoly.const(0)
+
+
+def _reference_product(f, g):
+    """f*g on exponent tuples over the union of variables, with no packed keys."""
+    vs = tuple(sorted(set(f.vars) | set(g.vars), key="abcdtu".index))
+    def spread(p, k):
+        exps = dict(zip(p.vars, p.exponents(k)))
+        return tuple(exps.get(v, 0) for v in vs)
+    out = {}
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            e = tuple(x + y for x, y in zip(spread(f, k1), spread(g, k2)))
+            out[e] = out.get(e, 0) + Fraction(c1) * Fraction(c2)
+    return MPoly.from_terms(out, vs)
+
+
+def _is_normal(f):
+    """Nonzero coefficients, integral ones as int, and the stored degrees
+    equal to those read off the terms, each variable used."""
+    degs = tuple(max(f.exponents(k)[i] for k in f.terms) for i in range(len(f.vars)))
+    coeffs_ok = all(c and (type(c) is int or c.denominator != 1) for c in f.terms.values())
+    return coeffs_ok and f.degs == degs and all(degs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frac_polys(), frac_polys(), st.integers(-2, 2))
+def test_square_path_equals_general_product(f, g, k):
+    # f + k*g and f - k*g make cancelling cross terms likely in the products
+    for h in (f, f + k * g, (f + k * g) * (f - k * g)):
+        sq = h * h
+        general = h * MPoly(h.vars, dict(h.terms))
+        assert sq == general == _reference_product(h, h)
+        assert _is_normal(sq) and _is_normal(general)
+        assert sq.vars == general.vars and sq.degs == general.degs
+    prod = (f + k * g) * (f - k * g)
+    assert prod == _reference_product(f + k * g, f - k * g) and _is_normal(prod)
+
+
+def test_subtraction_results_are_normal():
+    f = T * U - Fraction(1, 2) * T + 3
+    assert f - f == 0 and (f - f).vars == ()
+    assert 3 - f == T * (Fraction(1, 2) - U) and _is_normal(3 - f)
+    assert (f - (T * U - 1)).vars == ("t",)
+    assert Fraction(1, 2) - MPoly.const(Fraction(1, 2)) == 0
+
+
+small_polys = st.builds(
+    lambda terms: MPoly.from_terms(terms, ("t", "u")) if terms else MPoly.const(0),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), st.integers(-3, 3), max_size=3),
+)
+ops = st.lists(st.tuples(st.sampled_from("+-*/^"), st.integers(0, 2), st.integers(-2, 3)), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_polys, min_size=3, max_size=3), st.lists(small_polys, min_size=2, max_size=2),
+       st.lists(st.integers(0, 2), min_size=3, max_size=3), ops,
+       st.tuples(fracs, fracs))
+def test_ratfun_chains_match_explicit_cross_multiplication(nums, dens, pick, chain, point):
+    # three operands over two denominators, so some share one and some do not;
+    # pick 2 takes a distinct but equal copy of the first, so atoms must be
+    # matched by value. A naive (num, den) pair follows every step with full
+    # cross-products.
+    dens = [d if d else MPoly.const(1) + T * T for d in dens]
+    dens.append(MPoly(dens[0].vars, dict(dens[0].terms)))
+    base = [(n, dens[i]) for n, i in zip(nums, pick)]
+    acc = RatFun(*base[0])
+    ref_n, ref_d = base[0]
+    for op, j, e in chain:
+        n2, d2 = base[j]
+        other = RatFun(n2, d2)
+        if op == "+":
+            acc, ref_n, ref_d = acc + other, ref_n * d2 + n2 * ref_d, ref_d * d2
+        elif op == "-":
+            acc, ref_n, ref_d = acc - other, ref_n * d2 - n2 * ref_d, ref_d * d2
+        elif op == "*":
+            acc, ref_n, ref_d = acc * other, ref_n * n2, ref_d * d2
+        elif op == "/" and n2:
+            acc, ref_n, ref_d = acc / other, ref_n * d2, ref_d * n2
+        elif op == "^" and (e >= 0 or ref_n):
+            acc = acc**e
+            ref_n, ref_d = (ref_n**e, ref_d**e) if e >= 0 else (ref_d**-e, ref_n**-e)
+    ref = RatFun(ref_n, ref_d)
+    assert rf_eq(acc, ref) and rf_eq(ref, acc)
+    assert acc.num * ref_d == ref_n * acc.den
+    assert rf_eq(acc + 1, ref + 1) and not rf_eq(acc + 1, ref)
+    pt = dict(zip("tu", point))
+    if ref_d.evaluate(pt) and acc.den.evaluate(pt):
+        assert acc.evaluate(pt) == ref_n.evaluate(pt) / ref_d.evaluate(pt)
