@@ -248,7 +248,7 @@ def _sample_sweep(args, cap) -> dict:
     ctx = _field(args)
     if ctx.m != 1:
         raise UsageError("the soundness sweep runs over prime fields only")
-    _check_cap(ctx.q, cap)
+    _check_cap(ctx.q, cap, "each sample's domain walk builds tables of q entries")
     rng = random.Random(args.seed)
     runs = []
     for _ in range(args.samples):

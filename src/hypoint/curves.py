@@ -252,9 +252,10 @@ def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool
 # three-point map
 
 
-def _three_point(family: str, n: int, a, b, t, gamma, form: str = "cancelled"):
+def _three_point(family: str, n: int, a, b, t, gamma, form: str = "cancelled", g=None):
     """(X2, X3, U, g(X2)) in any ring, where gamma = g(X1) is nonzero and
-    s = t^2*gamma.
+    s = t^2*gamma. g(X2) is g_shape unless a caller that already holds g's
+    values passes g, a function that returns g(X2) from X2.
 
     form "cancelled": X2 = -b*(1+s+...+s^(e-1)) / (a*t^2*gamma*(1+...+s^(e-2)))
     form "raw":       X2 = -b*(s^e - 1)        / (a*t^2*gamma*(s^(e-1) - 1))
@@ -269,8 +270,15 @@ def _three_point(family: str, n: int, a, b, t, gamma, form: str = "cancelled"):
     """
     if not t:
         raise DenominatorVanishes("t = 0")
-    e = _exponent(family, n)
     s = t * t * gamma
+    x2 = _x2(a, b, t, gamma, s, _exponent(family, n), form)
+    gx2 = g_shape(family, n, a, b, x2) if g is None else g(x2)
+    return x2, s * x2, t**n * gamma ** ((n + 1) // 2) * gx2, gx2
+
+
+def _x2(a, b, t, gamma, s, e: int, form: str):
+    """_three_point's X2. Its sums die with this frame, so a caller on whole
+    tables holds none of them while it forms X3 and U."""
     if form == "cancelled":
         num = _geom_sum(s, e)
         den_core = _geom_sum(s, e - 1)
@@ -281,9 +289,7 @@ def _three_point(family: str, n: int, a, b, t, gamma, form: str = "cancelled"):
         num, den_core = pw * s - 1, pw - 1
     if not den_core:
         raise DenominatorVanishes("geometric factor 1 + s + ... vanishes")
-    x2 = -(b * num) / (a * t * t * gamma * den_core)
-    gx2 = g_shape(family, n, a, b, x2)
-    return x2, s * x2, t**n * gamma ** ((n + 1) // 2) * gx2, gx2
+    return -(b * num) / (a * t * t * gamma * den_core)
 
 
 def _require_odd(n: int):

@@ -246,15 +246,7 @@ class FieldElement:
         ctx = self.ctx
         if ctx.m == 1:
             return FieldElement(ctx, pow(self.val, e, ctx.p))
-        result = ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return FieldElement(ctx, ctx._ext_pow(self.val, e))
 
     def __bool__(self):
         return bool(self.val) if self.ctx.m == 1 else any(self.val)
@@ -288,13 +280,13 @@ class FieldElement:
 class Field:
     """Context object for F_(p^m); constructed through field_new."""
 
-    def __init__(self, spec: FieldSpec):
+    def __init__(self, spec: FieldSpec, _p_checked: bool = False):
         p, m = spec.p, spec.m
         if not isinstance(p, int) or not isinstance(m, int) or m < 1:
             raise ValueError("p and m must be ints, m >= 1")
         if p % 2 == 0:
             raise EvenCharacteristic(f"characteristic {p} is even; odd fields only")
-        if not is_prime(p, trusted=spec.trust_prime):
+        if not _p_checked and not is_prime(p, trusted=spec.trust_prime):
             raise NotPrime(f"{p} is not prime")
         if m == 1:
             if spec.modulus is not None:
@@ -314,12 +306,13 @@ class Field:
         self._nonresidue = None
         self._tonelli = None
         if m > 1:
-            self._check_irreducible(spec.trust_prime)
+            self._check_irreducible()
 
-    def _check_irreducible(self, trust_prime: bool):
+    def _check_irreducible(self):
         """Ben-Or's test, gcd(z^(p^k) - z, modulus) = 1 for k <= m/2, in the
-        ring F_p[z]/(modulus), whose arithmetic needs no irreducibility."""
-        fp = Field(FieldSpec(self.p, trust_prime=trust_prime))
+        ring F_p[z]/(modulus), whose arithmetic needs no irreducibility. The
+        gcd runs over F_p, built from the prime this field has checked."""
+        fp = Field(FieldSpec(self.p), _p_checked=True)
         mod = [fp.elem(c) for c in self.modulus]
         z = self.elem([0, 1])
         zq = z
@@ -390,6 +383,17 @@ class Field:
                 for j in range(m):
                     conv[i - m + j] = (conv[i - m + j] - c * mod[j]) % p
         return tuple(conv[:m])
+
+    def _ext_pow(self, x, e: int):
+        """x^e on coefficient tuples, by square-and-multiply."""
+        result = (1,) + (0,) * (self.m - 1)
+        while e:
+            if e & 1:
+                result = self._ext_mul(result, x)
+            e >>= 1
+            if e:
+                x = self._ext_mul(x, x)
+        return result
 
     # -- core operations -------------------------------------------------------
 

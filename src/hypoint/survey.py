@@ -14,29 +14,32 @@
 
 One engine, _DomainWalk, serves enumerate_T, domain_summary, coverage and
 sweep_soundness. It works on canonical element indices 0..q-1 (the order of
-Field.elements()) and builds O(q) tables, none of them q x q: discrete logs
+Field.elements(); on F_p the index is the value, and an element is made only
+for output) and builds O(q) tables, none of them q x q: discrete logs
 over the first primitive element, g, the quadratic character and the
 canonical root (or None) of every element, and X2, X3 and U for every
 s = t^2 g(u), the only way the map depends on (t, u). The tables are built
-in log/Zech form: an element is its discrete log (zero is None), the
-antilog comes from the field's own multiplication and the Zech table
-log(1 + gen^k) from its own addition of one, so a product is an int sum and
-a sum one table read, on prime and extension fields alike. The formulas run
-on whole-table log vectors, each operation one pass over a table: the
-g-table is one call of curves.g_shape on every element, and the s-table is
-curves._three_point itself, the formula encode runs and the certifier
-proves, called on every s at once. Where an s's denominator core vanishes,
-its division records the position in the vector's mask instead of raising,
-and the walk reads masked positions as excluded s. s = 1 is a call of its
-own, because the raw form has its own branch there. g and each character
-are evaluated once per element. Every check is then a check on one s: the
-pair's identity U^2 = g(u) g(X2) g(X3) is g(X3) = s^n g(X2), its character
-product is chi(s) chi(g(X2)) chi(g(X3)), and its output is X2 or X3 by s
-alone, or u itself when chi(s) = 1. Each u with chi(g(u)) = chi(s) meets s
-at exactly the two values +-t, so the walk checks each s (and each output
-u) once and weights it by the pairs it stands for: a survey costs O(q), and
-its counts are still pair counts. Only enumerate_T, whose output has q^2
-entries, visits pairs.
+in log/Zech form: an element is its discrete log (zero is None), so a
+product is an int sum and a sum one table read, on prime and extension
+fields alike. The set-up tables take no field arithmetic: the antilog is an
+int loop on F_p and a walk of coefficient tuples on F_p^m, and the Zech
+table log(1 + gen^k) is a shift of the log table, because adding one adds
+p^(m-1) to a canonical index. The formulas run on whole-table log vectors,
+each operation one pass over a table: the g-table is one call of
+curves.g_shape on every element, and the s-table is curves._three_point
+itself, the formula encode runs and the certifier proves, called on every s
+at once, with g(X2) read off the g-table. Where an s's denominator core
+vanishes, its division records the position in the vector's mask instead of
+raising, and the walk reads masked positions as excluded s. s = 1 is a call
+of its own, because the raw form has its own branch there. g and each
+character are evaluated once per element. Every check is then a check on
+one s: the pair's identity U^2 = g(u) g(X2) g(X3) is g(X3) = s^n g(X2), its
+character product is chi(s) chi(g(X2)) chi(g(X3)), and its output is X2 or
+X3 by s alone, or u itself when chi(s) = 1. Each u with chi(g(u)) = chi(s)
+meets s at exactly the two values +-t, so the walk checks each s (and each
+output u) once and weights it by the pairs it stands for: a survey costs
+O(q), and its counts are still pair counts. Only enumerate_T, whose output
+has q^2 entries, visits pairs.
 
 Everything is deterministic; reports serialize with all counts as decimal
 strings so consumers never face 64-bit overflow. Coverage is measured against
@@ -60,7 +63,7 @@ from .curves import (
     g_shape,
     point_json,
 )
-from .ff import Field, _poly_gcd, field_new
+from .ff import Field, FieldElement, _poly_gcd, field_new
 from .poly import MPoly, RatFun
 
 DEFAULT_CAP = 10_000
@@ -71,13 +74,12 @@ class FieldTooLarge(ValueError):
     pass
 
 
-def _check_cap(q: int, cap):
+def _check_cap(q: int, cap, cost: str):
+    """Raise FieldTooLarge above the cap; warn, naming the caller's cost,
+    when the cap is raised above the default."""
     limit = DEFAULT_CAP if cap is None else cap
     if cap is not None and cap > DEFAULT_CAP:
-        warnings.warn(
-            f"enumeration cap raised to {cap}; enumerating all of T visits q^2 pairs",
-            stacklevel=3,
-        )
+        warnings.warn(f"enumeration cap raised to {cap}; {cost}", stacklevel=3)
     if q > limit:
         raise FieldTooLarge(f"q = {q} exceeds the enumeration cap {limit}")
 
@@ -95,7 +97,7 @@ def bound_applicable(p: int, n: int) -> bool:
 def enumerate_curve(params: CurveParams, cap=None) -> list:
     """All affine (x, y) with y^2 = g(x), x ascending, canonical y first."""
     ctx = _field_of(params)
-    _check_cap(ctx.q, cap)
+    _check_cap(ctx.q, cap, "enumerating the curve evaluates g at all q elements")
     pts = []
     for x in ctx.elements():
         gx = g_eval(params, x)
@@ -128,34 +130,45 @@ def _prime_factors(m: int) -> list:
 def _antilog(ctx: Field, elems: list, index: dict) -> list:
     """Indices of gen^0, ..., gen^(q-2) for the first generator of F_q^* in
     canonical order. A candidate is tested by its order, gen^((q-1)/r) != 1
-    for every prime r | q - 1, so only the generator's cycle is walked."""
-    one, qm1 = ctx.one(), ctx.q - 1
+    for every prime r | q - 1, so only the generator's cycle is walked: on
+    F_p in ints (the index is the value), on F_p^m in coefficient tuples."""
+    p, qm1 = ctx.p, ctx.q - 1
     cofactors = [qm1 // r for r in _prime_factors(qm1)]
-    gen = next(x for x in elems[1:] if all(x**c != one for c in cofactors))
-    alog, x = [], one
+    if ctx.m == 1:
+        gen = next(v for v in range(1, p) if all(pow(v, c, p) != 1 for c in cofactors))
+        alog, x = [], 1
+        for _ in range(qm1):
+            alog.append(x)
+            x = x * gen % p
+        return alog
+    one = ctx.one().val
+    gen = next(x.val for x in elems[1:] if all(ctx._ext_pow(x.val, c) != one for c in cofactors))
+    mul, alog, x = ctx._ext_mul, [], one
     for _ in range(qm1):
-        alog.append(index[x.val])
-        x = x * gen
+        alog.append(index[x])
+        x = mul(x, gen)
     return alog
 
 
-def _zech(elems: list, index: dict, alog: list, log: list) -> list:
-    """log(1 + gen^k) for k = 0..q-2, None where 1 + gen^k = 0, from the
-    field's own addition of one."""
-    one = elems[alog[0]]
-    return [log[index[(elems[i] + one).val]] for i in alog]
+def _zech(ctx: Field, alog: list, log: list) -> list:
+    """log(1 + gen^k) for k = 0..q-2, None where 1 + gen^k = 0. The canonical
+    index puts the constant coefficient in the top base-p digit, so adding
+    one adds p^(m-1) to the index, mod q: a table shift, no field operation."""
+    step = ctx.q // ctx.p
+    shifted = log[step:] + log[:step]
+    return list(map(shifted.__getitem__, alog))
 
 
 class _Logs:
     """F_q in log form over a walk's generator: the antilog, log and Zech
     tables, and the ints coerced through the logs of their field values."""
 
-    def __init__(self, ctx: Field, elems: list, index: dict, alog: list, log: list):
+    def __init__(self, ctx: Field, index, alog: list, log: list):
         self.ctx, self.index, self.log = ctx, index, log
         self.qm1 = ctx.q - 1
         # -1 is the one element of order 2, gen^((q-1)/2)
         self.half = self.qm1 // 2
-        self.zech = _zech(elems, index, alog, log)
+        self.zech = _zech(ctx, alog, log)
         # logs, not vectors, so that nothing here refers back to a vector
         # and the walk's tables are freed without the cycle collector
         self.int_logs = {}
@@ -167,6 +180,18 @@ class _Logs:
                 self.int_logs[x] = self.log_of(self.ctx.elem(x))
             return self.int_logs[x]
         return self.log[self.index[x.val]]
+
+
+class _PrimeElements:
+    """The elements of F_p in canonical order, each made when it is read."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: Field):
+        self.ctx = ctx
+
+    def __getitem__(self, i: int) -> FieldElement:
+        return FieldElement(self.ctx, range(self.ctx.p)[i])
 
 
 class _LogVec:
@@ -257,11 +282,12 @@ class _LogVec:
 class _DomainWalk:
     """The encoder over all of T, on canonical element indices and O(q) tables.
 
-    The tables are built in log form: the antilog from the field's own
-    multiplication by the generator, the Zech table from its own addition of
-    one, and then g and curves._three_point run once each on whole-table
-    vectors (_LogVec), so every product is an int sum and every sum one
-    table read, on prime and extension fields alike. The s-table takes two
+    The tables are built in log form: the antilog by plain int or tuple
+    multiplication by the generator, the Zech table by an index shift, and
+    then g and curves._three_point run once each on whole-table vectors
+    (_LogVec), so every product is an int sum and every sum one table read,
+    on prime and extension fields alike; _three_point gathers g(X2) from the
+    g-table instead of evaluating g again. The s-table takes two
     calls, s = 1 alone and every other s; the mask of the second call, and
     a call whose core vanishes at every s, mark the excluded s. run() makes
     each check once per s, weighted by the 2 * #{u : g(u) != 0,
@@ -279,8 +305,13 @@ class _DomainWalk:
         ctx = _field_of(params)
         q = ctx.q
         qm1 = q - 1
-        elems = list(ctx.elements())
-        index = {x.val: i for i, x in enumerate(elems)}
+        if ctx.m == 1:
+            # the index of an element of F_p is its value, so range(p) maps
+            # a value to its index, and no element is made until one is read
+            elems, index = _PrimeElements(ctx), range(q)
+        else:
+            elems = list(ctx.elements())
+            index = {x.val: i for i, x in enumerate(elems)}
 
         alog = _antilog(ctx, elems, index)
         log = [None] * q
@@ -297,9 +328,14 @@ class _DomainWalk:
             if k % 2 == 0:
                 root[i] = min(alog[k // 2], alog[k // 2 + half])
 
-        logs = _Logs(ctx, elems, index, alog, log)
+        logs = _Logs(ctx, index, alog, log)
         fam, n, a, b = params.family, params.n, params.a, params.b
         gx = g_shape(fam, n, a, b, _LogVec(logs, log)).column(alog)
+        lg0 = log[gx[0]]
+
+        def g_of(x2: _LogVec) -> _LogVec:
+            # g(X2) gathered from the g-table, not evaluated again
+            return _LogVec(logs, [lg0 if k is None else log[gx[alog[k]]] for k in x2.ks], x2.mask)
 
         # X2, X3 and log U by log of s, None where the denominator core
         # vanishes: the map at t = 1, gamma = s has the X2 and X3 of every
@@ -309,7 +345,7 @@ class _DomainWalk:
         x2_of, x3_of, lu_of = [], [], []
         for ks in ([0], list(range(1, qm1))):
             try:
-                x2, x3, uu, _ = _three_point(fam, n, a, b, 1, _LogVec(logs, ks), "raw")
+                x2, x3, uu, _ = _three_point(fam, n, a, b, 1, _LogVec(logs, ks), "raw", g_of)
             except DenominatorVanishes:
                 # the core vanishes at every s of the call
                 x2 = x3 = uu = _LogVec(logs, ks, frozenset(range(len(ks))))
@@ -402,9 +438,9 @@ class _DomainWalk:
 
 def enumerate_T(params: CurveParams, cap=None):
     """Admissible (t, u) in deterministic row-major order (t outer)."""
-    _check_cap(_field_of(params).q, cap)
+    _check_cap(_field_of(params).q, cap, "enumerating all of T lists up to q^2 pairs")
     walk = _DomainWalk(params)
-    elems = walk.elems
+    elems = list(walk.elems)  # made once, not once per pair
     return ((elems[t], elems[u]) for t, row in walk.rows() for u in row)
 
 
@@ -420,8 +456,11 @@ def _domain_fields(walk: _DomainWalk) -> dict:
     }
 
 
+_WALK_COST = "the domain walk builds tables of q entries"
+
+
 def domain_summary(params: CurveParams, cap=None) -> dict:
-    _check_cap(_field_of(params).q, cap)
+    _check_cap(_field_of(params).q, cap, _WALK_COST)
     return _domain_fields(_DomainWalk(params).run())
 
 
@@ -475,7 +514,7 @@ def coverage(params: CurveParams, cap=None) -> CoverageReport:
     the exhaustive desk scale under the enumeration cap. The affine points
     are read off the same tables, in enumerate_curve's order.
     """
-    _check_cap(_field_of(params).q, cap)
+    _check_cap(_field_of(params).q, cap, _WALK_COST)
     walk = _DomainWalk(params).run()
     if walk.identity_failures or walk.char_violations or walk.membership_failures:
         raise AssertionError(

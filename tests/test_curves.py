@@ -310,6 +310,30 @@ def test_raw_form_matches_cancelled_sums(K, family, n):
     assert ones == K.q - 1
 
 
+@pytest.mark.parametrize("form", ["raw", "cancelled"])
+@pytest.mark.parametrize("family,n", [("g1", 3), ("g2", 5)])
+def test_three_point_with_g_shape_passed_equals_the_default(family, n, form):
+    """A caller's g for g(X2) changes nothing when it is g_shape: on F_p
+    elements (s = 1 included), on Q, and on Q(a, b, c, t) by rf_eq."""
+
+    def both(a, b, t, gamma):
+        def g(x):
+            return g_shape(family, n, a, b, x)
+
+        return (curves._three_point(family, n, a, b, t, gamma, form),
+                curves._three_point(family, n, a, b, t, gamma, form, g))
+
+    K = field_new(101)
+    for t, gamma in [(1, 1), (3, 7), (10, 2), (50, 99)]:
+        default, passed = both(K.elem(2), K.elem(5), K.elem(t), K.elem(gamma))
+        assert default == passed
+        default, passed = both(F(2), F(5, 3), F(t, 4), F(gamma, 7))
+        assert default == passed
+    default, passed = both(*(RatFun.var(v) for v in "abtc"))
+    assert len(default) == len(passed) == 4
+    assert all(rf_eq(x, y) for x, y in zip(default, passed))
+
+
 def test_encode_256_bit_stream_is_pinned():
     """sha256 of a seeded 256-bit encode stream: both primes (p = 3 and
     p = 1 mod 4), g1 and g2, n in {3, 5, 7, 9}; digest computed before the

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypoint import ff
 from hypoint.ff import (
     DETERMINISTIC_PRIMALITY_BOUND,
     DivisionByZero,
@@ -166,6 +167,21 @@ def test_modulus_check_accepts_exactly_the_irreducible_monics(p, m, count):
             continue
         accepted += 1
     assert accepted == count
+
+
+@pytest.mark.parametrize("spec", ["3^2:1,0,1", "7^3:1,1,0,1", "3^5:1,2,0,0,0,1"])
+def test_extension_field_tests_its_prime_once(spec, monkeypatch):
+    """The modulus check runs over F_p built from the prime already checked."""
+    calls = []
+    miller_rabin = ff._miller_rabin
+
+    def counted(n, bases):
+        calls.append(n)
+        return miller_rabin(n, bases)
+
+    monkeypatch.setattr(ff, "_miller_rabin", counted)
+    K = field_new(spec)
+    assert calls == [K.p]
 
 
 def test_reducible_modulus_message():

@@ -96,6 +96,20 @@ def test_cap_enforcement_and_warning():
     assert any("cap" in str(w.message) for w in caught)
 
 
+@pytest.mark.parametrize("call,cost", [
+    (enumerate_curve, "enumerating the curve evaluates g at all q elements"),
+    (enumerate_T, "enumerating all of T lists up to q^2 pairs"),
+    (domain_summary, "the domain walk builds tables of q entries"),
+    (coverage, "the domain walk builds tables of q entries"),
+])
+def test_raised_cap_warning_names_the_callers_cost(call, cost):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(P11, cap=20_000)
+    assert [str(w.message) for w in caught] == [f"enumeration cap raised to 20000; {cost}"]
+    assert caught[0].filename == __file__
+
+
 # --- the encoder domain ------------------------------------------------------
 
 
@@ -235,6 +249,11 @@ COVERAGE_DIGESTS = [
     # replaced, on the fields where the table arithmetic changed the most
     ("3^5:1,2,0,0,0,1", "g1:n=3,a=1,b=1", "dbd92bb61d17916b30853be4bd832576097dd4419219fbb11fe12f6f75cee0e9"),
     ("7^3:1,1,0,1", "g2:n=3,a=2,1,b=3,0,1", "67f499cfb059f33612c385aaadfc3d1c4ad4f3adb1ec09934431e98728f8c229"),
+    # recorded from the walk whose antilog and Zech tables came from
+    # FieldElement arithmetic and whose s-table evaluated g(X2) itself: a
+    # prime q = 1 mod 4, and the largest field pinned (about 0.1 s)
+    ("61", "g2:n=3,a=5,b=7", "c7a50229a0c6647a2e534fb4714d6ee0246b76772f38af1361303418dbb87271"),
+    ("9973", "g2:n=5,a=2,b=3", "33128be9502273a7b3289816f0287d285ad00da47b1f6b8e653c117648301a67"),
 ]
 
 
@@ -453,7 +472,8 @@ def test_walk_matches_per_pair_encode_where_cores_vanish(field, curve):
         assert (e - 1) % ctx.p == 0 and raw == 0 < len(pairs)
 
 
-@pytest.mark.parametrize("field", ["3", "59", "251", "3^2:1,0,1", "3^3:1,2,0,1", "5^2:3,0,1", "3^5:1,2,0,0,0,1"])
+@pytest.mark.parametrize("field", ["3", "59", "251", "3^2:1,0,1", "3^3:1,2,0,1", "5^2:3,0,1", "3^5:1,2,0,0,0,1",
+                                   "7^3:1,1,0,1", "3^4:2,0,0,1,1"])
 def test_antilog_picks_the_first_generator(field):
     ctx = field_new(field)
     elems = list(ctx.elements())
@@ -466,6 +486,21 @@ def test_antilog_picks_the_first_generator(field):
         if len(powers) == ctx.q:
             break
     assert survey._antilog(ctx, elems, index) == [index[x.val] for x in powers[:-1]]
+
+
+@pytest.mark.parametrize("field", ["3", "59", "61", "251", "3^2:1,0,1", "5^2:3,0,1", "3^3:1,2,0,1",
+                                   "3^4:2,0,0,1,1", "7^3:1,1,0,1", "3^5:1,2,0,0,0,1"])
+def test_zech_table_matches_field_addition(field):
+    """The index shift against log(1 + gen^k) by the field's own addition."""
+    ctx = field_new(field)
+    elems = list(ctx.elements())
+    index = {x.val: i for i, x in enumerate(elems)}
+    alog = survey._antilog(ctx, elems, index)
+    log = [None] * ctx.q
+    for k, i in enumerate(alog):
+        log[i] = k
+    one = ctx.one()
+    assert survey._zech(ctx, alog, log) == [log[index[(elems[i] + one).val]] for i in alog]
 
 
 @pytest.mark.parametrize("field,curve", [("251", "g1:n=3,a=1,b=1"), ("3^3:1,2,0,1", "g1:n=3,a=1,2,b=2,0,1")])
