@@ -150,9 +150,11 @@ def point_json(pt: AffinePoint) -> dict:
 
 def _square_is_product(u, values) -> bool:
     """u^2 = v_1*...*v_k, exact in u's ring (rf_eq for symbolic). Over RatFun
-    the denominators stay formal products: for the map identities u^2 and the
-    product carry the same atoms with the same exponents, so rf_eq compares
-    numerators only; other sides meet at the formal lcm."""
+    both sides stay signed formal products of atoms, and rf_eq expands only
+    the atoms whose exponents differ. For the map identities none do:
+    g(X3) = s^n*g(X2), and g(X2) = t^(2n)*g(X1) for the two-point map, hold
+    atom by atom, the sum atoms coming out equal as polynomials and s^n kept
+    apart as atoms of its own, so u^2 is never expanded."""
     return u * u == reduce(mul, values)
 
 
@@ -236,16 +238,28 @@ def two_point_symbolic(family: str, n: int, u_formula: str = "corrected") -> Par
     from the family-1 polynomial even for family 2; it fails certification
     (deliberately kept reproducible, see certify_two_point).
     """
-    value_family = "g1" if u_formula == "family1_literal" else family
-    a, b, t = RatFun.var("a"), RatFun.var("b"), RatFun.var("t")
-    x1, x2, u, _ = _two_point(family, n, a, b, t, value_family)
+    x1, x2, u, _ = _two_point_over_q(family, n, u_formula)
     return ParamTriple((x1, x2), u)
 
 
+def _two_point_over_q(family: str, n: int, u_formula: str):
+    """_two_point over Q(a, b, t), with U built from the g that u_formula
+    names."""
+    value_family = "g1" if u_formula == "family1_literal" else family
+    a, b, t = RatFun.var("a"), RatFun.var("b"), RatFun.var("t")
+    return _two_point(family, n, a, b, t, value_family)
+
+
 def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool:
-    """Exact rf_eq of U^2 = g(X1)*g(X2) at the displayed formulas."""
-    triple = two_point_symbolic(family, n, u_formula)
-    return verify_triple(_symbolic_params(family, n), triple)
+    """Exact rf_eq of U^2 = g(X1)*g(X2) at the displayed formulas. g(X1) is
+    the value U was built from, as in two_point_map, except for the erratum,
+    whose U took another family's g: there the curve's own g(X1) is
+    evaluated, so the row still fails."""
+    params = _symbolic_params(family, n)
+    x1, x2, u, gx1 = _two_point_over_q(family, n, u_formula)
+    if u_formula == "family1_literal":
+        gx1 = g_eval(params, x1)
+    return _square_is_product(u, (gx1, g_eval(params, x2)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +341,10 @@ def three_point_inner(family: str, n: int, form: str = "cancelled") -> dict:
 def three_point_display(family: str, n: int, form: str = "raw") -> ParamTriple:
     """The displayed (t, u) rational functions over Q(a, b).
 
-    Expansion of g(u)-powers makes these large for big n (the n = 9 raw form
-    runs to ~10^6 monomials); certification therefore happens on
-    three_point_inner, and this materialized form is for small-n checks and
-    inspection.
+    These grow fast with n: kept as formal products, U's g(X2) atom alone
+    has about 3*10^4 terms in the n = 9 raw form, and expanded numerators
+    are far larger; certification therefore happens on three_point_inner,
+    and this materialized form is for small-n checks and inspection.
     """
     _require_odd(n)
     a, b, t, u = (RatFun.var(v) for v in "abtu")

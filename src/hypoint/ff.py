@@ -5,7 +5,8 @@ two classes here. Determinism is a contract, not an accident:
 
 * primality of p is decided by a fixed-witness Miller-Rabin test that is
   *proven* exhaustive below 3*10^18; larger characteristics require an
-  explicit trust flag,
+  explicit trust flag and still pass Baillie-PSW (a strong test to base 2
+  and a strong Lucas test), for which no composite is known to pass,
 * the quadratic non-residue used by Tonelli-Shanks is the first non-residue
   in canonical element order (ascending ints for m=1, lexicographic
   coefficient tuples, constant term first, for m>1),
@@ -28,6 +29,7 @@ element arithmetic, and the gcd over F_p is the module's one polynomial gcd.
 from __future__ import annotations
 
 from itertools import product
+from math import isqrt
 
 from ._record import Record
 
@@ -59,7 +61,6 @@ class DivisionByZero(ZeroDivisionError):
 DETERMINISTIC_PRIMALITY_BOUND = 3 * 10**18
 # proven complete below 3.3e18 (first nine primes), which covers the bound
 _DET_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
-_EXT_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -103,13 +104,53 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 37 free of the primes up
+    to 37, with Selfridge's parameters: D is the first of 5, -7, 9, -11, ...
+    with Jacobi symbol (D/n) = -1, P = 1 and Q = (1 - D)/4
+    (Baillie-Wagstaff, "Lucas pseudoprimes", Math. Comp. 35, 1980). No such
+    D exists for a perfect square, so squares are rejected first."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k from k = 1 along the bits of d: k -> 2k, then 2k + 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # U_(k+1) = (U_k + V_k)/2 and V_(k+1) = (D*U_k + V_k)/2, halved mod n
+            U, V = U + V, D * U + V
+            U, V = ((U + n * (U & 1)) >> 1) % n, ((V + n * (V & 1)) >> 1) % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n: int, trusted: bool = False) -> bool:
-    """Deterministic below DETERMINISTIC_PRIMALITY_BOUND; above it only with trusted=True."""
-    if n >= DETERMINISTIC_PRIMALITY_BOUND and not trusted:
+    """Nine Miller-Rabin bases, proven exhaustive, below
+    DETERMINISTIC_PRIMALITY_BOUND; above it only with trusted=True, and then
+    Baillie-PSW: a strong test to base 2, then a strong Lucas test."""
+    if n < DETERMINISTIC_PRIMALITY_BOUND:
+        return _miller_rabin(n, _DET_WITNESSES)
+    if not trusted:
         raise PrimalityUnverified(
             f"{n} exceeds the deterministic primality range; pass trust_prime=True"
         )
-    return _miller_rabin(n, _DET_WITNESSES if n < DETERMINISTIC_PRIMALITY_BOUND else _EXT_WITNESSES)
+    return _miller_rabin(n, (2,)) and _strong_lucas(n)
 
 
 def _poly_gcd(f, g):

@@ -4,12 +4,14 @@ This is the certification layer: every identity the curve constructions rely
 on is checked here by exact arithmetic, never numerically. Two deliberate
 restrictions shape the design:
 
-* ``RatFun`` values are kept *unreduced*, with the denominator held as a
-  formal product of polynomial atoms. Sums and equality (``rf_eq``) bring
-  both sides to the formal lcm, multiplying each numerator by only the atoms
-  it lacks, and compare numerators alone when the denominators agree. Atoms
-  are matched by polynomial equality and never split, so no multivariate GCD
-  or factorization exists anywhere in this module.
+* ``RatFun`` values are kept *unreduced*, as a signed formal product of
+  polynomial atoms: numerator atoms carry positive exponents, denominator
+  atoms negative ones. Products, quotients and powers only add, subtract or
+  scale exponents, so equal atoms cancel formally. Sums keep the atoms both
+  sides share and expand only the rest; equality (``rf_eq``) cancels the
+  atoms the sides share and expands only those whose exponents differ.
+  Atoms are matched by polynomial equality and never split, so no
+  multivariate GCD or factorization exists anywhere in this module.
 * The variable universe is fixed to ``a b c d t u``. Exponent vectors are
   packed into a single int (16 bits per variable), which makes monomial
   products a single integer addition.
@@ -25,10 +27,6 @@ from math import isqrt
 
 VARS = ("a", "b", "c", "d", "t", "u")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
-# every subset of the universe, in universe order
-_CANONICAL = frozenset(
-    tuple(v for i, v in enumerate(VARS) if m >> i & 1) for m in range(1 << len(VARS))
-)
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
@@ -49,13 +47,26 @@ def _check_vars(vs):
             raise ValueError(f"unknown variable {v!r}; universe is {VARS}")
 
 
+def _moved(terms, moves):
+    """terms with limb i of each key moved to limb j for each (i, j) in moves;
+    limbs that no move names are dropped."""
+    out = {}
+    for k, c in terms.items():
+        nk = 0
+        for i, j in moves:
+            nk |= ((k >> (_SHIFT * i)) & _MASK) << (_SHIFT * j)
+        out[nk] = c
+    return out
+
+
 class MPoly:
     """Sparse polynomial in a subset of the fixed variable universe.
 
     ``vars`` is the tuple of variables actually used, in canonical order;
     ``terms`` maps packed exponent keys to nonzero coefficients; ``degs``
-    holds the degree in each of ``vars``. Instances are treated as
-    immutable; no operation modifies its operands.
+    holds the degree in each of ``vars``. The constructor normalizes the
+    ``terms`` dict it is given in place. Instances are treated as immutable;
+    no operation modifies its operands.
     """
 
     __slots__ = ("vars", "terms", "degs", "_frac")
@@ -64,6 +75,7 @@ class MPoly:
         _check_vars(vars)
         self.vars = tuple(vars)
         self.terms = {} if terms is None else terms
+        self.degs = None
         self._normalize()
 
     @classmethod
@@ -75,69 +87,66 @@ class MPoly:
         f.vars, f.terms, f.degs, f._frac = vars, terms, degs, frac
         return f
 
-    def _normalize(self):
-        # One pass: drop zeros, collapse integral Fractions (an exact class
-        # test, cheaper than isinstance through the numbers ABCs) and OR the
-        # packed keys, whose limbs are nonzero exactly for the used variables.
-        terms = {}
-        used = 0
-        frac = False
-        for k, c in self.terms.items():
-            if c.__class__ is Fraction:
-                if c.denominator == 1:
-                    c = c.numerator
-                else:
-                    frac = True
-            if c:
-                terms[k] = c
+    def _normalize(self, frac=True):
+        """Normalize in place, on a dict this polynomial owns, and return it:
+        collapse integral Fractions only when frac says one may be present
+        (an exact class test, cheaper than isinstance through the numbers
+        ABCs), drop zeros, and read vars and degs off the keys, whose limbs
+        are nonzero exactly for the used variables, only when degs is unset
+        or a term dropped."""
+        terms = self.terms
+        if frac:
+            frac = False
+            for k, c in terms.items():
+                if c.__class__ is Fraction:
+                    if c.denominator == 1:
+                        terms[k] = c.numerator
+                    else:
+                        frac = True
+        self._frac = frac
+        zeros = [k for k, c in terms.items() if not c]
+        for k in zeros:
+            del terms[k]
+        if zeros or self.degs is None:
+            used = 0
+            for k in terms:
                 used |= k
-        vs = self.vars
-        keep = [i for i in range(len(vs)) if (used >> (_SHIFT * i)) & _MASK]
-        # equality compares vars tuples, so they must come in universe order
-        ordered = vs in _CANONICAL
-        if not ordered:
+            vs = self.vars
             if len(set(vs)) < len(vs):
                 raise ValueError(f"repeated variable in {vs}")
-            keep.sort(key=lambda i: _VAR_INDEX[vs[i]])
-        degs = tuple(max((k >> (_SHIFT * i)) & _MASK for k in terms) for i in keep)
-        if len(keep) < len(vs) or not ordered:
-            remapped = {}
-            for k, c in terms.items():
-                nk = 0
-                for j, i in enumerate(keep):
-                    nk |= ((k >> (_SHIFT * i)) & _MASK) << (_SHIFT * j)
-                remapped[nk] = c
-            terms = remapped
-            self.vars = tuple(vs[i] for i in keep)
-        self.terms = terms
-        self.degs = degs
-        self._frac = frac
-        if degs and max(degs) >= _DEG_LIMIT:
-            raise OverflowError("per-variable degree exceeds packing limit")
+            # equality compares vars tuples, so they must come in universe order
+            keep = sorted((i for i in range(len(vs)) if (used >> (_SHIFT * i)) & _MASK),
+                          key=lambda i: _VAR_INDEX[vs[i]])
+            self.degs = tuple(max((k >> (_SHIFT * i)) & _MASK for k in terms) for i in keep)
+            if keep != list(range(len(vs))):
+                self.terms = _moved(terms, [(i, j) for j, i in enumerate(keep)])
+                self.vars = tuple(vs[i] for i in keep)
+            if max(self.degs, default=0) >= _DEG_LIMIT:
+                raise OverflowError("per-variable degree exceeds packing limit")
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c) -> "MPoly":
-        return cls((), {0: c if isinstance(c, (int, Fraction)) else Fraction(c)})
+        if c.__class__ is not int:
+            c = Fraction(c)
+            c = c.numerator if c.denominator == 1 else c
+        return cls._raw((), {0: c} if c else {}, (), c.__class__ is Fraction)
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
         _check_vars((name,))
-        return cls((name,), {1: 1})
+        return cls._raw((name,), {1: 1}, (1,), False)
 
     @classmethod
     def from_terms(cls, mapping, vars) -> "MPoly":
         """Build from {exponent tuple: coefficient} over the given variables."""
-        vs = tuple(sorted(vars, key=_VAR_INDEX.__getitem__))
-        order = [vars.index(v) for v in vs]
         terms = {}
         for exps, c in mapping.items():
-            k = 0
-            for j, i in enumerate(order):
-                k |= int(exps[i]) << (_SHIFT * j)
+            k = sum(int(e) << (_SHIFT * i) for i, e in enumerate(exps))
             terms[k] = terms.get(k, 0) + Fraction(c)
-        return cls(vs, terms)
+        return cls(vars, terms)
 
     # -- helpers -----------------------------------------------------------
 
@@ -157,14 +166,14 @@ class MPoly:
     def _remap(self, union):
         if self.vars == union:
             return self.terms
-        pos = [union.index(v) for v in self.vars]
-        out = {}
-        for k, c in self.terms.items():
-            nk = 0
-            for j, p in enumerate(pos):
-                nk |= ((k >> (_SHIFT * j)) & _MASK) << (_SHIFT * p)
-            out[nk] = c
-        return out
+        return _moved(self.terms, [(j, union.index(v)) for j, v in enumerate(self.vars)])
+
+    def _degs(self, other, op):
+        """op(own degree, other's degree) for each variable of either."""
+        deg = dict(zip(self.vars, self.degs))
+        for v, d in zip(other.vars, other.degs):
+            deg[v] = op(deg.get(v, 0), d)
+        return deg
 
     def exponents(self, k):
         return tuple((k >> (_SHIFT * i)) & _MASK for i in range(len(self.vars)))
@@ -189,14 +198,22 @@ class MPoly:
         return None
 
     def __add__(self, other):
+        """Sum in one dict: a copy of the longer operand, the shorter added
+        in, zeros dropped in place; each degree is the larger of the
+        operands' unless a term cancelled."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         vs, t1, t2 = self._unify(other)
+        if len(t1) < len(t2):
+            t1, t2 = t2, t1
         out = dict(t1)
+        get = out.get
         for k, c in t2.items():
-            out[k] = out.get(k, 0) + c
-        return MPoly(vs, out)
+            out[k] = get(k, 0) + c
+        deg = self._degs(other, max)
+        f = MPoly._raw(vs, out, tuple(map(deg.__getitem__, vs)), False)
+        return f._normalize(self._frac or other._frac)
 
     __radd__ = __add__
 
@@ -205,20 +222,11 @@ class MPoly:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        vs, t1, t2 = self._unify(other)
-        out = dict(t1)
-        get = out.get
-        for k, c in t2.items():
-            out[k] = get(k, 0) - c
-        return MPoly(vs, out)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
         """Product without renormalising: over Q the product of nonzero
@@ -229,15 +237,19 @@ class MPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return MPoly()
-        deg = dict(zip(self.vars, self.degs))
-        for v, d in zip(other.vars, other.degs):
-            deg[v] = deg.get(v, 0) + d
+        deg = self._degs(other, int.__add__)
         if max(deg.values(), default=0) >= _DEG_LIMIT:
             raise OverflowError("product degree exceeds packing limit")
         vs, t1, t2 = self._unify(other)
+        if len(t1) < len(t2):
+            t1, t2 = t2, t1
         out = {}
         get = out.get
-        if t1 is t2:
+        if len(t2) == 1:
+            # a monomial only shifts keys, and nothing cancels over Q
+            ((k2, c2),) = t2.items()
+            out = {k1 + k2: c1 * c2 for k1, c1 in t1.items()}
+        elif t1 is t2:
             # squaring: each cross term once, doubled
             items = list(t1.items())
             for i, (k1, c1) in enumerate(items):
@@ -248,38 +260,39 @@ class MPoly:
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
         else:
-            if len(t1) < len(t2):
-                t1, t2 = t2, t1
             for k2, c2 in t2.items():
                 for k1, c1 in t1.items():
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        if self._frac or other._frac:
-            return MPoly(vs, out)
-        for k in [k for k, c in out.items() if not c]:
-            del out[k]
-        return MPoly._raw(vs, out, tuple(map(deg.__getitem__, vs)), False)
+        f = MPoly._raw(vs, out, tuple(map(deg.__getitem__, vs)), False)
+        frac = self._frac or other._frac
+        return f._normalize(frac) if frac or len(t2) > 1 else f
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("MPoly exponent must be a non-negative int")
-        result = None
-        base = self
+        if not e:
+            return MPoly.const(1)
+        if len(self.terms) == 1:
+            ((k, c),) = self.terms.items()
+            degs = tuple(d * e for d in self.degs)
+            if max(degs, default=0) >= _DEG_LIMIT:
+                raise OverflowError("power degree exceeds packing limit")
+            return MPoly._raw(self.vars, {k * e: c**e}, degs, self._frac)
+        result, base = None, self
         while True:
             if e & 1:
                 result = base if result is None else result * base
             e >>= 1
             if not e:
-                return MPoly.const(1) if result is None else result
+                return result
             base = base * base
 
     def __eq__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return NotImplemented if other is None else self.vars == other.vars and self.terms == other.terms
 
     # -- evaluation / substitution ------------------------------------------
 
@@ -289,39 +302,28 @@ class MPoly:
         if missing:
             raise ValueError(f"unbound variables in evaluation: {missing}")
         vals = [Fraction(point[v]) for v in self.vars]
-        caches = [{0: Fraction(1)} for _ in self.vars]
         total = Fraction(0)
         for k, c in self.terms.items():
-            prod = Fraction(c)
             for i, val in enumerate(vals):
-                e = (k >> (_SHIFT * i)) & _MASK
-                cache = caches[i]
-                if e not in cache:
-                    cache[e] = val ** e
-                prod *= cache[e]
-            total += prod
+                c *= val ** ((k >> (_SHIFT * i)) & _MASK)
+            total += c
         return total
 
     def substitute(self, bindings) -> "RatFun":
         """Substitute rational functions for variables; unbound ones persist.
 
         The terms are summed as RatFuns, so the result's denominator is the
-        formal product of the binding denominators, each raised to the degree
-        of its variable (no cancellation happens here, by design).
+        formal product of the binding denominators' atoms, each raised to the
+        degree of its variable; only equal atoms cancel, and no gcd is taken.
         """
         _check_vars(bindings)
         bound = {v: as_ratfun(f) for v, f in bindings.items()}
         vals = [bound[v] if v in bound else RatFun.var(v) for v in self.vars]
-        powers = [{} for _ in vals]
         total = RatFun(0)
         for k, c in self.terms.items():
             term = RatFun(c)
             for i, x in enumerate(vals):
-                e = (k >> (_SHIFT * i)) & _MASK
-                if e:
-                    if e not in powers[i]:
-                        powers[i][e] = x**e
-                    term = term * powers[i][e]
+                term = term * x ** ((k >> (_SHIFT * i)) & _MASK)
             total = total + term
         return total
 
@@ -330,23 +332,13 @@ class MPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        def order_key(k):
-            exps = self.exponents(k)
-            return (sum(exps), exps)
-        parts = []
-        for k in sorted(self.terms, key=order_key, reverse=True):
+        parts = []  # (sign, body) per term, highest total degree first
+        for k in sorted(self.terms, key=lambda k: (sum(self.exponents(k)), self.exponents(k)), reverse=True):
             c = self.terms[k]
-            body = str(abs(Fraction(c))) if not isinstance(c, int) else str(abs(c))
-            for i, v in enumerate(self.vars):
-                e = (k >> (_SHIFT * i)) & _MASK
-                if e:
-                    body += f"*{v}^{e}"
+            body = str(abs(c)) + "".join(f"*{v}^{e}" for v, e in zip(self.vars, self.exponents(k)) if e)
             parts.append(("-" if c < 0 else "+", body))
         sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in parts[1:])
 
     def __repr__(self):
         return f"MPoly({self})"
@@ -365,11 +357,11 @@ def as_ratfun(f) -> "RatFun":
 
 def _align(f1, f2):
     """(atom, e1, e2) for every atom of either factor list; an atom missing
-    from a list has exponent 0 there."""
+    from a list has exponent 0 there. Atoms match by polynomial equality."""
     out = [(atom, e, 0) for atom, e in f1]
     for atom, e in f2:
         for i, (a, e1, _) in enumerate(out):
-            if a is atom or a == atom:
+            if a is atom or a.vars == atom.vars and a.terms == atom.terms:
                 out[i] = (a, e1, e)
                 break
         else:
@@ -378,117 +370,136 @@ def _align(f1, f2):
 
 
 def _merge(f1, f2):
-    """Formal product of two factor lists: the exponents of equal atoms add."""
-    if not f1 or not f2:
-        return f1 or f2
-    return tuple((a, e1 + e2) for a, e1, e2 in _align(f1, f2))
+    """Formal product of two factor lists: the exponents of equal atoms add,
+    and atoms left at 0 drop out."""
+    return tuple((a, e1 + e2) for a, e1, e2 in _align(f1, f2) if e1 + e2)
+
+
+def _split(f1, f2):
+    """The atoms two factor lists share, each at the smaller of its two
+    exponents (for a denominator atom, the formal lcm), and what is left of
+    each list: (atom, e > 0) pairs, polynomials once expanded."""
+    common, rest1, rest2 = [], [], []
+    for a, e1, e2 in _align(f1, f2):
+        e = min(e1, e2)
+        if e:
+            common.append((a, e))
+        if e1 > e:
+            rest1.append((a, e1 - e))
+        if e2 > e:
+            rest2.append((a, e2 - e))
+    return common, rest1, rest2
 
 
 def _expand(factors) -> MPoly:
-    """The polynomial a_1^e_1 * ... * a_k^e_k of a factor list."""
+    """The polynomial a_1^e_1 * ... * a_k^e_k of (atom, e > 0) pairs, the
+    short atoms first, so monomials meet the long ones only as key shifts."""
     out = None
-    for atom, e in factors:
-        p = atom**e
-        out = p if out is None else out * p
+    for atom, e in sorted(factors, key=lambda f: len(f[0].terms)):
+        if e > 1:
+            atom = atom**e
+        out = atom if out is None else out * atom
     return _ONE if out is None else out
 
 
-def _times(num: MPoly, factors) -> MPoly:
-    return num * _expand(factors) if factors else num
+def _atom(p: MPoly, e=1):
+    """The factor list of p^e; the polynomial 1 has none."""
+    return () if p.terms == _ONE.terms else ((p, e),)
 
 
 class RatFun:
-    """Quotient of an MPoly numerator by a formal product of MPoly atoms,
+    """A rational function as a signed formal product of MPoly atoms,
     *never* reduced.
 
-    ``factors`` is a tuple of (atom, exponent) pairs with nonzero atoms; the
-    denominator is their product, and ``den`` expands it on first use.
-    Products merge exponents, powers scale them, and division adds the
-    divisor's numerator as an atom. Sums and ``rf_eq`` bring both sides to
-    the formal lcm, the larger exponent of each atom, multiplying each
-    numerator by only the factors it lacks. Atoms are matched by polynomial
-    equality and never split, so no GCD is needed: the ring is an integral
-    domain and no atom is zero, so the formal lcm is a common multiple and
-    the comparison exact. Two equal functions may still have different
+    ``factors`` is a tuple of (atom, exponent) pairs, numerator atoms with
+    positive and denominator atoms with negative exponents, every atom a
+    nonzero polynomial; the zero function has ``factors`` None. ``num`` and
+    ``den`` expand the positive and the negative atoms on first use.
+    Products, quotients and powers add, subtract or scale exponents, so equal
+    atoms cancel formally, and negation multiplies by the atom -1. A sum
+    keeps the atoms both sides share (for a denominator atom the formal lcm),
+    expands only what is left on each side, and adds the two into one new
+    atom. Atoms are matched by polynomial equality and never split, so no
+    GCD is needed; two equal functions may still have different
     representations.
     """
 
-    __slots__ = ("num", "factors", "_den")
+    __slots__ = ("factors", "_num", "_den")
 
     def __init__(self, num, den=None):
-        num = num if isinstance(num, MPoly) else MPoly.const(num)
-        den = _ONE if den is None else (den if isinstance(den, MPoly) else MPoly.const(den))
-        if den.is_zero():
+        num, den = (f if isinstance(f, MPoly) else MPoly.const(f)
+                    for f in (num, _ONE if den is None else den))
+        if not den:
             raise DivisionByZeroFunction("zero denominator")
-        self.num = num
-        self.factors = () if den == _ONE else ((den, 1),)
-        self._den = den
+        self.factors = _merge(_atom(num), _atom(den, -1)) if num else None
+        self._num = self._den = None
 
     @classmethod
-    def _make(cls, num, factors) -> "RatFun":
+    def _make(cls, factors) -> "RatFun":
         f = object.__new__(cls)
-        f.num, f.factors, f._den = num, factors, None
+        f.factors, f._num, f._den = factors, None, None
         return f
 
     @classmethod
     def var(cls, name: str) -> "RatFun":
-        return cls(MPoly.var(name))
+        return cls._make(((MPoly.var(name), 1),))
+
+    @property
+    def num(self) -> MPoly:
+        """The expanded numerator, computed once on demand."""
+        if self._num is None:
+            fs = self.factors
+            self._num = MPoly() if fs is None else _expand([(a, e) for a, e in fs if e > 0])
+        return self._num
 
     @property
     def den(self) -> MPoly:
         """The expanded denominator, computed once on demand."""
         if self._den is None:
-            self._den = _expand(self.factors)
+            self._den = _expand([(a, -e) for a, e in self.factors or () if e < 0])
         return self._den
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.factors is None
 
     def __bool__(self):
-        return bool(self.num.terms)
+        return self.factors is not None
 
-    def _cofactors(self, other):
-        """The formal lcm of both denominators, and the factors of it that
-        this side and the other side lack."""
-        aligned = _align(self.factors, other.factors)
-        return (tuple((a, max(e1, e2)) for a, e1, e2 in aligned),
-                [(a, e2 - e1) for a, e1, e2 in aligned if e2 > e1],
-                [(a, e1 - e2) for a, e1, e2 in aligned if e1 > e2])
-
-    def _at_lcm(self, other, op):
-        """op(numerator, other numerator) over the formal lcm; op is
-        MPoly.__add__ or MPoly.__sub__."""
+    def __add__(self, other):
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        lcm, c1, c2 = self._cofactors(other)
-        return RatFun._make(op(_times(self.num, c1), _times(other.num, c2)), lcm)
-
-    def __add__(self, other):
-        return self._at_lcm(other, MPoly.__add__)
+        if self.factors is None or other.factors is None:
+            return other if self.factors is None else self
+        common, rest1, rest2 = _split(self.factors, other.factors)
+        s = _expand(rest1) + _expand(rest2)
+        # the sum may equal an atom kept in common, so it merges by equality
+        return RatFun._make(_merge(common, _atom(s)) if s else None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun._make(-self.num, self.factors)
+        return self * -1
 
     def __sub__(self, other):
-        return self._at_lcm(other, MPoly.__sub__)
-
-    def __rsub__(self, other):
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        return other - self
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        return RatFun._make(self.num * other.num, _merge(self.factors, other.factors))
+        if self.factors is None or other.factors is None:
+            return self if self.factors is None else other
+        return RatFun._make(_merge(self.factors, other.factors))
 
     __rmul__ = __mul__
 
@@ -497,50 +508,36 @@ class RatFun:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        d = other.num
-        if d.is_zero():
-            raise DivisionByZeroFunction("division by the zero function")
-        factors = self.factors if d == _ONE else _merge(self.factors, ((d, 1),))
-        return RatFun._make(_times(self.num, other.factors), factors)
+        return self * other**-1
 
     def __rtruediv__(self, other):
-        return as_ratfun(other) / self
+        return as_ratfun(other) * self**-1
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             raise ValueError("RatFun exponent must be int")
-        if e < 0:
-            if self.num.is_zero():
+        if self.factors is None:
+            if e < 0:
                 raise DivisionByZeroFunction("negative power of the zero function")
-            return (1 / self) ** -e
-        return RatFun._make(self.num**e, tuple((a, e * k) for a, k in self.factors if e))
+            return self if e else RatFun(1)
+        return RatFun._make(tuple((a, e * k) for a, k in self.factors if e))
 
     def __eq__(self, other):
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        _, c1, c2 = self._cofactors(other)
-        if not (c1 or c2) or self._same_den(other):
-            # exact: the polynomial ring is an integral domain and no
-            # denominator is zero, so n1/d = n2/d iff n1 = n2
-            return self.num == other.num
-        return _times(self.num, c1) == _times(other.num, c2)
-
-    def _same_den(self, other) -> bool:
-        """Equal expanded denominators under different factor lists, as for
-        RatFun(num, den) against a factored function. Unequal degrees decide
-        most cases without expanding; an expansion made here is not kept."""
-        if sum(e * sum(a.degs) for a, e in self.factors) != sum(e * sum(a.degs) for a, e in other.factors):
-            return False
-        d1 = _expand(self.factors) if self._den is None else self._den
-        d2 = _expand(other.factors) if other._den is None else other._den
-        return d1 == d2
+        if self.factors is None or other.factors is None:
+            return self.factors is other.factors
+        # exact: the polynomial ring is an integral domain and no atom is
+        # zero, so equal atoms cancel from both sides
+        _, rest1, rest2 = _split(self.factors, other.factors)
+        return _expand(rest1) == _expand(rest2)
 
     def substitute(self, bindings) -> "RatFun":
         n = self.num.substitute(bindings)
         d = self.den.substitute(bindings)
-        if d.num.is_zero():
+        if d.is_zero():
             raise DivisionByZeroFunction("substitution produced an identically zero denominator")
         return n / d
 
@@ -560,10 +557,9 @@ class RatFun:
 
 
 def rf_eq(f, g) -> bool:
-    """Exact equality of rational functions: numerators alone when the
-    denominators agree (same factor list or same expanded polynomial),
-    otherwise each numerator times the factors of the formal lcm its own
-    denominator lacks. No GCD is taken."""
+    """Exact equality of rational functions: atoms equal on both sides cancel
+    formally, and what is left, one side's numerator atoms times the other
+    side's denominator atoms, is expanded and compared. No GCD is taken."""
     return as_ratfun(f) == as_ratfun(g)
 
 

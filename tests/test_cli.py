@@ -51,6 +51,15 @@ def test_encode_not_prime_exits_1(capsys):
     assert code == 1 and payload["error"] == "NotPrime"
 
 
+def test_encode_trusted_pseudoprime_exits_1(capsys):
+    # a strong pseudoprime to the twelve bases 2..37; Baillie-PSW rejects it
+    code, _, payload = run(
+        ["encode", "--field", "318665857834031151167461", "--trust-prime", "--curve", "g1:n=3,a=1,b=1",
+         "--t", "2", "--u", "3"], capsys
+    )
+    assert code == 1 and payload["error"] == "NotPrime"
+
+
 def test_encode_domain_exclusion_exits_2(capsys):
     code, _, payload = run(
         ["encode", "--field", "11", "--curve", "g1:n=3,a=1,b=1", "--t", "0", "--u", "3"], capsys

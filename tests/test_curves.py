@@ -397,6 +397,23 @@ def test_second_family_literal_value_term_fails(n):
     assert not certify_two_point("g2", n, u_formula="family1_literal")
 
 
+@pytest.mark.parametrize("u_formula,calls", [("corrected", ["g2", "g2"]),
+                                             ("family1_literal", ["g1", "g2", "g2"])])
+def test_two_point_certificate_evaluates_g_of_x1_once(u_formula, calls, monkeypatch):
+    # g(X1) comes from the formula that built U, as in two_point_map; the
+    # erratum's U used the first family's g, so the curve's own is evaluated
+    seen = []
+    shape = curves.g_shape
+
+    def counted(family, n, a, b, x):
+        seen.append(family)
+        return shape(family, n, a, b, x)
+
+    monkeypatch.setattr(curves, "g_shape", counted)
+    assert certify_two_point("g2", 5, u_formula) == (u_formula == "corrected")
+    assert seen == calls
+
+
 def test_literal_value_term_is_identity_on_first_family():
     assert certify_two_point("g1", 5, u_formula="family1_literal")
 
@@ -423,11 +440,13 @@ def test_deep_identity_rejects_one_extra_monomial():
 
 
 def _two_point_sides_rescaled():
-    # two-point g2, n = 5, with X1 written as (X1*t)/t: the same function,
-    # but g(X1) gains the atom t, so the product's denominator is not U^2's
-    a, b, t = (RatFun.var(v) for v in "abt")
+    # two-point g2, n = 5, with X1 written as (num*(t+1))/(den*(t+1)) from
+    # expanded polynomials: the same function, but its two atoms match none
+    # of U^2's, so the product's denominator is not U^2's
+    a, b = RatFun.var("a"), RatFun.var("b")
     tri = two_point_symbolic("g2", 5)
-    x1 = tri.xs[0] * t / t
+    lift = MPoly.var("t") + 1
+    x1 = RatFun(tri.xs[0].num * lift, tri.xs[0].den * lift)
     return tri.u * tri.u, g_shape("g2", 5, a, b, x1) * g_shape("g2", 5, a, b, tri.xs[1])
 
 

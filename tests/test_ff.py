@@ -215,6 +215,46 @@ def test_primality_policy():
         field_new(FieldSpec(composite, trust_prime=True))
 
 
+# strong pseudoprimes above the deterministic bound: the first passes all
+# twelve bases 2..37 (Sorenson-Webster 2017), the second the eleven bases 2..31
+TRUSTED_PSEUDOPRIMES = [318665857834031151167461, 3825123056546413051]
+
+
+@pytest.mark.parametrize("n", TRUSTED_PSEUDOPRIMES)
+def test_trusted_strong_pseudoprimes_are_rejected(n):
+    assert n > DETERMINISTIC_PRIMALITY_BOUND
+    assert ff._miller_rabin(n, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert not is_prime(n, trusted=True)
+    with pytest.raises(NotPrime):
+        field_new(FieldSpec(n, trust_prime=True))
+
+
+@pytest.mark.parametrize("p", [
+    115792089237316195423570985008687907853269984665640564039457584007913129639747,
+    2**255 - 19, 2**256 - 189, 2**127 - 1,
+], ids=["readme-256", "25519", "256-189", "m127"])
+def test_trusted_primes_pass_baillie_psw(p):
+    assert is_prime(p, trusted=True)
+
+
+def test_baillie_psw_agrees_with_the_deterministic_test():
+    # every odd k in range that the trial division by 2..37 leaves over
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for k in range(39, 100001, 2):
+        if all(k % q for q in small):
+            assert (ff._miller_rabin(k, (2,)) and ff._strong_lucas(k)) == is_prime(k), k
+
+
+def test_strong_lucas_test_alone():
+    # Selfridge strong Lucas pseudoprimes pass it, base-2 strong
+    # pseudoprimes do not, and squares are rejected before the search for D
+    for k in (5459, 5777, 10877, 16109, 18971):
+        assert ff._strong_lucas(k) and not is_prime(k)
+    for k in (8321, 42799, 49141, 65281, 280601):
+        assert ff._miller_rabin(k, (2,)) and not ff._strong_lucas(k)
+    assert not ff._strong_lucas(1009**2) and not ff._strong_lucas(41 * 43 * 41 * 43)
+
+
 @pytest.mark.parametrize("p", [2**256 - 189, 2**256 - 435], ids=["3mod4", "1mod4"])
 def test_256_bit_sqrt_roundtrip(p):
     K = field_new(FieldSpec(p, trust_prime=True))

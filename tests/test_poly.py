@@ -345,3 +345,116 @@ def test_ratfun_chains_match_explicit_cross_multiplication(nums, dens, pick, cha
     pt = dict(zip("tu", point))
     if ref_d.evaluate(pt) and acc.den.evaluate(pt):
         assert acc.evaluate(pt) == ref_n.evaluate(pt) / ref_d.evaluate(pt)
+
+
+def test_ratfun_numerator_equal_to_denominator_is_one():
+    f = T * U - 3
+    for x in (RatFun(f, f), RatFun(MPoly(f.vars, dict(f.terms)), f), RatFun(-1, -1), RatFun(2, 2)):
+        assert x.factors == () and x.num == 1 and x.den == 1
+        assert rf_eq(x, 1) and x == 1 and not rf_eq(x, -1)
+    assert RatFun(-1, 1) == -1 and RatFun(1, -1) == -1
+
+
+def test_ratfun_sum_equal_to_a_common_atom_cancels_it():
+    # t/(t+1) + 1/(t+1): the denominator atom t+1 is kept in common, and the
+    # sum of what is left, t + 1, equals it, so it must merge and cancel
+    t = RatFun.var("t")
+    x = t / (t + 1) + 1 / (t + 1)
+    assert x.factors == () and rf_eq(x, 1) and x.den == 1
+    # no gcd: t^2 - 1 is one atom, so t - 1 stays in the denominator
+    y = t * t / (t - 1) - 1 / (t - 1)
+    assert rf_eq(y, t + 1) and y.num == T**2 - 1 and y.den == T - 1
+    # a numerator atom both sides share, times a sum equal to another atom
+    z = (t + 2) * t + (t + 2) * 1
+    assert rf_eq(z, (t + 2) * (t + 1)) and sorted((str(a), e) for a, e in z.factors) == [
+        ("1*t^1 + 1", 1), ("1*t^1 + 2", 1)]
+
+
+def test_ratfun_sums_with_zero():
+    x = RatFun(T + 1, U - 2)
+    zero = RatFun(0)
+    assert (0 - x) == -x and rf_eq(zero - x, RatFun(-(T + 1), U - 2))
+    assert rf_eq(x - 0, x) and rf_eq(x - zero, x) and rf_eq(0 + x, x) and rf_eq(zero + x, x)
+    assert (x - x).is_zero() and not (x - x) and (x - x).factors is None
+    assert (x - x).num == 0 and (x - x).den == 1 and rf_eq(x - x, 0)
+    assert (zero * x).is_zero() and (x * zero).is_zero() and (zero / x).is_zero()
+    assert zero**0 == 1 and zero**3 == 0
+    with pytest.raises(DivisionByZeroFunction):
+        zero**-1
+    with pytest.raises(DivisionByZeroFunction):
+        x / (x - x)
+
+
+def test_ratfun_negative_powers_and_the_minus_one_atom():
+    x = RatFun(T + 1, U - 2)
+    assert rf_eq(x**-2, RatFun((U - 2) ** 2, (T + 1) ** 2)) and (x**-2 * x**2).factors == ()
+    assert rf_eq(1 / x, x**-1) and rf_eq(x / x, 1)
+    assert -(-x) == x and rf_eq((-x) * (-x), x * x) and rf_eq((-x) ** 3, -(x**3))
+    assert rf_eq(-x, RatFun(-T - 1, U - 2)) and rf_eq(-x, RatFun(T + 1, 2 - U))
+    assert rf_eq(x - (-x), 2 * x) and rf_eq(-x + x, 0) and not rf_eq(-x, x)
+    assert rf_eq(RatFun(-1) ** 2, 1) and rf_eq(RatFun(-1) ** -3, -1)
+
+
+def test_atoms_match_only_when_equal_as_polynomials():
+    # same variables, degrees and number of terms, or the same terms over
+    # other variables: distinct atoms, which must never cancel or merge
+    for f, g in ((T + 1, T - 1), (T + 1, U + 1), (T * U + 1, T * U + 2), (T + U, T - U)):
+        assert not rf_eq(RatFun(f, g), 1) and not rf_eq(RatFun(1, f), RatFun(1, g))
+        assert rf_eq(RatFun(1, f) + RatFun(1, g), RatFun(f + g, f * g))
+        assert rf_eq(RatFun(f) * RatFun(1, g), RatFun(f, g)) and len((RatFun(f) / g).factors) == 2
+
+
+def test_mpoly_rsub_refuses_an_operand_it_cannot_coerce():
+    # 2 - f coerces 2; a float gets Python's own TypeError naming "-"
+    assert 2 - (T + 1) == 1 - T
+    with pytest.raises(TypeError, match="for -:"):
+        1.5 - (T + 1)
+
+
+pool_polys = st.builds(
+    lambda terms: MPoly.from_terms(terms, ("t", "u")) if terms else MPoly.const(0),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), st.integers(-2, 2), max_size=3),
+)
+shared_ops = st.lists(st.tuples(st.sampled_from("+-*/^n"), st.integers(0, 4), st.integers(-3, 3)),
+                      min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(pool_polys, min_size=3, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), min_size=5, max_size=5),
+       shared_ops, st.tuples(fracs, fracs))
+def test_ratfun_chains_with_shared_atoms_match_cross_multiplication(pool, picks, chain, point):
+    # A pool of four atoms, the last -1, and operands (n1 * n2)/d taken from
+    # it, so numerator and denominator atoms recur within and across
+    # operands, numerators equal denominators, and sums can rebuild an atom.
+    # A naive (num, den) pair follows every step by full cross-products.
+    pool = [p if p else T + 2 for p in pool] + [MPoly.const(-1)]
+    base = [(pool[i] * pool[j], pool[k]) for i, j, k in picks]
+    acc = RatFun(pool[picks[0][0]]) * RatFun(pool[picks[0][1]]) / RatFun(pool[picks[0][2]])
+    ref_n, ref_d = base[0]
+    for op, j, e in chain:
+        n2, d2 = base[j]
+        other = RatFun(pool[picks[j][0]]) * pool[picks[j][1]] / pool[picks[j][2]]
+        if op == "+":
+            acc, ref_n, ref_d = acc + other, ref_n * d2 + n2 * ref_d, ref_d * d2
+        elif op == "-":
+            acc, ref_n, ref_d = acc - other, ref_n * d2 - n2 * ref_d, ref_d * d2
+        elif op == "*":
+            acc, ref_n, ref_d = acc * other, ref_n * n2, ref_d * d2
+        elif op == "/" and n2:
+            acc, ref_n, ref_d = acc / other, ref_n * d2, ref_d * n2
+        elif op == "n":
+            acc, ref_n = -acc, -ref_n
+        elif op == "^" and (e >= 0 or ref_n):
+            acc = acc**e
+            ref_n, ref_d = (ref_n**e, ref_d**e) if e >= 0 else (ref_d**-e, ref_n**-e)
+    ref = RatFun(ref_n, ref_d)
+    assert rf_eq(acc, ref) and rf_eq(ref, acc)
+    assert acc.num * ref_d == ref_n * acc.den
+    assert acc.is_zero() == ref_n.is_zero() == (acc.factors is None)
+    assert rf_eq(acc + 1, ref + 1) and not rf_eq(acc + 1, ref) and not rf_eq(acc, ref - 1)
+    assert all(e and a for a, e in acc.factors or ())
+    pt = dict(zip("tu", point))
+    if ref_d.evaluate(pt) and acc.den.evaluate(pt):
+        assert acc.evaluate(pt) == ref_n.evaluate(pt) / ref_d.evaluate(pt)
+
