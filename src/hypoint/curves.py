@@ -202,10 +202,8 @@ def certify_auxiliary(family: str, m: int, n: int) -> bool:
 # two-point map
 
 
-def _two_point(family: str, n: int, a, b, t, value_family: str):
-    """(X1, X2, U, g(X1)) in any ring, X2 = t^2*X1 and U = t^n*g(X1), with g
-    taken from value_family (the family itself, except to reproduce an
-    erratum)."""
+def _two_point(family: str, n: int, a, b, t):
+    """(X1, X2, U, g(X1)) in any ring, X2 = t^2*X1 and U = t^n*g(X1)."""
     if n < 3:
         raise CurveError("two-point map needs n >= 3")
     e = _exponent(family, n)
@@ -215,7 +213,7 @@ def _two_point(family: str, n: int, a, b, t, value_family: str):
     if not den:
         raise DenominatorVanishes(f"t^(2*{e - 1}) = 1")
     x1 = -(b * (t ** (2 * e) - 1)) / (a * den)
-    gx1 = g_shape(value_family, n, a, b, x1)
+    gx1 = g_shape(family, n, a, b, x1)
     return x1, t * t * x1, t**n * gx1, gx1
 
 
@@ -225,7 +223,7 @@ def two_point_map(params: CurveParams, t) -> ParamTriple:
     The triple carries values = (g(X1), g(X2)), each evaluated once, and the
     identity is asserted on them.
     """
-    x1, x2, u, gx1 = _two_point(params.family, params.n, params.a, params.b, t, params.family)
+    x1, x2, u, gx1 = _two_point(params.family, params.n, params.a, params.b, t)
     values = (gx1, g_eval(params, x2))
     assert _square_is_product(u, values)
     return ParamTriple((x1, x2), u, values)
@@ -236,29 +234,29 @@ def two_point_symbolic(family: str, n: int, u_formula: str = "corrected") -> Par
 
     u_formula="family1_literal" reproduces a published variant that builds U
     from the family-1 polynomial even for family 2; it fails certification
-    (deliberately kept reproducible, see certify_two_point).
+    (deliberately kept reproducible).
     """
     x1, x2, u, _ = _two_point_over_q(family, n, u_formula)
     return ParamTriple((x1, x2), u)
 
 
 def _two_point_over_q(family: str, n: int, u_formula: str):
-    """_two_point over Q(a, b, t), with U built from the g that u_formula
-    names."""
-    value_family = "g1" if u_formula == "family1_literal" else family
+    """_two_point over Q(a, b, t); the published variant "family1_literal"
+    replaces U by t^n times the first family's g(X1). g(X1) stays the
+    curve's own."""
     a, b, t = RatFun.var("a"), RatFun.var("b"), RatFun.var("t")
-    return _two_point(family, n, a, b, t, value_family)
+    x1, x2, u, gx1 = _two_point(family, n, a, b, t)
+    if u_formula == "family1_literal":
+        u = t**n * g_shape("g1", n, a, b, x1)
+    return x1, x2, u, gx1
 
 
 def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool:
-    """Exact rf_eq of U^2 = g(X1)*g(X2) at the displayed formulas. g(X1) is
-    the value U was built from, as in two_point_map, except for the erratum,
-    whose U took another family's g: there the curve's own g(X1) is
-    evaluated, so the row still fails."""
+    """Exact rf_eq of U^2 = g(X1)*g(X2) at the displayed formulas, U built
+    as u_formula says, with the curve's own g(X1) evaluated once, as in
+    two_point_map."""
     params = _symbolic_params(family, n)
     x1, x2, u, gx1 = _two_point_over_q(family, n, u_formula)
-    if u_formula == "family1_literal":
-        gx1 = g_eval(params, x1)
     return _square_is_product(u, (gx1, g_eval(params, x2)))
 
 
@@ -467,10 +465,8 @@ def _poly_var(g: MPoly) -> str:
 
 def is_reciprocal(g: MPoly, n: int) -> bool:
     """x^n * g(1/x) = g(x), decided on coefficients."""
-    var = _poly_var(g)
-    if g.degree(var) != n:
-        return False
-    return all(g.terms.get(k) == g.terms.get(n - k) for k in range(n + 1))
+    coeffs = g.coeffs(_poly_var(g))
+    return len(coeffs) == n + 1 and coeffs == coeffs[::-1]
 
 
 def _apply(g: MPoly, x) -> RatFun:

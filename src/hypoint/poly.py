@@ -12,9 +12,10 @@ restrictions shape the design:
   atoms the sides share and expands only those whose exponents differ.
   Atoms are matched by polynomial equality and never split, so no
   multivariate GCD or factorization exists anywhere in this module.
-* The variable universe is fixed to ``a b c d t u``. Exponent vectors are
-  packed into a single int (16 bits per variable), which makes monomial
-  products a single integer addition.
+* The variable universe is fixed to ``a b c d t u``. Every exponent vector is
+  packed into one int with a fixed 16-bit limb per universe variable, limb i
+  holding the exponent of ``VARS[i]`` whatever variables a polynomial uses,
+  so a monomial product between any two polynomials is one integer addition.
 
 Coefficients are ``fractions.Fraction`` values, stored as plain ``int`` when
 integral so that the common all-integer paths stay fast.
@@ -31,6 +32,7 @@ _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
 _DEG_LIMIT = 1 << 15  # headroom so one multiplication cannot carry across limbs
+_NO_DEGS = (0,) * len(VARS)
 
 
 class DivisionByZeroFunction(ZeroDivisionError):
@@ -47,53 +49,41 @@ def _check_vars(vs):
             raise ValueError(f"unknown variable {v!r}; universe is {VARS}")
 
 
-def _moved(terms, moves):
-    """terms with limb i of each key moved to limb j for each (i, j) in moves;
-    limbs that no move names are dropped."""
-    out = {}
-    for k, c in terms.items():
-        nk = 0
-        for i, j in moves:
-            nk |= ((k >> (_SHIFT * i)) & _MASK) << (_SHIFT * j)
-        out[nk] = c
-    return out
-
-
 class MPoly:
-    """Sparse polynomial in a subset of the fixed variable universe.
+    """Sparse polynomial over the fixed variable universe.
 
-    ``vars`` is the tuple of variables actually used, in canonical order;
-    ``terms`` maps packed exponent keys to nonzero coefficients; ``degs``
-    holds the degree in each of ``vars``. The constructor normalizes the
-    ``terms`` dict it is given in place. Instances are treated as immutable;
-    no operation modifies its operands.
+    ``terms`` maps packed exponent keys to nonzero coefficients, limb i of a
+    key holding the exponent of ``VARS[i]``; ``degs`` holds the degree in
+    each universe variable, and ``vars`` is the tuple of those actually used,
+    in universe order. The constructor takes such a ``terms`` dict and
+    normalizes it in place; ``from_terms`` packs exponent tuples. Instances
+    are treated as immutable; no operation modifies its operands.
     """
 
-    __slots__ = ("vars", "terms", "degs", "_frac")
+    __slots__ = ("terms", "degs", "_frac")
 
-    def __init__(self, vars=(), terms=None):
-        _check_vars(vars)
-        self.vars = tuple(vars)
+    def __init__(self, terms=None):
+        if terms is not None and not isinstance(terms, dict):
+            raise TypeError("MPoly takes a dict of packed keys; use MPoly.from_terms for exponent tuples")
         self.terms = {} if terms is None else terms
         self.degs = None
         self._normalize()
 
     @classmethod
-    def _raw(cls, vars, terms, degs, frac):
-        """Wrap already normal data: vars canonical and each one used, every
-        coefficient nonzero and integral ones plain ints, degs[i] the degree
-        in vars[i], frac whether any coefficient is a Fraction."""
+    def _raw(cls, terms, degs, frac):
+        """Wrap already normal data: every coefficient nonzero and integral
+        ones plain ints, degs[i] the degree in VARS[i], frac whether any
+        coefficient is a Fraction."""
         f = object.__new__(cls)
-        f.vars, f.terms, f.degs, f._frac = vars, terms, degs, frac
+        f.terms, f.degs, f._frac = terms, degs, frac
         return f
 
     def _normalize(self, frac=True):
         """Normalize in place, on a dict this polynomial owns, and return it:
         collapse integral Fractions only when frac says one may be present
         (an exact class test, cheaper than isinstance through the numbers
-        ABCs), drop zeros, and read vars and degs off the keys, whose limbs
-        are nonzero exactly for the used variables, only when degs is unset
-        or a term dropped."""
+        ABCs), drop zeros, and read degs off the keys only when degs is
+        unset or a term dropped."""
         terms = self.terms
         if frac:
             frac = False
@@ -111,17 +101,9 @@ class MPoly:
             used = 0
             for k in terms:
                 used |= k
-            vs = self.vars
-            if len(set(vs)) < len(vs):
-                raise ValueError(f"repeated variable in {vs}")
-            # equality compares vars tuples, so they must come in universe order
-            keep = sorted((i for i in range(len(vs)) if (used >> (_SHIFT * i)) & _MASK),
-                          key=lambda i: _VAR_INDEX[vs[i]])
-            self.degs = tuple(max((k >> (_SHIFT * i)) & _MASK for k in terms) for i in keep)
-            if keep != list(range(len(vs))):
-                self.terms = _moved(terms, [(i, j) for j, i in enumerate(keep)])
-                self.vars = tuple(vs[i] for i in keep)
-            if max(self.degs, default=0) >= _DEG_LIMIT:
+            self.degs = tuple(max((k >> s) & _MASK for k in terms) if (used >> s) & _MASK else 0
+                              for s in range(0, _SHIFT * len(VARS), _SHIFT))
+            if max(self.degs) >= _DEG_LIMIT or used >> (_SHIFT * len(VARS)):
                 raise OverflowError("per-variable degree exceeds packing limit")
         return self
 
@@ -132,23 +114,34 @@ class MPoly:
         if c.__class__ is not int:
             c = Fraction(c)
             c = c.numerator if c.denominator == 1 else c
-        return cls._raw((), {0: c} if c else {}, (), c.__class__ is Fraction)
+        return cls._raw({0: c} if c else {}, _NO_DEGS, c.__class__ is Fraction)
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
         _check_vars((name,))
-        return cls._raw((name,), {1: 1}, (1,), False)
+        i = _VAR_INDEX[name]
+        return cls._raw({1 << (_SHIFT * i): 1}, _NO_DEGS[:i] + (1,) + _NO_DEGS[i + 1:], False)
 
     @classmethod
     def from_terms(cls, mapping, vars) -> "MPoly":
         """Build from {exponent tuple: coefficient} over the given variables."""
+        _check_vars(vars)
+        if len(set(vars)) < len(vars):
+            raise ValueError(f"repeated variable in {vars}")
+        shifts = [_SHIFT * _VAR_INDEX[v] for v in vars]
         terms = {}
         for exps, c in mapping.items():
-            k = sum(int(e) << (_SHIFT * i) for i, e in enumerate(exps))
+            if len(exps) != len(shifts) or not all(0 <= e <= _MASK for e in exps):
+                raise ValueError(f"exponents {exps} do not fit the variables {vars}")
+            k = sum(int(e) << s for e, s in zip(exps, shifts))
             terms[k] = terms.get(k, 0) + Fraction(c)
-        return cls(vars, terms)
+        return cls(terms)
 
     # -- helpers -----------------------------------------------------------
+
+    @property
+    def vars(self):
+        return tuple(v for v, d in zip(VARS, self.degs) if d)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -156,27 +149,9 @@ class MPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def _unify(self, other):
-        """Remap both polynomials onto the union variable tuple."""
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        union = tuple(sorted(set(self.vars) | set(other.vars), key=_VAR_INDEX.__getitem__))
-        return union, self._remap(union), other._remap(union)
-
-    def _remap(self, union):
-        if self.vars == union:
-            return self.terms
-        return _moved(self.terms, [(j, union.index(v)) for j, v in enumerate(self.vars)])
-
-    def _degs(self, other, op):
-        """op(own degree, other's degree) for each variable of either."""
-        deg = dict(zip(self.vars, self.degs))
-        for v, d in zip(other.vars, other.degs):
-            deg[v] = op(deg.get(v, 0), d)
-        return deg
-
     def exponents(self, k):
-        return tuple((k >> (_SHIFT * i)) & _MASK for i in range(len(self.vars)))
+        """The exponent of each of vars in the packed key k."""
+        return tuple((k >> (_SHIFT * _VAR_INDEX[v])) & _MASK for v in self.vars)
 
     def degree(self, var=None) -> int:
         """Total degree, or degree in one variable; zero polynomial gives -1."""
@@ -184,9 +159,20 @@ class MPoly:
             return -1
         if var is None:
             return max(sum(self.exponents(k)) for k in self.terms)
-        if var not in self.vars:
-            return 0
-        return self.degs[self.vars.index(var)]
+        _check_vars((var,))
+        return self.degs[_VAR_INDEX[var]]
+
+    def coeffs(self, var) -> list:
+        """Dense coefficients [c_0, ..., c_d] of a polynomial in var alone, as
+        Fractions; the zero polynomial gives []."""
+        _check_vars((var,))
+        if self.vars not in ((), (var,)):
+            raise ValueError(f"not univariate in {var}: vars {self.vars}")
+        s = _SHIFT * _VAR_INDEX[var]
+        out = [Fraction(0)] * (self.degs[_VAR_INDEX[var]] + 1) if self.terms else []
+        for k, c in self.terms.items():
+            out[k >> s] = Fraction(c)
+        return out
 
     # -- ring operations ---------------------------------------------------
 
@@ -204,21 +190,20 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        vs, t1, t2 = self._unify(other)
+        t1, t2 = self.terms, other.terms
         if len(t1) < len(t2):
             t1, t2 = t2, t1
         out = dict(t1)
         get = out.get
         for k, c in t2.items():
             out[k] = get(k, 0) + c
-        deg = self._degs(other, max)
-        f = MPoly._raw(vs, out, tuple(map(deg.__getitem__, vs)), False)
+        f = MPoly._raw(out, tuple(map(max, self.degs, other.degs)), False)
         return f._normalize(self._frac or other._frac)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._raw(self.vars, {k: -c for k, c in self.terms.items()}, self.degs, self._frac)
+        return MPoly._raw({k: -c for k, c in self.terms.items()}, self.degs, self._frac)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -230,17 +215,17 @@ class MPoly:
 
     def __mul__(self, other):
         """Product without renormalising: over Q the product of nonzero
-        polynomials uses every variable of either factor, with the degrees
-        added, so only cancelled coefficients need dropping."""
+        polynomials has the degrees of its factors added, so only cancelled
+        coefficients need dropping."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
+        t1, t2 = self.terms, other.terms
+        if not t1 or not t2:
             return MPoly()
-        deg = self._degs(other, int.__add__)
-        if max(deg.values(), default=0) >= _DEG_LIMIT:
+        degs = tuple(map(int.__add__, self.degs, other.degs))
+        if max(degs) >= _DEG_LIMIT:
             raise OverflowError("product degree exceeds packing limit")
-        vs, t1, t2 = self._unify(other)
         if len(t1) < len(t2):
             t1, t2 = t2, t1
         out = {}
@@ -264,7 +249,7 @@ class MPoly:
                 for k1, c1 in t1.items():
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        f = MPoly._raw(vs, out, tuple(map(deg.__getitem__, vs)), False)
+        f = MPoly._raw(out, degs, False)
         frac = self._frac or other._frac
         return f._normalize(frac) if frac or len(t2) > 1 else f
 
@@ -278,9 +263,9 @@ class MPoly:
         if len(self.terms) == 1:
             ((k, c),) = self.terms.items()
             degs = tuple(d * e for d in self.degs)
-            if max(degs, default=0) >= _DEG_LIMIT:
+            if max(degs) >= _DEG_LIMIT:
                 raise OverflowError("power degree exceeds packing limit")
-            return MPoly._raw(self.vars, {k * e: c**e}, degs, self._frac)
+            return MPoly._raw({k * e: c**e}, degs, self._frac)
         result, base = None, self
         while True:
             if e & 1:
@@ -292,7 +277,7 @@ class MPoly:
 
     def __eq__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is None else self.vars == other.vars and self.terms == other.terms
+        return NotImplemented if other is None else self.terms == other.terms
 
     # -- evaluation / substitution ------------------------------------------
 
@@ -301,11 +286,11 @@ class MPoly:
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"unbound variables in evaluation: {missing}")
-        vals = [Fraction(point[v]) for v in self.vars]
+        vals = [(Fraction(point[v]), _SHIFT * _VAR_INDEX[v]) for v in self.vars]
         total = Fraction(0)
         for k, c in self.terms.items():
-            for i, val in enumerate(vals):
-                c *= val ** ((k >> (_SHIFT * i)) & _MASK)
+            for val, s in vals:
+                c *= val ** ((k >> s) & _MASK)
             total += c
         return total
 
@@ -318,12 +303,12 @@ class MPoly:
         """
         _check_vars(bindings)
         bound = {v: as_ratfun(f) for v, f in bindings.items()}
-        vals = [bound[v] if v in bound else RatFun.var(v) for v in self.vars]
+        vals = [(bound[v] if v in bound else RatFun.var(v), _SHIFT * _VAR_INDEX[v]) for v in self.vars]
         total = RatFun(0)
         for k, c in self.terms.items():
             term = RatFun(c)
-            for i, x in enumerate(vals):
-                term = term * x ** ((k >> (_SHIFT * i)) & _MASK)
+            for x, s in vals:
+                term = term * x ** ((k >> s) & _MASK)
             total = total + term
         return total
 
@@ -361,7 +346,7 @@ def _align(f1, f2):
     out = [(atom, e, 0) for atom, e in f1]
     for atom, e in f2:
         for i, (a, e1, _) in enumerate(out):
-            if a is atom or a.vars == atom.vars and a.terms == atom.terms:
+            if a is atom or a.terms == atom.terms:
                 out[i] = (a, e1, e)
                 break
         else:
@@ -582,16 +567,16 @@ def poly_exact_sqrt(f: MPoly):
     negative is impossible and no tolerance is involved. The returned root has
     positive leading coefficient.
     """
-    if len(f.vars) > 1:
+    vs = f.vars
+    if len(vs) > 1:
         raise ValueError("poly_exact_sqrt is univariate only")
-    if f.is_zero():
+    var = vs[0] if vs else "t"
+    coeffs = f.coeffs(var)
+    if not coeffs:
         return MPoly()
-    d = f.degree()
+    d = len(coeffs) - 1
     if d % 2:
         return None
-    coeffs = [Fraction(0)] * (d + 1)
-    for k, c in f.terms.items():
-        coeffs[k & _MASK] = Fraction(c)
     m = d // 2
     lead = _fraction_sqrt(coeffs[d])
     if lead is None or lead == 0:
@@ -605,8 +590,7 @@ def poly_exact_sqrt(f: MPoly):
             if k < j <= m:
                 acc += h[i] * h[j]
         h[k] = (coeffs[m + k] - acc) / (2 * lead)
-    var = f.vars[0] if f.vars else "t"
-    root = MPoly((var,), {i: c for i, c in enumerate(h) if c != 0})
+    root = MPoly.from_terms({(i,): c for i, c in enumerate(h) if c}, (var,))
     if root * root == f:
         return root
     return None

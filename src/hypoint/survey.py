@@ -64,7 +64,7 @@ from .curves import (
     point_json,
 )
 from .ff import Field, FieldElement, _poly_gcd, field_new
-from .poly import MPoly, RatFun
+from .poly import RatFun
 
 DEFAULT_CAP = 10_000
 MISSED_CAP = 100
@@ -597,19 +597,6 @@ class DegreeStats(Record):
         }
 
 
-def _uni_coeffs(f: MPoly) -> list:
-    """Dense Fraction coefficient list of a polynomial in t alone."""
-    if f.is_zero():
-        return []
-    if f.vars not in ((), ("t",)):
-        raise ValueError(f"not univariate in t: vars {f.vars}")
-    out = [Fraction(0)] * (f.degree() + 1)
-    for k, c in f.terms.items():
-        e = f.exponents(k)[0] if f.vars else 0
-        out[e] = Fraction(c)
-    return out
-
-
 def degree_stats(a, b, u) -> DegreeStats:
     """Degrees of the coprime N/D with X1*X2*X3 = N/D, first family, n = 3.
 
@@ -624,7 +611,7 @@ def degree_stats(a, b, u) -> DegreeStats:
         raise ValueError(f"g({u}) = 0; pick u off the roots of g")
     x2, x3, _, _ = _three_point("g1", 3, a, b, RatFun.var("t"), gu)
     prod = u * x2 * x3
-    num, den = _uni_coeffs(prod.num), _uni_coeffs(prod.den)
+    num, den = prod.num.coeffs("t"), prod.den.coeffs("t")
     if not num:
         return DegreeStats(a, b, u, -1, 0)
     shared = len(_poly_gcd(num, den)) - 1

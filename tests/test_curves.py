@@ -398,10 +398,10 @@ def test_second_family_literal_value_term_fails(n):
 
 
 @pytest.mark.parametrize("u_formula,calls", [("corrected", ["g2", "g2"]),
-                                             ("family1_literal", ["g1", "g2", "g2"])])
+                                             ("family1_literal", ["g2", "g1", "g2"])])
 def test_two_point_certificate_evaluates_g_of_x1_once(u_formula, calls, monkeypatch):
-    # g(X1) comes from the formula that built U, as in two_point_map; the
-    # erratum's U used the first family's g, so the curve's own is evaluated
+    # the curve's own g(X1) is evaluated once, as in two_point_map, and
+    # the erratum's U adds one evaluation of the first family's g
     seen = []
     shape = curves.g_shape
 
@@ -512,6 +512,18 @@ def test_is_reciprocal():
     assert not is_reciprocal(t**3 + t + 1, 3)
     assert not is_reciprocal(t**2 + t, 2)
     assert not is_reciprocal(t**3 + 1, 4)
+
+
+def test_is_reciprocal_in_any_variable():
+    # keys of a polynomial in u or a carry its exponents in limb 5 or 0
+    for v in "aut":
+        x = MPoly.var(v)
+        g = x**4 + 3 * x**3 + 5 * x**2 + 3 * x + 1
+        assert is_reciprocal(g, 4) and not is_reciprocal(g + x, 4) and not is_reciprocal(g, 5)
+        assert is_reciprocal(x**3 + 1, 3) and not is_reciprocal(x**3 + x + 1, 3)
+        assert certify_reciprocal_pair(x**3 + 1, 3) and certify_reciprocal_triple(x**5 + 1, 5)
+    with pytest.raises(CurveError):
+        is_reciprocal(MPoly.var("t") * MPoly.var("u") + 1, 2)
 
 
 def test_reciprocal_curves_certified():

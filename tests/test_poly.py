@@ -10,6 +10,7 @@ from hypoint.poly import (
     DivisionByZeroFunction,
     MPoly,
     PoleAtPoint,
+    VARS,
     RatFun,
     _DEG_LIMIT,
     poly_exact_sqrt,
@@ -42,13 +43,31 @@ def test_zero_tests_follow_the_ring():
 
 def test_variable_order_is_canonical():
     # vars given out of universe order: u first, then t
-    f = MPoly(("u", "t"), {1: 1, 1 << 16: 1})
+    f = MPoly.from_terms({(1, 0): 1, (0, 1): 1}, ("u", "t"))
     assert f.vars == ("t", "u") and f == T + U
     assert rf_eq(f, T + U) and rf_eq(RatFun(f, A), RatFun(T + U, A))
-    g = MPoly(("u", "a", "t"), {2 | 3 << 32: 5, 1 << 16: -1})
+    g = MPoly.from_terms({(2, 0, 3): 5, (0, 1, 0): -1}, ("u", "a", "t"))
     assert g == 5 * U**2 * T**3 - A
     with pytest.raises(ValueError):
-        MPoly(("t", "u", "t"), {1: 1})
+        MPoly.from_terms({(1, 0, 0): 1}, ("t", "u", "t"))
+    with pytest.raises(ValueError):
+        MPoly.from_terms({(1,): 1}, ("x",))
+
+
+def test_keys_are_packed_over_the_fixed_universe():
+    # limb i of every key holds the exponent of VARS[i], whatever the variables
+    assert A.terms == {1: 1} and T.terms == {1 << 64: 1} and U.terms == {1 << 80: 1}
+    assert (A * U**3).terms == {1 | 3 << 80: 1} and (U**3).degs == (0, 0, 0, 0, 0, 3)
+    assert MPoly({1 << 80: 3}) == 3 * U and MPoly({1 << 80: 3}).vars == ("u",)
+    # a call in the old relative layout, where key 1 meant "u", is refused
+    with pytest.raises(TypeError):
+        MPoly(("u",), {1: 3})
+    with pytest.raises(TypeError):
+        MPoly(("u",))
+    with pytest.raises(ValueError):
+        MPoly.from_terms({(1, 0): 1}, ("u",))
+    with pytest.raises(ValueError):
+        MPoly.from_terms({(1 << 16,): 1}, ("t",))
 
 
 def test_known_product():
@@ -156,6 +175,25 @@ def test_exact_sqrt_multivariate_rejected():
         poly_exact_sqrt(T * U)
 
 
+def test_univariate_readers_in_any_variable():
+    # a and u sit in the first and last limb of the packed keys
+    for x, v in ((A, "a"), (U, "u"), (T, "t")):
+        h = x**2 - 2 * x + Fraction(3, 2)
+        assert (h * h).coeffs(v) == [Fraction(9, 4), -6, 7, -4, 1]
+        assert poly_exact_sqrt(h * h) == h and poly_exact_sqrt(h * h).vars == (v,)
+        assert poly_exact_sqrt(x**2 + 1) is None and poly_exact_sqrt(x**3) is None
+        assert poly_exact_sqrt(MPoly.const(4)) == 2 and MPoly.const(4).coeffs(v) == [4]
+        assert MPoly().coeffs(v) == []
+    with pytest.raises(ValueError):
+        (A + U).coeffs("u")
+    with pytest.raises(ValueError):
+        U.coeffs("a")
+    with pytest.raises(ValueError):
+        MPoly.const(1).coeffs("x")
+    with pytest.raises(ValueError):
+        poly_exact_sqrt(A * U)
+
+
 def test_degree_guard():
     with pytest.raises(OverflowError):
         T ** (1 << 15)
@@ -171,8 +209,8 @@ def test_product_degree_guard_is_per_variable():
 
 
 def test_normalization_collapses_and_prunes():
-    f = MPoly(("t", "u"), {1: 0, 1 << 16: 3})
-    assert f.vars == ("u",) and f.terms == {1: 3}
+    f = MPoly({1 << 64: 0, 1 << 80: 3})
+    assert f.vars == ("u",) and f.terms == {1 << 80: 3}
     assert MPoly.const(0).terms == {}
     c = MPoly.const(Fraction(4, 2)).terms[0]
     assert c == 2 and type(c) is int
@@ -180,11 +218,11 @@ def test_normalization_collapses_and_prunes():
     # the guard uses the exact per-variable maximum (here 2^14), not the OR
     # of the exponents (2^15 - 1), so this product still fits
     half = _DEG_LIMIT >> 1
-    f = MPoly(("t", "u"), {half << 16: 1, (half - 1) << 16: 1})
+    f = MPoly({half << 80: 1, (half - 1) << 80: 1})
     assert (f * U).degree("u") == half + 1
-    for key in (_DEG_LIMIT, _DEG_LIMIT << 16):
+    for key in (_DEG_LIMIT << 64, _DEG_LIMIT << 80, 1 << 96, -1):
         with pytest.raises(OverflowError):
-            MPoly(("t", "u"), {key: 1, 1: 1})
+            MPoly({key: 1, 1 << 64: 1})
 
 
 # --- property tests -------------------------------------------------------
@@ -226,7 +264,7 @@ def test_rf_eq_stable_under_common_factors(f, g):
 def test_rf_eq_matches_explicit_cross_product(f, g, d, e, same_num):
     assume(not d.is_zero() and not e.is_zero())
     if same_num:
-        g = MPoly(f.vars, dict(f.terms))
+        g = MPoly(dict(f.terms))
     shared = rf_eq(RatFun(f, d), RatFun(g, d))
     assert shared == (f == g) == (f * d == g * d)
     assert rf_eq(RatFun(f, d), RatFun(g, e)) == (f * e == g * d)
@@ -275,10 +313,11 @@ def _reference_product(f, g):
 
 def _is_normal(f):
     """Nonzero coefficients, integral ones as int, and the stored degrees
-    equal to those read off the terms, each variable used."""
-    degs = tuple(max(f.exponents(k)[i] for k in f.terms) for i in range(len(f.vars)))
+    equal to those read off the 16-bit limbs of the keys, one per universe
+    variable, with no limb past the last."""
+    degs = tuple(max(((k >> (16 * i)) & 0xFFFF for k in f.terms), default=0) for i in range(len(VARS)))
     coeffs_ok = all(c and (type(c) is int or c.denominator != 1) for c in f.terms.values())
-    return coeffs_ok and f.degs == degs and all(degs)
+    return coeffs_ok and f.degs == degs and not any(k >> (16 * len(VARS)) for k in f.terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,12 +326,48 @@ def test_square_path_equals_general_product(f, g, k):
     # f + k*g and f - k*g make cancelling cross terms likely in the products
     for h in (f, f + k * g, (f + k * g) * (f - k * g)):
         sq = h * h
-        general = h * MPoly(h.vars, dict(h.terms))
+        general = h * MPoly(dict(h.terms))
         assert sq == general == _reference_product(h, h)
         assert _is_normal(sq) and _is_normal(general)
         assert sq.vars == general.vars and sq.degs == general.degs
     prod = (f + k * g) * (f - k * g)
     assert prod == _reference_product(f + k * g, f - k * g) and _is_normal(prod)
+
+
+@st.composite
+def mixed_polys(draw):
+    """A polynomial over one of several variable subsets, some given out of
+    universe order, so operands rarely share their variables."""
+    vars_ = draw(st.sampled_from([("a", "t"), ("u", "a"), ("t", "u"), ("u",), ("d", "b"), ()]))
+    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in vars_)), fracs, max_size=4))
+    return MPoly.from_terms(terms, vars_) if terms else MPoly.const(0)
+
+
+def _reference_sum(f, g, sign=1):
+    """f + sign*g on exponent tuples over the universe, with no packed keys."""
+    out = {}
+    for p, s in ((f, 1), (g, sign)):
+        for k, c in p.terms.items():
+            exps = dict(zip(p.vars, p.exponents(k)))
+            e = tuple(exps.get(v, 0) for v in VARS)
+            out[e] = out.get(e, 0) + s * Fraction(c)
+    return MPoly.from_terms(out, VARS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_polys(), mixed_polys(), mixed_polys(), mixed_polys())
+def test_arithmetic_across_variable_subsets_matches_exponent_tuples(f, g, h, k):
+    assert f + g == _reference_sum(f, g) == g + f and f - g == _reference_sum(f, g, -1)
+    assert f * g == _reference_product(f, g) == g * f and f * f == _reference_product(f, f) == f**2
+    for p in (f + g, f - g, f * g, f * f, f**3):
+        assert _is_normal(p)
+    assume(g and k)
+    # rf_eq against cross-multiplication done on exponent tuples
+    cross = _reference_product(f, k) == _reference_product(h, g)
+    assert rf_eq(RatFun(f, g), RatFun(h, k)) == cross
+    assert rf_eq(RatFun(f, g), RatFun(f * k, g * k))
+    total = _reference_sum(_reference_product(f, k), _reference_product(h, g))
+    assert rf_eq(RatFun(f, g) + RatFun(h, k), RatFun(total, _reference_product(g, k)))
 
 
 def test_subtraction_results_are_normal():
@@ -320,7 +395,7 @@ def test_ratfun_chains_match_explicit_cross_multiplication(nums, dens, pick, cha
     # matched by value. A naive (num, den) pair follows every step with full
     # cross-products.
     dens = [d if d else MPoly.const(1) + T * T for d in dens]
-    dens.append(MPoly(dens[0].vars, dict(dens[0].terms)))
+    dens.append(MPoly(dict(dens[0].terms)))
     base = [(n, dens[i]) for n, i in zip(nums, pick)]
     acc = RatFun(*base[0])
     ref_n, ref_d = base[0]
@@ -349,7 +424,7 @@ def test_ratfun_chains_match_explicit_cross_multiplication(nums, dens, pick, cha
 
 def test_ratfun_numerator_equal_to_denominator_is_one():
     f = T * U - 3
-    for x in (RatFun(f, f), RatFun(MPoly(f.vars, dict(f.terms)), f), RatFun(-1, -1), RatFun(2, 2)):
+    for x in (RatFun(f, f), RatFun(MPoly(dict(f.terms)), f), RatFun(-1, -1), RatFun(2, 2)):
         assert x.factors == () and x.num == 1 and x.den == 1
         assert rf_eq(x, 1) and x == 1 and not rf_eq(x, -1)
     assert RatFun(-1, 1) == -1 and RatFun(1, -1) == -1
