@@ -19,17 +19,20 @@ symbolic layer:
 * reciprocal_pair_curve / reciprocal_triple_curve / quartic_triple_curve:
   parametrizations for self-reciprocal g and for g = x^4 + 1.
 
-Each formula is written once (_two_point, _three_point) and run both by the
-maps that encode uses, on field elements or exact rationals, and by the
-certifier, on symbolic rational functions; the certified identities are
-therefore those of the deployed arithmetic. The three-point X2 has the
-cancelled denominator g(u)*t^2*(1 + s + ... + s^(e-2)), s = t^2*g(u); it
-agrees with the textbook quotient wherever the latter is defined and extends
-it at s = 1, which is what makes the domain-size lower bound in the survey
-unconditional. On fields and Q the map takes the sums in closed form, the
+Each formula is written once and run both by the maps that encode uses, on
+field elements or exact rationals, and by the certifier, on symbolic
+rational functions; the certified identities are therefore those of the
+deployed arithmetic. One map formula, _three_point, serves both maps: the
+two-point map is the three-point map at gamma = g(X1) = 1, its X1 and X2
+being the three-point X2 and X3. The three-point X2 has the cancelled
+denominator a*s*(1 + s + ... + s^(e-2)), s = t^2*g(u); it agrees with
+the textbook quotient wherever the latter is defined and extends it at
+s = 1, which is what makes the domain-size lower bound in the survey
+unconditional. On fields and Q the maps take the sums in closed form, the
 raw quotient (s^e - 1)/(s^(e-1) - 1), which the certifier proves equal to
-the cancelled one, and e/(e - 1) at s = 1, so its cost grows with log n,
-not n.
+the cancelled one, and e/(e - 1) at s = 1, so their cost grows with log n,
+not n. Both field maps check U^2 = prod g(x_i) with an explicit
+AssertionError, which python -O keeps.
 """
 
 from __future__ import annotations
@@ -199,65 +202,42 @@ def certify_auxiliary(family: str, m: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# two-point map
-
-
-def _two_point(family: str, n: int, a, b, t):
-    """(X1, X2, U, g(X1)) in any ring, X2 = t^2*X1 and U = t^n*g(X1)."""
-    if n < 3:
-        raise CurveError("two-point map needs n >= 3")
-    e = _exponent(family, n)
-    if not t:
-        raise DenominatorVanishes("t = 0")
-    den = t ** (2 * e) - t * t
-    if not den:
-        raise DenominatorVanishes(f"t^(2*{e - 1}) = 1")
-    x1 = -(b * (t ** (2 * e) - 1)) / (a * den)
-    gx1 = g_shape(family, n, a, b, x1)
-    return x1, t * t * x1, t**n * gx1, gx1
+# two-point map: the three-point formula at g(X1) = 1
 
 
 def two_point_map(params: CurveParams, t) -> ParamTriple:
     """(X1, X2, U) with U^2 = g(X1)*g(X2); t from a field or Q.
 
-    The triple carries values = (g(X1), g(X2)), each evaluated once, and the
-    identity is asserted on them.
+    The map is _three_point at gamma = 1: its X2, X3 and U are X1, X2 and U
+    here. The raw form extends the map to s = t^2 = 1, which stays outside
+    this map's domain. The triple carries values = (g(X1), g(X2)), each
+    evaluated once, and the identity is checked on them.
     """
-    x1, x2, u, gx1 = _two_point(params.family, params.n, params.a, params.b, t)
-    values = (gx1, g_eval(params, x2))
-    assert _square_is_product(u, values)
-    return ParamTriple((x1, x2), u, values)
+    if t * t == 1:
+        raise DenominatorVanishes("t^2 = 1")
+    return _checked_map(params, t, 1, (), ())
 
 
 def two_point_symbolic(family: str, n: int, u_formula: str = "corrected") -> ParamTriple:
-    """Symbolic (X1(t), X2(t), U(t)) over Q(a, b).
+    """Symbolic (X1(t), X2(t), U(t)) over Q(a, b), with values = (g(X1), g(X2)).
 
     u_formula="family1_literal" reproduces a published variant that builds U
     from the family-1 polynomial even for family 2; it fails certification
-    (deliberately kept reproducible).
+    (deliberately kept reproducible). g(X1) and g(X2) stay the curve's own.
     """
-    x1, x2, u, _ = _two_point_over_q(family, n, u_formula)
-    return ParamTriple((x1, x2), u)
-
-
-def _two_point_over_q(family: str, n: int, u_formula: str):
-    """_two_point over Q(a, b, t); the published variant "family1_literal"
-    replaces U by t^n times the first family's g(X1). g(X1) stays the
-    curve's own."""
-    a, b, t = RatFun.var("a"), RatFun.var("b"), RatFun.var("t")
-    x1, x2, u, gx1 = _two_point(family, n, a, b, t)
+    a, b, t = (RatFun.var(v) for v in "abt")
+    # gamma as the function 1, whose empty factor list multiplies for free
+    x1, x2, u, gx1 = _three_point(family, n, a, b, t, RatFun(1), "raw")
     if u_formula == "family1_literal":
         u = t**n * g_shape("g1", n, a, b, x1)
-    return x1, x2, u, gx1
+    return ParamTriple((x1, x2), u, (gx1, g_shape(family, n, a, b, x2)))
 
 
 def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool:
-    """Exact rf_eq of U^2 = g(X1)*g(X2) at the displayed formulas, U built
-    as u_formula says, with the curve's own g(X1) evaluated once, as in
-    two_point_map."""
-    params = _symbolic_params(family, n)
-    x1, x2, u, gx1 = _two_point_over_q(family, n, u_formula)
-    return _square_is_product(u, (gx1, g_eval(params, x2)))
+    """Exact rf_eq of U^2 = g(X1)*g(X2) on two_point_symbolic, each g
+    evaluated once, as in two_point_map."""
+    tri = two_point_symbolic(family, n, u_formula)
+    return _square_is_product(tri.u, tri.values)
 
 
 # ---------------------------------------------------------------------------
@@ -269,39 +249,57 @@ def _three_point(family: str, n: int, a, b, t, gamma, form: str = "cancelled", g
     s = t^2*gamma. g(X2) is g_shape unless a caller that already holds g's
     values passes g, a function that returns g(X2) from X2.
 
-    form "cancelled": X2 = -b*(1+s+...+s^(e-1)) / (a*t^2*gamma*(1+...+s^(e-2)))
-    form "raw":       X2 = -b*(s^e - 1)        / (a*t^2*gamma*(s^(e-1) - 1))
+    form "cancelled": X2 = -b*(1+s+...+s^(e-1)) / (a*s*(1+...+s^(e-2)))
+    form "raw":       X2 = -b*(s^e - 1)        / (a*s*(s^(e-1) - 1))
 
-    X3 = s*X2 and U = t^n * gamma^((n+1)/2) * g(X2), so that U^2 = gamma *
-    g(X2) * g(X3). The two forms agree wherever the raw denominator is
-    nonzero (certify_three_point proves raw = cancelled). Where s = 1, the
-    raw form takes the cancelled sums' values e and e - 1, so on a field or
-    Q it equals the cancelled form on every s at O(log n) multiplications;
-    a symbolic s is never 1. Raises DenominatorVanishes for t = 0 or a
-    vanishing denominator core.
+    X3 = s*X2 and U = t^n * gamma^((n+1)//2) * g(X2), so that U^2 = gamma *
+    g(X2) * g(X3). At gamma = 1 this is the two-point map for every n >= 3:
+    X2, X3 and U are its X1, X2 and U. The two forms agree wherever the raw
+    denominator is nonzero (certify_three_point proves raw = cancelled).
+    Where s = 1, the raw form takes the cancelled sums' values e and e - 1,
+    so on a field or Q it equals the cancelled form on every s at O(log n)
+    multiplications; a symbolic s is never 1. Raises CurveError for n < 3
+    and DenominatorVanishes for t = 0 or a vanishing denominator core.
     """
+    if n < 3:
+        raise CurveError(f"two- and three-point maps need n >= 3, got {n}")
     if not t:
         raise DenominatorVanishes("t = 0")
     s = t * t * gamma
-    x2 = _x2(a, b, t, gamma, s, _exponent(family, n), form)
+    x2 = _x2(a, b, s, _exponent(family, n), form)
     gx2 = g_shape(family, n, a, b, x2) if g is None else g(x2)
     return x2, s * x2, t**n * gamma ** ((n + 1) // 2) * gx2, gx2
 
 
-def _x2(a, b, t, gamma, s, e: int, form: str):
+def _x2(a, b, s, e: int, form: str):
     """_three_point's X2. Its sums die with this frame, so a caller on whole
     tables holds none of them while it forms X3 and U."""
     if form == "cancelled":
         num = _geom_sum(s, e)
         den_core = _geom_sum(s, e - 1)
-    elif s == 1:
-        num, den_core = s * e, s * (e - 1)
     else:
         pw = s ** (e - 1)
         num, den_core = pw * s - 1, pw - 1
+        # s = 1 is tested only where the raw core vanishes, since the test
+        # costs an expansion on a symbolic s, which is never 1
+        if not den_core and s == 1:
+            num, den_core = s * e, s * (e - 1)
     if not den_core:
         raise DenominatorVanishes("geometric factor 1 + s + ... vanishes")
-    return -(b * num) / (a * t * t * gamma * den_core)
+    return -(b * num) / (a * s * den_core)
+
+
+def _checked_map(params: CurveParams, t, gamma, xs: tuple, values: tuple) -> ParamTriple:
+    """The raw _three_point on a field or Q as ParamTriple(xs + (X2, X3), U,
+    values + (g(X2), g(X3))), g evaluated once per component. xs and values
+    are the leading component and its g-value, (u,) and (gamma,) for the
+    three-point map and empty for the two-point map. Raises AssertionError,
+    also under python -O, when U^2 != prod values."""
+    x2, x3, uu, gx2 = _three_point(params.family, params.n, params.a, params.b, t, gamma, "raw")
+    values += (gx2, g_eval(params, x3))
+    if not _square_is_product(uu, values):
+        raise AssertionError(f"U^2 != prod g(x_i) for {params} at t = {t}")
+    return ParamTriple(xs + (x2, x3), uu, values)
 
 
 def _require_odd(n: int):
@@ -313,16 +311,13 @@ def three_point_map(params: CurveParams, t, u) -> ParamTriple:
     """(X1, X2, X3, U) = (u, ...) with U^2 = g(u)*g(X2)*g(X3); field or Q.
 
     The triple carries values = (g(u), g(X2), g(X3)), each evaluated once,
-    and the identity is asserted on them.
+    and the identity is checked on them.
     """
     _require_odd(params.n)
     gamma = g_eval(params, u)
     if not gamma:
         raise BasePointOnCurve(f"g({u}) = 0")
-    x2, x3, uu, gx2 = _three_point(params.family, params.n, params.a, params.b, t, gamma, "raw")
-    values = (gamma, gx2, g_eval(params, x3))
-    assert _square_is_product(uu, values)
-    return ParamTriple((u, x2, x3), uu, values)
+    return _checked_map(params, t, gamma, (u,), (gamma,))
 
 
 def three_point_inner(family: str, n: int, form: str = "cancelled") -> dict:
@@ -355,7 +350,8 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
 
     Checks, all exact rf_eq comparisons over Q:
       1. the identity over Q(a, b, c, t) with c standing for g(u), in both the
-         displayed (raw) and the deployed (cancelled) forms,
+         raw form, which the field maps, encode and the survey walk run, and
+         the cancelled form,
       2. raw and cancelled X2 agree as rational functions,
       3. with deep=True additionally the fully expanded (t, u) identity
          (affordable for n = 3) and the raw/cancelled display agreement.

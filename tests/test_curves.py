@@ -4,6 +4,8 @@ import copy
 import hashlib
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -141,6 +143,12 @@ def test_two_point_rejections():
         two_point_map(params, F(-1))
     with pytest.raises(CurveError):
         two_point_map(CurveParams("g1", 2, F(1), F(1)), F(2))
+    # t^(2(e-1)) = 1 with t^2 != 1: 5^4 = 1 and 5^2 = 12 in F_13
+    K = field_new(13)
+    with pytest.raises(DenominatorVanishes):
+        two_point_map(CurveParams("g1", 3, K.elem(1), K.elem(1)), K.elem(5))
+    with pytest.raises(CurveError):
+        two_point_symbolic("g1", 2)
 
 
 def test_two_point_field_matches_rational():
@@ -188,6 +196,64 @@ def test_two_point_symbolic_matches_map_over_q(family, n, a, b, t):
     sym = two_point_symbolic(family, n)
     point = {"a": a, "b": b, "t": t}
     assert [f.evaluate(point) for f in sym.xs + (sym.u,)] == list(tr.xs + (tr.u,))
+
+
+@pytest.mark.parametrize("params, t, xs, u", [
+    (CurveParams("g1", 4, F(1), F(1)), F(2), (F(-85, 84), F(-85, 21)), F(51607921, 3111696)),
+    (CurveParams("g2", 6, F(3), F(7)), F(-1, 2), (F(-2387, 255), F(-2387, 1020)),
+     F(185029888608652927609, 17596287801000000)),
+])
+def test_two_point_even_n_over_q(params, t, xs, u):
+    tr = two_point_map(params, t)
+    assert (tr.xs, tr.u) == (xs, u)
+    assert tr.values == tuple(g_eval(params, x) for x in xs)
+
+
+@pytest.mark.parametrize("p", [11, 13, 101])
+@pytest.mark.parametrize("family", ["g1", "g2"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_three_point_map_at_g_of_u_one_is_two_point_map(p, family, n):
+    K = field_new(p)
+    # g(0) = 1 on g1 and g(1) = 1 on g2
+    params = CurveParams(family, n, K.elem(1), K.elem(1 if family == "g1" else -1))
+    pairs = 0
+    for u in K.elements():
+        if g_eval(params, u) != 1:
+            continue
+        for t in K.elements():
+            try:
+                two = two_point_map(params, t)
+            except DenominatorVanishes:
+                continue
+            three = three_point_map(params, t, u)
+            assert (three.xs[1:], three.u, three.values[1:]) == (two.xs, two.u, two.values)
+            pairs += 1
+    assert pairs
+
+
+def test_map_identity_is_checked_under_python_O():
+    # the check is an explicit raise, so -O (which strips assert) keeps it
+    code = """if True:
+        from hypoint import curves
+        from hypoint.ff import field_new
+        assert False, "this child must run under -O"
+        curves._square_is_product = lambda u, values: False
+        K = field_new(11)
+        params = curves.parse_curve_spec("g1:n=3,a=1,b=1", K)
+        t, u = K.elem(2), K.elem(3)
+        for call in (lambda: curves.two_point_map(params, t),
+                     lambda: curves.three_point_map(params, t, u),
+                     lambda: curves.encode(params, t, u)):
+            try:
+                call()
+            except AssertionError:
+                print("raised")
+            else:
+                print("silent")
+    """
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 3
 
 
 # --- three-point map and the encoder -----------------------------------------
