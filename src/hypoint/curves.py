@@ -157,7 +157,8 @@ def _square_is_product(u, values) -> bool:
     the atoms whose exponents differ. For the map identities none do:
     g(X3) = s^n*g(X2), and g(X2) = t^(2n)*g(X1) for the two-point map, hold
     atom by atom, the sum atoms coming out equal as polynomials and s^n kept
-    apart as atoms of its own, so u^2 is never expanded."""
+    apart in the constant, the monomial and atoms of its own, so u^2 is
+    never expanded."""
     return u * u == reduce(mul, values)
 
 
@@ -324,11 +325,12 @@ def three_point_inner(family: str, n: int, form: str = "cancelled") -> dict:
     """Symbolic three-point data over Q(a, b, c, t), where the symbol c stands
     for the inner value g(u). Tiny polynomials for every n, so the defining
     identity U^2 = c * g(X2) * g(X3) is certifiable by exact rf_eq for every
-    n; the (t, u) forms are the exact substitution c -> g(u)."""
+    n; the (t, u) forms are the exact substitution c -> g(u). "g_x2" is the
+    g(X2) that _three_point computed for U, so no caller evaluates it again."""
     _require_odd(n)
     a, b, c, t = (RatFun.var(v) for v in "abct")
-    x2, x3, u, _ = _three_point(family, n, a, b, t, c, form)
-    return {"x2": x2, "x3": x3, "u": u, "g_x1": c}
+    x2, x3, u, gx2 = _three_point(family, n, a, b, t, c, form)
+    return {"x2": x2, "x3": x3, "u": u, "g_x1": c, "g_x2": gx2}
 
 
 def three_point_display(family: str, n: int, form: str = "raw") -> ParamTriple:
@@ -360,8 +362,8 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
     cores = {}
     for form in ("raw", "cancelled"):
         core = three_point_inner(family, n, form)
-        gx2, gx3 = (g_shape(family, n, a, b, core[x]) for x in ("x2", "x3"))
-        if not _square_is_product(core["u"], (core["g_x1"], gx2, gx3)):
+        gx3 = g_shape(family, n, a, b, core["x3"])
+        if not _square_is_product(core["u"], (core["g_x1"], core["g_x2"], gx3)):
             return False
         cores[form] = core
     if not rf_eq(cores["raw"]["x2"], cores["cancelled"]["x2"]):
@@ -470,23 +472,25 @@ def _apply(g: MPoly, x) -> RatFun:
 
 
 def reciprocal_pair_curve(g: MPoly, n: int) -> ParamTriple:
-    """(t^2, 1/t^2, t^n*g(1/t^2)) with u^2 = g(x1)*g(x2) for reciprocal g."""
+    """(t^2, 1/t^2, t^n*g(1/t^2)) with u^2 = g(x1)*g(x2) for reciprocal g;
+    values holds (g(x1), g(x2)), each evaluated once."""
     if not is_reciprocal(g, n):
         raise NotReciprocal(str(g))
     t = RatFun.var("t")
     x1 = t * t
-    x2 = 1 / (t * t)
-    u = t**n * _apply(g, x2)
-    return ParamTriple((x1, x2), u)
+    x2 = 1 / x1
+    gx2 = _apply(g, x2)
+    return ParamTriple((x1, x2), t**n * gx2, (_apply(g, x1), gx2))
 
 
 def certify_reciprocal_pair(g: MPoly, n: int) -> bool:
     triple = reciprocal_pair_curve(g, n)
-    return _square_is_product(triple.u, [_apply(g, x) for x in triple.xs])
+    return _square_is_product(triple.u, triple.values)
 
 
 def reciprocal_triple_curve(g: MPoly, n: int) -> ParamTriple:
-    """(t, g(t), 1/g(t), g(t)^((n+1)/2)*g(1/g(t))) for reciprocal g, odd n."""
+    """(t, g(t), 1/g(t), g(t)^((n+1)/2)*g(1/g(t))) for reciprocal g, odd n;
+    values holds g of each component, each evaluated once."""
     if n % 2 == 0 or n < 1:
         raise UnsupportedParity("odd degree needed")
     if not is_reciprocal(g, n):
@@ -494,13 +498,13 @@ def reciprocal_triple_curve(g: MPoly, n: int) -> ParamTriple:
     t = RatFun.var("t")
     gt = _apply(g, t)
     x3 = 1 / gt
-    u = gt ** ((n + 1) // 2) * _apply(g, x3)
-    return ParamTriple((t, gt, x3), u)
+    gx3 = _apply(g, x3)
+    return ParamTriple((t, gt, x3), gt ** ((n + 1) // 2) * gx3, (gt, _apply(g, gt), gx3))
 
 
 def certify_reciprocal_triple(g: MPoly, n: int) -> bool:
     triple = reciprocal_triple_curve(g, n)
-    return _square_is_product(triple.u, [_apply(g, x) for x in triple.xs])
+    return _square_is_product(triple.u, triple.values)
 
 
 def quartic_triple_curve() -> ParamTriple:

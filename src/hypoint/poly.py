@@ -4,14 +4,14 @@ This is the certification layer: every identity the curve constructions rely
 on is checked here by exact arithmetic, never numerically. Two deliberate
 restrictions shape the design:
 
-* ``RatFun`` values are kept *unreduced*, as a signed formal product of
-  polynomial atoms: numerator atoms carry positive exponents, denominator
-  atoms negative ones. Products, quotients and powers only add, subtract or
-  scale exponents, so equal atoms cancel formally. Sums keep the atoms both
-  sides share and expand only the rest; equality (``rf_eq``) cancels the
-  atoms the sides share and expands only those whose exponents differ.
-  Atoms are matched by polynomial equality and never split, so no
-  multivariate GCD or factorization exists anywhere in this module.
+* ``RatFun`` values are kept *unreduced*, as c * x^m * prod atom^e: a
+  rational c, a signed exponent per variable, and polynomial atoms of two
+  or more terms, with positive (numerator) or negative exponents. Products,
+  quotients and powers multiply c and add, subtract or scale exponents, so
+  equal atoms cancel formally. Sums and ``rf_eq`` expand only the atoms the
+  two sides do not share. Atoms match by a key computed once and are never
+  split, so no multivariate GCD or factorization exists anywhere in this
+  module. An atom memoises its powers; the memo lives and dies with it.
 * The variable universe is fixed to ``a b c d t u``. Every exponent vector is
   packed into one int with a fixed 16-bit limb per universe variable, limb i
   holding the exponent of ``VARS[i]`` whatever variables a polynomial uses,
@@ -24,7 +24,8 @@ integral so that the common all-integer paths stay fast.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import add, lshift, sub
 
 VARS = ("a", "b", "c", "d", "t", "u")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -33,6 +34,7 @@ _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
 _DEG_LIMIT = 1 << 15  # headroom so one multiplication cannot carry across limbs
 _NO_DEGS = (0,) * len(VARS)
+_SHIFTS = tuple(range(0, _SHIFT * len(VARS), _SHIFT))
 
 
 class DivisionByZeroFunction(ZeroDivisionError):
@@ -102,7 +104,7 @@ class MPoly:
             for k in terms:
                 used |= k
             self.degs = tuple(max((k >> s) & _MASK for k in terms) if (used >> s) & _MASK else 0
-                              for s in range(0, _SHIFT * len(VARS), _SHIFT))
+                              for s in _SHIFTS)
             if max(self.degs) >= _DEG_LIMIT or used >> (_SHIFT * len(VARS)):
                 raise OverflowError("per-variable degree exceeds packing limit")
         return self
@@ -329,43 +331,63 @@ class MPoly:
         return f"MPoly({self})"
 
 
-_ONE = MPoly.const(1)
+def _int(c):
+    """c with an integral Fraction made an int."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
 def as_ratfun(f) -> "RatFun":
     if isinstance(f, RatFun):
         return f
-    if isinstance(f, (MPoly, int, Fraction)):
-        return RatFun(f)
+    if isinstance(f, (int, Fraction)):
+        return RatFun._const(f)
+    if isinstance(f, MPoly):
+        return _poly_fun(f)
     raise TypeError(f"cannot interpret {type(f).__name__} as a rational function")
+
+
+class _Atom:
+    """A factor-list polynomial of two or more terms, its key, computed once,
+    and a memo of its powers that dies with the atom; no MPoly is written."""
+
+    __slots__ = ("poly", "key", "_pows")
+
+    def __init__(self, poly: MPoly):
+        self.poly, self.key, self._pows = poly, frozenset(poly.terms.items()), {1: poly}
+
+    def __pow__(self, e: int) -> MPoly:
+        p = self._pows.get(e)
+        if p is None:
+            p = self._pows[e] = self.poly**e
+        return p
+
+    def __str__(self):
+        return str(self.poly)
 
 
 def _align(f1, f2):
     """(atom, e1, e2) for every atom of either factor list; an atom missing
-    from a list has exponent 0 there. Atoms match by polynomial equality."""
-    out = [(atom, e, 0) for atom, e in f1]
-    for atom, e in f2:
-        for i, (a, e1, _) in enumerate(out):
-            if a is atom or a.terms == atom.terms:
-                out[i] = (a, e1, e)
-                break
-        else:
-            out.append((atom, 0, e))
-    return out
+    from a list has exponent 0 there. Atoms match by key, a dict lookup."""
+    rest = {a.key: (a, e) for a, e in f2}
+    out = [(a, e, rest.pop(a.key, (a, 0))[1]) for a, e in f1]
+    return out + [(a, 0, e) for a, e in rest.values()]
 
 
 def _merge(f1, f2):
     """Formal product of two factor lists: the exponents of equal atoms add,
     and atoms left at 0 drop out."""
+    if not f1 or not f2:
+        return f1 or f2
     return tuple((a, e1 + e2) for a, e1, e2 in _align(f1, f2) if e1 + e2)
 
 
-def _split(f1, f2):
-    """The atoms two factor lists share, each at the smaller of its two
-    exponents (for a denominator atom, the formal lcm), and what is left of
-    each list: (atom, e > 0) pairs, polynomials once expanded."""
+def _cross(f, g):
+    """What a sum and an equality share: the atoms f and g share at their
+    smaller exponents (a denominator atom's formal lcm), the smaller exponent
+    m of each variable, the c that f.c and g.c are int multiples of, and
+    each side's rest, expanded."""
     common, rest1, rest2 = [], [], []
-    for a, e1, e2 in _align(f1, f2):
+    for a, e1, e2 in _align(f.factors, g.factors):
         e = min(e1, e2)
         if e:
             common.append((a, e))
@@ -373,75 +395,101 @@ def _split(f1, f2):
             rest1.append((a, e1 - e))
         if e2 > e:
             rest2.append((a, e2 - e))
-    return common, rest1, rest2
+    (n1, d1), (n2, d2) = f.c.as_integer_ratio(), g.c.as_integer_ratio()
+    n, d = gcd(n1, n2), lcm(d1, d2)
+    m1, m2 = f.mexp, g.mexp
+    m = m1 if m1 == m2 else tuple(map(min, m1, m2))
+    p1 = _expand(rest1, n1 // n * (d // d1), tuple(map(sub, m1, m)))
+    p2 = _expand(rest2, n2 // n * (d // d2), tuple(map(sub, m2, m)))
+    return tuple(common), m, n if d == 1 else Fraction(n, d), p1, p2
 
 
-def _expand(factors) -> MPoly:
-    """The polynomial a_1^e_1 * ... * a_k^e_k of (atom, e > 0) pairs, the
-    short atoms first, so monomials meet the long ones only as key shifts."""
+def _expand(factors, c, m) -> MPoly:
+    """c * x^m * a_1^e_1 * ... * a_k^e_k for an int c, (atom, e > 0) pairs
+    and m >= 0: memoised atom powers, short ones first, then c * x^m."""
     out = None
-    for atom, e in sorted(factors, key=lambda f: len(f[0].terms)):
-        if e > 1:
-            atom = atom**e
-        out = atom if out is None else out * atom
-    return _ONE if out is None else out
+    for atom, e in sorted(factors, key=lambda f: len(f[0].poly.terms)):
+        out = atom**e if out is None else out * atom**e
+    degs = m if out is None else tuple(map(add, out.degs, m))
+    if max(degs) >= _DEG_LIMIT:
+        raise OverflowError("per-variable degree exceeds packing limit")
+    k = sum(map(lshift, m, _SHIFTS))
+    if out is None:
+        return MPoly._raw({k: c}, degs, False)
+    if c == 1 and not k:
+        return out
+    f = MPoly._raw({key + k: v * c for key, v in out.terms.items()}, degs, False)
+    return f._normalize() if out._frac else f
 
 
-def _atom(p: MPoly, e=1):
-    """The factor list of p^e; the polynomial 1 has none."""
-    return () if p.terms == _ONE.terms else ((p, e),)
+def _poly_fun(p: MPoly, m=_NO_DEGS, factors=(), c=1) -> "RatFun":
+    """c * x^m * p * (the factor list) as a RatFun: a single-term p goes into
+    c and mexp, a longer one becomes an atom, merged in case it is a factor."""
+    if not p.terms:
+        return RatFun._const(0)
+    if len(p.terms) > 1:
+        return RatFun._make(c, m, _merge(factors, ((_Atom(p), 1),)))
+    ((k, v),) = p.terms.items()
+    return RatFun._make(_int(c * v), tuple(((k >> s) & _MASK) + e for e, s in zip(m, _SHIFTS)), factors)
 
 
 class RatFun:
-    """A rational function as a signed formal product of MPoly atoms,
-    *never* reduced.
+    """A rational function c * x^mexp * prod atom^e, *never* reduced.
 
-    ``factors`` is a tuple of (atom, exponent) pairs, numerator atoms with
-    positive and denominator atoms with negative exponents, every atom a
-    nonzero polynomial; the zero function has ``factors`` None. ``num`` and
-    ``den`` expand the positive and the negative atoms on first use.
-    Products, quotients and powers add, subtract or scale exponents, so equal
-    atoms cancel formally, and negation multiplies by the atom -1. A sum
-    keeps the atoms both sides share (for a denominator atom the formal lcm),
-    expands only what is left on each side, and adds the two into one new
-    atom. Atoms are matched by polynomial equality and never split, so no
-    GCD is needed; two equal functions may still have different
-    representations.
+    c is a nonzero int or Fraction, an int whenever it is integral; mexp
+    holds a signed exponent for each of ``a b c d t u``; ``factors`` holds
+    (atom, exponent) pairs, each atom of two or more terms and memoising its
+    powers for its own lifetime. The zero function has c = 0 and ``factors``
+    None. ``num`` and ``den`` take c's numerator and denominator. A sum
+    keeps the shared atoms at their smaller exponents (for a denominator
+    atom the formal lcm) and the smaller exponent of each variable; the sum
+    of the rests becomes one atom, or goes back into c and mexp when it is a
+    single term. Equal functions may differ in representation.
     """
 
-    __slots__ = ("factors", "_num", "_den")
+    __slots__ = ("c", "mexp", "factors", "_num", "_den")
 
     def __init__(self, num, den=None):
-        num, den = (f if isinstance(f, MPoly) else MPoly.const(f)
-                    for f in (num, _ONE if den is None else den))
-        if not den:
-            raise DivisionByZeroFunction("zero denominator")
-        self.factors = _merge(_atom(num), _atom(den, -1)) if num else None
-        self._num = self._den = None
+        f = _poly_fun(num) if isinstance(num, MPoly) else RatFun._const(num)
+        if den is not None:
+            den = RatFun(den)
+            if den.factors is None:
+                raise DivisionByZeroFunction("zero denominator")
+            f = f / den
+        self.c, self.mexp, self.factors, self._num, self._den = f.c, f.mexp, f.factors, None, None
 
     @classmethod
-    def _make(cls, factors) -> "RatFun":
+    def _make(cls, c, mexp, factors) -> "RatFun":
         f = object.__new__(cls)
-        f.factors, f._num, f._den = factors, None, None
+        f.c, f.mexp, f.factors, f._num, f._den = c, mexp, factors, None, None
         return f
 
     @classmethod
+    def _const(cls, c) -> "RatFun":
+        c = c if c.__class__ is int else _int(Fraction(c))
+        return cls._make(c, _NO_DEGS, () if c else None)
+
+    @classmethod
     def var(cls, name: str) -> "RatFun":
-        return cls._make(((MPoly.var(name), 1),))
+        return _poly_fun(MPoly.var(name))
+
+    def _half(self, sign: int, c) -> MPoly:
+        """c times the expanded atoms and variables of the given sign."""
+        return _expand([(a, sign * e) for a, e in self.factors or () if sign * e > 0], c,
+                       tuple(max(sign * e, 0) for e in self.mexp))
 
     @property
     def num(self) -> MPoly:
         """The expanded numerator, computed once on demand."""
         if self._num is None:
-            fs = self.factors
-            self._num = MPoly() if fs is None else _expand([(a, e) for a, e in fs if e > 0])
+            self._num = MPoly() if self.factors is None else self._half(1, self.c.numerator)
         return self._num
 
     @property
     def den(self) -> MPoly:
         """The expanded denominator, computed once on demand."""
         if self._den is None:
-            self._den = _expand([(a, -e) for a, e in self.factors or () if e < 0])
+            self._den = self._half(-1, self.c.denominator)
         return self._den
 
     def is_zero(self) -> bool:
@@ -457,15 +505,13 @@ class RatFun:
             return NotImplemented
         if self.factors is None or other.factors is None:
             return other if self.factors is None else self
-        common, rest1, rest2 = _split(self.factors, other.factors)
-        s = _expand(rest1) + _expand(rest2)
-        # the sum may equal an atom kept in common, so it merges by equality
-        return RatFun._make(_merge(common, _atom(s)) if s else None)
+        common, m, c, p1, p2 = _cross(self, other)
+        return _poly_fun(p1 + p2, m, common, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self * -1
+        return RatFun._make(-self.c, self.mexp, self.factors)
 
     def __sub__(self, other):
         try:
@@ -478,13 +524,19 @@ class RatFun:
         return -self + other
 
     def __mul__(self, other):
-        try:
-            other = as_ratfun(other)
-        except TypeError:
-            return NotImplemented
-        if self.factors is None or other.factors is None:
-            return self if self.factors is None else other
-        return RatFun._make(_merge(self.factors, other.factors))
+        if other.__class__ is not RatFun:
+            if isinstance(other, (int, Fraction)):
+                return RatFun._make(_int(self.c * other), self.mexp, self.factors) if other else RatFun._const(0)
+            try:
+                other = as_ratfun(other)
+            except TypeError:
+                return NotImplemented
+        f1, f2 = self.factors, other.factors
+        if f1 is None or f2 is None:
+            return self if f1 is None else other
+        m1, m2 = self.mexp, other.mexp
+        return RatFun._make(_int(self.c * other.c), m1 if m2 is _NO_DEGS else tuple(map(add, m1, m2)),
+                            _merge(f1, f2))
 
     __rmul__ = __mul__
 
@@ -504,20 +556,27 @@ class RatFun:
         if self.factors is None:
             if e < 0:
                 raise DivisionByZeroFunction("negative power of the zero function")
-            return self if e else RatFun(1)
-        return RatFun._make(tuple((a, e * k) for a, k in self.factors if e))
+            return self if e else RatFun._const(1)
+        # an int to a negative power would be a float
+        c = self.c**e if e > 0 else Fraction(self.c) ** e
+        return RatFun._make(_int(c), tuple(k * e for k in self.mexp),
+                            tuple((a, e * k) for a, k in self.factors if e))
 
     def __eq__(self, other):
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
-        if self.factors is None or other.factors is None:
-            return self.factors is other.factors
+        f1, f2 = self.factors, other.factors
+        if f1 is None or f2 is None:
+            return f1 is f2
+        if not f1 and not f2:
+            return self.c == other.c and self.mexp == other.mexp
         # exact: the polynomial ring is an integral domain and no atom is
-        # zero, so equal atoms cancel from both sides
-        _, rest1, rest2 = _split(self.factors, other.factors)
-        return _expand(rest1) == _expand(rest2)
+        # zero, so equal atoms cancel from both sides, and each variable's
+        # exponent difference moves to the side where it is positive
+        _, _, _, p1, p2 = _cross(self, other)
+        return p1 == p2
 
     def substitute(self, bindings) -> "RatFun":
         n = self.num.substitute(bindings)
@@ -533,7 +592,7 @@ class RatFun:
         return self.num.evaluate(point) / dval
 
     def __str__(self):
-        if self.den == _ONE:
+        if self.den == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
 

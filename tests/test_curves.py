@@ -480,6 +480,41 @@ def test_two_point_certificate_evaluates_g_of_x1_once(u_formula, calls, monkeypa
     assert seen == calls
 
 
+@pytest.mark.parametrize("family,n", [("g1", 5), ("g2", 7)])
+def test_three_point_certificate_evaluates_g_once(family, n, monkeypatch):
+    # per form, U's g(X2) is reused and only g(X3) is evaluated again: two
+    # forms, four evaluations
+    seen = []
+    shape = curves.g_shape
+
+    def counted(*args):
+        seen.append(args[0])
+        return shape(*args)
+
+    monkeypatch.setattr(curves, "g_shape", counted)
+    assert certify_three_point(family, n)
+    assert seen == [family] * 4
+
+
+@pytest.mark.parametrize("args", [("g1", 9), ("g1", 3, True)])
+def test_power_memo_never_outlives_a_call(args, monkeypatch):
+    # atoms memoise their powers only for their own lifetime, so a second,
+    # identical certification raises as many multi-term polynomials as the
+    # first; a cache kept across calls would make it cheaper
+    counts = []
+    pow_ = MPoly.__pow__
+
+    def counted(f, e):
+        counts[-1] += len(f.terms) > 1
+        return pow_(f, e)
+
+    monkeypatch.setattr(MPoly, "__pow__", counted)
+    for _ in range(2):
+        counts.append(0)
+        assert certify_three_point(*args)
+    assert counts[0] == counts[1] > 0
+
+
 def test_literal_value_term_is_identity_on_first_family():
     assert certify_two_point("g1", 5, u_formula="family1_literal")
 
@@ -598,6 +633,20 @@ def test_reciprocal_curves_certified():
         assert certify_reciprocal_pair(g, n)
     for g, n in ((t**3 + 1, 3), (t**5 + 1, 5), (t**5 + 2 * t**4 + 7 * t**3 + 7 * t**2 + 2 * t + 1, 5)):
         assert certify_reciprocal_triple(g, n)
+
+
+def test_reciprocal_curves_evaluate_g_once_per_component(monkeypatch):
+    t = tpoly()
+    g = t**5 + 2 * t**4 + 7 * t**3 + 7 * t**2 + 2 * t + 1
+    apply_ = curves._apply
+    for build, certify, k in ((reciprocal_pair_curve, certify_reciprocal_pair, 2),
+                              (reciprocal_triple_curve, certify_reciprocal_triple, 3)):
+        tri = build(g, 5)
+        assert all(rf_eq(v, apply_(g, x)) for x, v in zip(tri.xs, tri.values))
+        calls = []
+        monkeypatch.setattr(curves, "_apply", lambda g, x: calls.append(x) or apply_(g, x))
+        assert certify(g, 5) and len(calls) == k
+        monkeypatch.undo()
 
 
 def test_reciprocal_rejections():

@@ -1,5 +1,6 @@
 """Exact symbolic layer: sparse polynomials, rational functions, square roots."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -533,3 +534,70 @@ def test_ratfun_chains_with_shared_atoms_match_cross_multiplication(pool, picks,
     if ref_d.evaluate(pt) and acc.den.evaluate(pt):
         assert acc.evaluate(pt) == ref_n.evaluate(pt) / ref_d.evaluate(pt)
 
+
+def _assert_normal(f):
+    # constants and monomials never become atoms, c is an int whenever it
+    # is integral, and no float appears anywhere
+    assert f.c.__class__ is int or (f.c.__class__ is Fraction and f.c.denominator != 1)
+    assert all(e.__class__ is int for e in f.mexp)
+    for a, e in f.factors or ():
+        assert len(a.poly.terms) >= 2 and e.__class__ is int and e
+    for p in [f.num, f.den] + [a.poly for a, _ in f.factors or ()]:
+        assert all(c.__class__ is int or (c.__class__ is Fraction and c.denominator != 1)
+                   for c in p.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, st.lists(st.tuples(st.sampled_from("+-*/^nrq"), st.integers(0, 6), st.integers(-3, 3)),
+                             min_size=1, max_size=8), st.tuples(fracs, fracs))
+def test_ratfun_chains_over_constants_and_monomials(extra, chain, point):
+    # operands 2, 3, -1, 2t, t*u and u^2, which stay out of the factor list,
+    # and one drawn polynomial; int operands only scale c. After every step
+    # the result is in normal form and matches a naive (num, den) pair that
+    # follows it by full cross-products.
+    pool = [2, 3, -1, 2 * T, T * U, U * U, extra if extra else T + 2]
+    acc, ref_n, ref_d = RatFun(T * U, 2), T * U, MPoly.const(2)
+    for op, j, e in chain:
+        x = pool[j]
+        n2 = x if isinstance(x, MPoly) else MPoly.const(x)
+        if op == "+":
+            acc, ref_n = acc + x, ref_n + n2 * ref_d
+        elif op == "-":
+            acc, ref_n = acc - x, ref_n - n2 * ref_d
+        elif op == "r":
+            acc, ref_n = x - acc, n2 * ref_d - ref_n
+        elif op == "*":
+            acc, ref_n = acc * x, ref_n * n2
+        elif op == "/":
+            acc, ref_d = acc / x, ref_d * n2
+        elif op == "q" and ref_n:
+            acc, ref_n, ref_d = x / acc, n2 * ref_d, ref_n
+        elif op == "n":
+            acc, ref_n = -acc, -ref_n
+        elif op == "^" and (e >= 0 or ref_n):
+            acc = acc**e
+            ref_n, ref_d = (ref_n**e, ref_d**e) if e >= 0 else (ref_d**-e, ref_n**-e)
+        _assert_normal(acc)
+        assert acc.num * ref_d == ref_n * acc.den and acc.is_zero() == (not ref_n)
+        assert rf_eq(acc, RatFun(ref_n, ref_d)) and not rf_eq(acc, RatFun(ref_n + ref_d, ref_d))
+    pt = dict(zip("tu", point))
+    if ref_d.evaluate(pt) and acc.den.evaluate(pt):
+        assert acc.evaluate(pt) == ref_n.evaluate(pt) / ref_d.evaluate(pt)
+
+
+def test_constants_and_monomials_scale_c_and_mexp():
+    half = RatFun(2 * T, 4 * T)
+    assert half == Fraction(1, 2) and half.factors == () and half.c == Fraction(1, 2)
+    assert half.num == 1 and half.den == 2
+    t = RatFun.var("t")
+    assert (t * 0).is_zero() and (0 * t).is_zero() and (t * 0).den == 1
+    with pytest.raises(TypeError):
+        1.5 * t
+    with pytest.raises(TypeError):
+        t * 1.5
+    # an int to a negative power is a float in Python; c must stay exact
+    for f, c in ((RatFun(1) ** -1, 1), (RatFun(-1) ** -3, -1), ((2 * t) ** -2, Fraction(1, 4))):
+        assert f.c == c and f.c.__class__ is c.__class__ and f.factors == ()
+    assert (t * t / t).factors == () and (t * t / t).mexp == t.mexp
+    x = (t + 1) / (2 * t - 1) * half
+    assert pickle.loads(pickle.dumps(x)) == x and str(x.factors[0][0]) == "1*t^1 + 1"
