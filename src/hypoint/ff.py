@@ -7,9 +7,11 @@ two classes here. Determinism is a contract, not an accident:
   *proven* exhaustive below 3*10^18; larger characteristics require an
   explicit trust flag and still pass Baillie-PSW (a strong test to base 2
   and a strong Lucas test), for which no composite is known to pass,
+* the canonical index of an element is its int value for m=1, else its
+  coefficient tuple as base-p digits, constant term most significant;
+  Field.element and Field.index convert, and Field.elements() walks it lazily,
 * the quadratic non-residue used by Tonelli-Shanks is the first non-residue
-  in canonical element order (ascending ints for m=1, lexicographic
-  coefficient tuples, constant term first, for m>1),
+  in canonical element order,
 * square roots are canonical: of the two roots r and -r the one with the
   smaller representative (resp. lexicographically smaller tuple) is returned.
 
@@ -28,7 +30,6 @@ element arithmetic, and the gcd over F_p is the module's one polynomial gcd.
 
 from __future__ import annotations
 
-from itertools import product
 from math import isqrt
 
 from ._record import Record
@@ -402,14 +403,30 @@ class Field:
     def one(self) -> FieldElement:
         return self.elem(1)
 
-    def elements(self):
-        """All elements in canonical ascending order."""
+    def element(self, i: int) -> FieldElement:
+        """The element at canonical index i: i itself for m=1, else the
+        coefficients of i's base-p digits, constant term first."""
+        if not 0 <= i < self.q:
+            raise IndexError(f"index {i} outside 0..q-1 of {self}")
         if self.m == 1:
-            for v in range(self.p):
-                yield FieldElement(self, v)
-        else:
-            for coeffs in product(range(self.p), repeat=self.m):
-                yield FieldElement(self, coeffs)
+            return FieldElement(self, i)
+        digits = [0] * self.m
+        for j in range(self.m - 1, -1, -1):
+            i, digits[j] = divmod(i, self.p)
+        return FieldElement(self, tuple(digits))
+
+    def index(self, val) -> int:
+        """The canonical index of an element's val; Field.element inverts it."""
+        if self.m == 1:
+            return val
+        i, p = 0, self.p
+        for c in val:
+            i = i * p + c
+        return i
+
+    def elements(self):
+        """All elements in canonical ascending order, each made when it is read."""
+        return map(self.element, range(self.q))
 
     def _ext_mul(self, x, y):
         p, m, mod = self.p, self.m, self.modulus
@@ -464,12 +481,15 @@ class Field:
         return 1 if x ** ((self.q - 1) // 2) == self.one() else -1
 
     def nonresidue(self) -> FieldElement:
-        """First quadratic non-residue in canonical element order (cached)."""
+        """First quadratic non-residue in canonical element order (cached).
+
+        Indices 1..p-1 hold c*z^(m-1), c in F_p^*. For even m every such c
+        is a square in F_q, as (q-1)/(p-1) = 1 + p + ... + p^(m-1) is even,
+        so the block shares z^(m-1)'s character and is skipped in one test."""
         if self._nonresidue is None:
-            for e in self.elements():
-                if self.legendre(e) == -1:
-                    self._nonresidue = e
-                    break
+            skip = self.m % 2 == 0 and self.legendre(self.element(1)) == 1
+            self._nonresidue = next(x for x in map(self.element, range(self.p if skip else 1, self.q))
+                                    if self.legendre(x) == -1)
         return self._nonresidue
 
     def _tonelli_data(self):

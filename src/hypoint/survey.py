@@ -1,6 +1,6 @@
 """Exhaustive desk-scale experiments on y^2 = g(x) over F_q.
 
-* enumerate_curve: every affine point, by x-scan with legendre/sqrt in the
+* enumerate_curve: every affine point, by x-scan with one sqrt per x in the
   generic field layer.
 * enumerate_T / domain_summary: the encoder domain T = {(t, u) : g(u) != 0,
   t != 0, denominator core != 0} in canonical row-major order, with the
@@ -13,19 +13,19 @@
   X1*X2*X3 for the n = 3 first-family map at concrete (a, b, u).
 
 One engine, _DomainWalk, serves enumerate_T, domain_summary, coverage and
-sweep_soundness. It works on canonical element indices 0..q-1 (the order of
-Field.elements(); on F_p the index is the value, and an element is made only
-for output) and builds O(q) tables, none of them q x q: discrete logs
-over the first primitive element, g, the quadratic character and the
-canonical root (or None) of every element, and X2, X3 and U for every
-s = t^2 g(u), the only way the map depends on (t, u). The tables are built
-in log/Zech form: an element is its discrete log (zero is None), so a
-product is an int sum and a sum one table read, on prime and extension
-fields alike. The set-up tables take no field arithmetic: the antilog is an
-int loop on F_p and a walk of coefficient tuples on F_p^m, and the Zech
-table log(1 + gen^k) is a shift of the log table, because adding one adds
-p^(m-1) to a canonical index. The formulas run on whole-table log vectors,
-each operation one pass over a table: the g-table is one call of
+sweep_soundness. It works on the canonical indices 0..q-1 of Field's element
+order (Field.element and Field.index convert), makes an element only for
+output, and builds O(q) tables, none of them q x q: discrete logs over the
+first primitive element, g, the quadratic character and the canonical root
+(or None) of every element, and X2, X3 and U for every s = t^2 g(u), the
+only way the map depends on (t, u). The tables are built in log/Zech form:
+an element is its discrete log (zero is None), so a product is an int sum
+and a sum one table read, on prime and extension fields alike. The set-up
+tables take no field arithmetic: the antilog is an int loop on F_p and a
+walk of coefficient tuples on F_p^m, and the Zech table log(1 + gen^k) is a
+shift of the log table, because adding one adds the index of one to a
+canonical index, mod q. The formulas run on whole-table log vectors, each
+operation one pass over a table: the g-table is one call of
 curves.g_shape on every element, and the s-table is curves._three_point
 itself, the formula encode runs and the certifier proves, called on every s
 at once, with g(X2) read off the g-table. Where an s's denominator core
@@ -59,11 +59,12 @@ from .curves import (
     _field_of,
     _require_odd,
     _three_point,
+    _x2,
     g_eval,
     g_shape,
     point_json,
 )
-from .ff import Field, FieldElement, _poly_gcd, field_new
+from .ff import Field, _poly_gcd, field_new
 from .poly import RatFun
 
 DEFAULT_CAP = 10_000
@@ -100,14 +101,11 @@ def enumerate_curve(params: CurveParams, cap=None) -> list:
     _check_cap(ctx.q, cap, "enumerating the curve evaluates g at all q elements")
     pts = []
     for x in ctx.elements():
-        gx = g_eval(params, x)
-        ch = ctx.legendre(gx)
-        if ch == 0:
-            pts.append(AffinePoint(x, ctx.zero()))
-        elif ch == 1:
-            r = ctx.sqrt(gx)
+        r = ctx.sqrt(g_eval(params, x))
+        if r is not None:
             pts.append(AffinePoint(x, r))
-            pts.append(AffinePoint(x, -r))
+            if r:
+                pts.append(AffinePoint(x, -r))
     return pts
 
 
@@ -127,11 +125,11 @@ def _prime_factors(m: int) -> list:
     return out + [m] if m > 1 else out
 
 
-def _antilog(ctx: Field, elems: list, index: dict) -> list:
+def _antilog(ctx: Field) -> list:
     """Indices of gen^0, ..., gen^(q-2) for the first generator of F_q^* in
     canonical order. A candidate is tested by its order, gen^((q-1)/r) != 1
     for every prime r | q - 1, so only the generator's cycle is walked: on
-    F_p in ints (the index is the value), on F_p^m in coefficient tuples."""
+    F_p in ints (the index is the value), on F_p^m in tuples indexed at the end."""
     p, qm1 = ctx.p, ctx.q - 1
     cofactors = [qm1 // r for r in _prime_factors(qm1)]
     if ctx.m == 1:
@@ -142,19 +140,20 @@ def _antilog(ctx: Field, elems: list, index: dict) -> list:
             x = x * gen % p
         return alog
     one = ctx.one().val
-    gen = next(x.val for x in elems[1:] if all(ctx._ext_pow(x.val, c) != one for c in cofactors))
-    mul, alog, x = ctx._ext_mul, [], one
+    gen = next(x.val for x in map(ctx.element, range(1, ctx.q))
+               if all(ctx._ext_pow(x.val, c) != one for c in cofactors))
+    mul, cycle, x = ctx._ext_mul, [], one
     for _ in range(qm1):
-        alog.append(index[x])
+        cycle.append(x)
         x = mul(x, gen)
-    return alog
+    return list(map(ctx.index, cycle))
 
 
 def _zech(ctx: Field, alog: list, log: list) -> list:
-    """log(1 + gen^k) for k = 0..q-2, None where 1 + gen^k = 0. The canonical
-    index puts the constant coefficient in the top base-p digit, so adding
-    one adds p^(m-1) to the index, mod q: a table shift, no field operation."""
-    step = ctx.q // ctx.p
+    """log(1 + gen^k) for k = 0..q-2, None where 1 + gen^k = 0. Adding one
+    adds the index of one to a canonical index, mod q: a table shift, no
+    field operation."""
+    step = ctx.index(ctx.one().val)
     shifted = log[step:] + log[:step]
     return list(map(shifted.__getitem__, alog))
 
@@ -163,8 +162,8 @@ class _Logs:
     """F_q in log form over a walk's generator: the antilog, log and Zech
     tables, and the ints coerced through the logs of their field values."""
 
-    def __init__(self, ctx: Field, index, alog: list, log: list):
-        self.ctx, self.index, self.log = ctx, index, log
+    def __init__(self, ctx: Field, alog: list, log: list):
+        self.ctx, self.log = ctx, log
         self.qm1 = ctx.q - 1
         # -1 is the one element of order 2, gen^((q-1)/2)
         self.half = self.qm1 // 2
@@ -179,19 +178,7 @@ class _Logs:
             if x not in self.int_logs:
                 self.int_logs[x] = self.log_of(self.ctx.elem(x))
             return self.int_logs[x]
-        return self.log[self.index[x.val]]
-
-
-class _PrimeElements:
-    """The elements of F_p in canonical order, each made when it is read."""
-
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx: Field):
-        self.ctx = ctx
-
-    def __getitem__(self, i: int) -> FieldElement:
-        return FieldElement(self.ctx, range(self.ctx.p)[i])
+        return self.log[self.ctx.index(x.val)]
 
 
 class _LogVec:
@@ -305,15 +292,7 @@ class _DomainWalk:
         ctx = _field_of(params)
         q = ctx.q
         qm1 = q - 1
-        if ctx.m == 1:
-            # the index of an element of F_p is its value, so range(p) maps
-            # a value to its index, and no element is made until one is read
-            elems, index = _PrimeElements(ctx), range(q)
-        else:
-            elems = list(ctx.elements())
-            index = {x.val: i for i, x in enumerate(elems)}
-
-        alog = _antilog(ctx, elems, index)
+        alog = _antilog(ctx)
         log = [None] * q
         for k, i in enumerate(alog):
             log[i] = k
@@ -328,7 +307,7 @@ class _DomainWalk:
             if k % 2 == 0:
                 root[i] = min(alog[k // 2], alog[k // 2 + half])
 
-        logs = _Logs(ctx, index, alog, log)
+        logs = _Logs(ctx, alog, log)
         fam, n, a, b = params.family, params.n, params.a, params.b
         gx = g_shape(fam, n, a, b, _LogVec(logs, log)).column(alog)
         lg0 = log[gx[0]]
@@ -355,7 +334,6 @@ class _DomainWalk:
 
         self.params = params
         self.ctx = ctx
-        self.elems = elems
         self.gx = gx
         self.root = root
         self.chi = chi
@@ -440,8 +418,8 @@ def enumerate_T(params: CurveParams, cap=None):
     """Admissible (t, u) in deterministic row-major order (t outer)."""
     _check_cap(_field_of(params).q, cap, "enumerating all of T lists up to q^2 pairs")
     walk = _DomainWalk(params)
-    elems = list(walk.elems)  # made once, not once per pair
-    return ((elems[t], elems[u]) for t, row in walk.rows() for u in row)
+    element = walk.ctx.element
+    return ((element(t), element(u)) for t, row in walk.rows() for u in row)
 
 
 def _domain_fields(walk: _DomainWalk) -> dict:
@@ -521,7 +499,7 @@ def coverage(params: CurveParams, cap=None) -> CoverageReport:
             f"encoder unsound on {params}: {walk.identity_failures} identity, "
             f"{walk.char_violations} character, {walk.membership_failures} membership failures"
         )
-    ctx, elems, gx, root = walk.ctx, walk.elems, walk.gx, walk.root
+    ctx, gx, root, element = walk.ctx, walk.gx, walk.root, walk.ctx.element
     curve_size = 0
     missed = []
     for x in range(ctx.q):
@@ -532,9 +510,9 @@ def coverage(params: CurveParams, cap=None) -> CoverageReport:
         if len(missed) > MISSED_CAP:
             continue
         if not walk.hit[x]:
-            missed.append(AffinePoint(elems[x], elems[r]))
+            missed.append(AffinePoint(element(x), element(r)))
         if r:
-            missed.append(AffinePoint(elems[x], -elems[r]))
+            missed.append(AffinePoint(element(x), -element(r)))
     return CoverageReport(
         q=ctx.q,
         field=_field_text(ctx),
@@ -609,8 +587,10 @@ def degree_stats(a, b, u) -> DegreeStats:
     gu = g_eval(CurveParams("g1", 3, a, b), u)
     if not gu:
         raise ValueError(f"g({u}) = 0; pick u off the roots of g")
-    x2, x3, _, _ = _three_point("g1", 3, a, b, RatFun.var("t"), gu)
-    prod = u * x2 * x3
+    # _three_point's X2 (e = n for g1) and X3 = s*X2, without its g(X2) and U
+    s = RatFun.var("t") ** 2 * gu
+    x2 = _x2(a, b, s, 3, "cancelled")
+    prod = u * x2 * (s * x2)
     num, den = prod.num.coeffs("t"), prod.den.coeffs("t")
     if not num:
         return DegreeStats(a, b, u, -1, 0)

@@ -11,6 +11,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from hypoint import cli
+from hypoint.curves import g_eval, parse_curve_spec
+from hypoint.ff import field_new, parse_field_spec
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "cli_output.schema.json").read_text()
@@ -122,6 +124,29 @@ def test_encode_large_odd_degree_lands_on_the_curve(capsys):
     assert code == 0
     x, y = int(payload["x"]), int(payload["y"])
     assert y * y % p == (pow(x, n, p) + 3 * x * x + 5 * x) % p
+
+
+BIG_EXT = "170141183460469231731687303715884105727^2:1,0,1"  # p = 2^127 - 1, modulus z^2 + 1
+
+
+def test_encode_on_a_127_bit_extension_field(capsys):
+    """q = 1 mod 4, so sqrt needs the first non-residue, found without
+    walking the field."""
+    argv = ["encode", "--field", BIG_EXT, "--trust-prime", "--curve", "g1:n=3,a=1,b=1",
+            "--t", "2,5", "--u", "3,7"]
+    start = time.perf_counter()
+    code, _, payload = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    K = field_new(parse_field_spec(BIG_EXT, trust_prime=True))
+    x, y = K.parse_elem(payload["x"]), K.parse_elem(payload["y"])
+    assert y * y == g_eval(parse_curve_spec("g1:n=3,a=1,b=1", K), x)
+
+
+@pytest.mark.parametrize("x,expect", [("4", "2,0"), ("3,7", None)])
+def test_sqrt_on_a_127_bit_extension_field(x, expect, capsys):
+    code, _, payload = run(["sqrt", "--field", BIG_EXT, "--trust-prime", "--x", x], capsys)
+    assert code == 0 and payload == {"sqrt": expect}
 
 
 # --- sqrt -----------------------------------------------------------------

@@ -7,6 +7,7 @@ slice so the unit suite stays fast.
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,59 @@ def test_elements_order_is_canonical():
     assert [str(x) for x in K.elements()] == ["0", "1", "2", "3", "4"]
     first = [str(x) for x in list(F9.elements())[:4]]
     assert first == ["0,0", "0,1", "0,2", "1,0"]
+
+
+@pytest.mark.parametrize("spec", ["3^2:1,0,1", "5^2:3,0,1", "3^3:1,2,0,1", "3^4:2,0,0,1,1", "7^3:1,1,0,1"])
+def test_elements_are_the_coefficient_tuples_in_lexicographic_order(spec):
+    """The order itertools.product gives: constant term first, most significant."""
+    K = field_new(spec)
+    assert [x.val for x in K.elements()] == list(itertools.product(range(K.p), repeat=K.m))
+
+
+@pytest.mark.parametrize("spec", ["13", "3^2:1,0,1", "5^2:3,0,1", "3^3:1,2,0,1", "3^4:2,0,0,1,1",
+                                  "7^3:1,1,0,1", "3^5:1,2,0,0,0,1"])
+def test_index_inverts_element(spec):
+    K = field_new(spec)
+    assert [K.index(K.element(i).val) for i in range(K.q)] == list(range(K.q))
+    for i in (-1, K.q):
+        with pytest.raises(IndexError):
+            K.element(i)
+
+
+BIG_EXT = "170141183460469231731687303715884105727^2:1,0,1"  # p = 2^127 - 1, modulus z^2 + 1
+
+
+def test_canonical_order_on_a_127_bit_extension_field():
+    K = field_new(parse_field_spec(BIG_EXT, trust_prime=True))
+    p = 2**127 - 1
+    last = K.element(K.q - 1)
+    assert last.val == (p - 1, p - 1) and K.index(last.val) == K.q - 1
+    assert K.element(p).val == (1, 0)
+    assert next(K.elements()) == K.zero()
+
+
+# every extension field the unit suite builds (its reducible moduli excepted)
+EXT_FIELDS = ["3^2:1,0,1", "3^3:1,2,0,1", "3^4:2,0,0,1,1", "3^5:1,2,0,0,0,1", "5^2:1,1,1",
+              "5^2:3,0,1", "7^2:1,0,1", "7^3:1,1,0,1"]
+
+
+@pytest.mark.parametrize("spec", EXT_FIELDS)
+def test_nonresidue_is_the_first_in_canonical_order(spec):
+    """Against a brute-force walk by Euler's criterion, no block skipped."""
+    K = field_new(spec)
+    minus_one = -K.one()
+    expect = next(x for x in K.elements() if x ** ((K.q - 1) // 2) == minus_one)
+    assert K.nonresidue() == expect
+
+
+def test_nonresidue_search_skips_the_square_block():
+    """On z^2 + 1 the first p - 1 nonzero elements c*z all have the square
+    norm c^2; the search skips them and makes a few exponentiations."""
+    K = field_new("10007^2:1,0,1")
+    start = time.perf_counter()
+    z = K.nonresidue()
+    assert time.perf_counter() - start < 0.1
+    assert str(z) == "1,2"
 
 
 def test_parse_elem_padding_and_limits():

@@ -324,7 +324,7 @@ def test_per_pair_checks_catch_corrupted_tables(corrupt, counter, monkeypatch):
 def field_element_tables(walk):
     """gx, X2, X3 and log U by log of s, rebuilt from g_eval and _three_point
     in FieldElement arithmetic over the walk's own antilog."""
-    params, elems = walk.params, walk.elems
+    params, elems = walk.params, list(walk.ctx.elements())
     index = {x.val: i for i, x in enumerate(elems)}
     gx = [index[g_eval(params, x).val] for x in elems]
     x2_of, x3_of, lu_of = [], [], []
@@ -463,8 +463,7 @@ def test_walk_matches_per_pair_encode_where_cores_vanish(field, curve):
     walk = survey._DomainWalk(params).run()
     counts = {k: getattr(walk, k) for k in COUNTERS}
     assert counts == {**dict.fromkeys(COUNTERS, 0), "size_T": len(pairs), "raw_excluded": raw}
-    index = {x.val: i for i, x in enumerate(walk.elems)}
-    xs = {index[pt.x.val] for pt in image}
+    xs = {ctx.index(pt.x.val) for pt in image}
     assert walk.hit == bytearray(x in xs for x in range(ctx.q))
     if (ctx.q - 1) % (e - 1) == 0:
         assert 0 < raw == len(pairs)  # only s = 1 is admissible
@@ -485,7 +484,7 @@ def test_antilog_picks_the_first_generator(field):
             powers.append(powers[-1] * gen)
         if len(powers) == ctx.q:
             break
-    assert survey._antilog(ctx, elems, index) == [index[x.val] for x in powers[:-1]]
+    assert survey._antilog(ctx) == [index[x.val] for x in powers[:-1]]
 
 
 @pytest.mark.parametrize("field", ["3", "59", "61", "251", "3^2:1,0,1", "5^2:3,0,1", "3^3:1,2,0,1",
@@ -495,7 +494,7 @@ def test_zech_table_matches_field_addition(field):
     ctx = field_new(field)
     elems = list(ctx.elements())
     index = {x.val: i for i, x in enumerate(elems)}
-    alog = survey._antilog(ctx, elems, index)
+    alog = survey._antilog(ctx)
     log = [None] * ctx.q
     for k, i in enumerate(alog):
         log[i] = k
