@@ -108,7 +108,8 @@ class AffinePoint(Record):
 class ParamTriple(Record):
     """Components (x_1..x_k) and u with u^2 = prod g(x_i), k in {2, 3}.
 
-    values holds (g(x_1), ..., g(x_k)) when the map already computed them.
+    values holds (g(x_1), ..., g(x_j)), j <= k, for the leading components
+    whose g-values the construction already computed.
     """
 
     __slots__ = ("xs", "u", "values")
@@ -274,10 +275,12 @@ def _three_point(family: str, n: int, a, b, t, gamma, form: str = "cancelled", g
 
 def _x2(a, b, s, e: int, form: str):
     """_three_point's X2. Its sums die with this frame, so a caller on whole
-    tables holds none of them while it forms X3 and U."""
+    tables holds none of them while it forms X3 and U. The cancelled form
+    sums 1 + ... + s^(e-2) once and takes the numerator as that sum plus
+    s^(e-1)."""
     if form == "cancelled":
-        num = _geom_sum(s, e)
         den_core = _geom_sum(s, e - 1)
+        num = den_core + s ** (e - 1)
     else:
         pw = s ** (e - 1)
         num, den_core = pw * s - 1, pw - 1
@@ -334,7 +337,8 @@ def three_point_inner(family: str, n: int, form: str = "cancelled") -> dict:
 
 
 def three_point_display(family: str, n: int, form: str = "raw") -> ParamTriple:
-    """The displayed (t, u) rational functions over Q(a, b).
+    """The displayed (t, u) rational functions over Q(a, b), with values =
+    (g(u), g(X2)), the two g-values the map computes on its way to U.
 
     These grow fast with n: kept as formal products, U's g(X2) atom alone
     has about 3*10^4 terms in the n = 9 raw form, and expanded numerators
@@ -343,8 +347,9 @@ def three_point_display(family: str, n: int, form: str = "raw") -> ParamTriple:
     """
     _require_odd(n)
     a, b, t, u = (RatFun.var(v) for v in "abtu")
-    x2, x3, uu, _ = _three_point(family, n, a, b, t, g_shape(family, n, a, b, u), form)
-    return ParamTriple((u, x2, x3), uu)
+    gu = g_shape(family, n, a, b, u)
+    x2, x3, uu, gx2 = _three_point(family, n, a, b, t, gu, form)
+    return ParamTriple((u, x2, x3), uu, (gu, gx2))
 
 
 def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
@@ -355,8 +360,10 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
          raw form, which the field maps, encode and the survey walk run, and
          the cancelled form,
       2. raw and cancelled X2 agree as rational functions,
-      3. with deep=True additionally the fully expanded (t, u) identity
-         (affordable for n = 3) and the raw/cancelled display agreement.
+      3. with deep=True additionally the (t, u) identity of the cancelled
+         display (affordable for n = 3), on the display's own g(u) and g(X2)
+         and one new evaluation, g(X3), and the agreement of the display's
+         X2 with the raw X2 that _x2 builds from the same s = t^2*g(u).
     """
     a, b = RatFun.var("a"), RatFun.var("b")
     cores = {}
@@ -369,12 +376,13 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
     if not rf_eq(cores["raw"]["x2"], cores["cancelled"]["x2"]):
         return False
     if deep:
-        params = _symbolic_params(family, n)
         disp = three_point_display(family, n, "cancelled")
-        if not verify_triple(params, disp):
+        gu, gx2 = disp.values
+        if not _square_is_product(disp.u, (gu, gx2, g_shape(family, n, a, b, disp.xs[2]))):
             return False
-        raw = three_point_display(family, n, "raw")
-        if not rf_eq(raw.xs[1], disp.xs[1]):
+        t = RatFun.var("t")
+        raw_x2 = _x2(a, b, t * t * gu, _exponent(family, n), "raw")
+        if not rf_eq(raw_x2, disp.xs[1]):
             return False
     return True
 

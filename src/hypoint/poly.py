@@ -258,16 +258,32 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        """self^e: a monomial scales its key, a two-term polynomial takes the
+        binomial theorem, e + 1 terms in one pass with no product of
+        polynomials and nothing to cancel (the keys j*k1 + (e-j)*k2 are
+        distinct), and a longer one square-and-multiply."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("MPoly exponent must be a non-negative int")
         if not e:
             return MPoly.const(1)
-        if len(self.terms) == 1:
-            ((k, c),) = self.terms.items()
+        if 0 < len(self.terms) <= 2:
             degs = tuple(d * e for d in self.degs)
             if max(degs) >= _DEG_LIMIT:
                 raise OverflowError("power degree exceeds packing limit")
-            return MPoly._raw({k * e: c**e}, degs, self._frac)
+            if len(self.terms) == 1:
+                ((k, c),) = self.terms.items()
+                return MPoly._raw({k * e: c**e}, degs, self._frac)
+            (k1, c1), (k2, c2) = self.terms.items()
+            pows2 = [1]  # c2^0 .. c2^e
+            for _ in range(e):
+                pows2.append(pows2[-1] * c2)
+            out, binom, pw1 = {}, 1, 1  # binom = C(e, j), pw1 = c1^j
+            for j in range(e + 1):
+                out[j * k1 + (e - j) * k2] = binom * pw1 * pows2[e - j]
+                binom = binom * (e - j) // (j + 1)
+                pw1 *= c1
+            f = MPoly._raw(out, degs, False)
+            return f._normalize() if self._frac else f
         result, base = None, self
         while True:
             if e & 1:
@@ -348,7 +364,16 @@ def as_ratfun(f) -> "RatFun":
 
 class _Atom:
     """A factor-list polynomial of two or more terms, its key, computed once,
-    and a memo of its powers that dies with the atom; no MPoly is written."""
+    and a memo of its powers that dies with the atom; no MPoly is written.
+
+    A two-term atom takes each missing power e by the binomial theorem. A
+    longer one builds it from its memo: one product p^k * p^(e-k) of two
+    memoised powers, k the largest such exponent, when there is one; else
+    one binary step, p^(e-1) * p for odd e and (p^(e/2))^2 for even e, its
+    operand built the same way and memoised. Each step costs one product,
+    and square-and-multiply takes one per binary step down to p^1, so no
+    power costs more products than square-and-multiply from scratch, and
+    runs such as 2, 4, 5, 6, 7, 8 cost one product each."""
 
     __slots__ = ("poly", "key", "_pows")
 
@@ -356,9 +381,23 @@ class _Atom:
         self.poly, self.key, self._pows = poly, frozenset(poly.terms.items()), {1: poly}
 
     def __pow__(self, e: int) -> MPoly:
-        p = self._pows.get(e)
-        if p is None:
-            p = self._pows[e] = self.poly**e
+        """The atom's polynomial to a power e >= 1, memoised."""
+        pows = self._pows
+        p = pows.get(e)
+        if p is not None:
+            return p
+        if len(self.poly.terms) == 2:
+            p = self.poly**e
+        else:
+            k = max((k for k in pows if k < e and e - k in pows), default=0)
+            if k:
+                p = pows[k] * pows[e - k]
+            elif e & 1:
+                p = self ** (e - 1) * self.poly
+            else:
+                p = self ** (e >> 1)
+                p = p * p
+        pows[e] = p
         return p
 
     def __str__(self):
@@ -624,13 +663,14 @@ def poly_exact_sqrt(f: MPoly):
     coefficients of h are determined by h_m = sqrt(f_2m) and a linear solve
     per lower coefficient. The candidate is verified by squaring, so a False
     negative is impossible and no tolerance is involved. The returned root has
-    positive leading coefficient.
+    positive leading coefficient. Coefficients stay ints while every division
+    is exact; a Fraction is made only where one is not.
     """
     vs = f.vars
     if len(vs) > 1:
         raise ValueError("poly_exact_sqrt is univariate only")
     var = vs[0] if vs else "t"
-    coeffs = f.coeffs(var)
+    coeffs = [_int(c) for c in f.coeffs(var)]
     if not coeffs:
         return MPoly()
     d = len(coeffs) - 1
@@ -640,16 +680,21 @@ def poly_exact_sqrt(f: MPoly):
     lead = _fraction_sqrt(coeffs[d])
     if lead is None or lead == 0:
         return None
-    h = [Fraction(0)] * (m + 1)
-    h[m] = lead
+    h = [0] * (m + 1)
+    h[m] = lead = _int(lead)
     for k in range(m - 1, -1, -1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(k + 1, m):
             j = m + k - i
             if k < j <= m:
                 acc += h[i] * h[j]
-        h[k] = (coeffs[m + k] - acc) / (2 * lead)
-    root = MPoly.from_terms({(i,): c for i, c in enumerate(h) if c}, (var,))
+        num, den = coeffs[m + k] - acc, 2 * lead
+        if num.__class__ is int and den.__class__ is int and not num % den:
+            h[k] = num // den
+        else:
+            h[k] = _int(Fraction(num) / den)
+    s = _SHIFT * _VAR_INDEX[var]
+    root = MPoly({i << s: c for i, c in enumerate(h) if c})
     if root * root == f:
         return root
     return None

@@ -515,6 +515,47 @@ def test_power_memo_never_outlives_a_call(args, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("family", ["g1", "g2"])
+def test_deep_three_point_certificate_evaluates_g_seven_times(family, monkeypatch):
+    # four in the inner check, then the display's g(u) and g(X2), which U
+    # needs anyway, and one new evaluation, g(X3)
+    seen = []
+    shape = curves.g_shape
+
+    def counted(*args):
+        seen.append(args[0])
+        return shape(*args)
+
+    monkeypatch.setattr(curves, "g_shape", counted)
+    assert certify_three_point(family, 3, deep=True)
+    assert seen == [family] * 7
+
+
+@pytest.mark.parametrize("family,n,form", [("g1", 3, "raw"), ("g2", 3, "cancelled"), ("g1", 5, "cancelled")])
+def test_three_point_display_values_are_g_of_u_and_x2(family, n, form):
+    a, b = RatFun.var("a"), RatFun.var("b")
+    disp = three_point_display(family, n, form)
+    assert len(disp.values) == 2
+    for x, gx in zip(disp.xs, disp.values):
+        assert rf_eq(gx, g_shape(family, n, a, b, x))
+
+
+@pytest.mark.parametrize("family", ["g1", "g2"])
+def test_deep_check_compares_the_display_x2_with_a_raw_x2(family, monkeypatch):
+    # the deep check builds its raw X2 with _x2 at s = t^2*g(u), so a raw
+    # form that is wrong only where s involves u must fail the deep
+    # certificate and leave the inner one standing
+    x2 = curves._x2
+
+    def skewed(a, b, s, e, form):
+        out = x2(a, b, s, e, form)
+        return out * 2 if form == "raw" and "u" in s.num.vars else out
+
+    monkeypatch.setattr(curves, "_x2", skewed)
+    assert certify_three_point(family, 3)
+    assert not certify_three_point(family, 3, deep=True)
+
+
 def test_literal_value_term_is_identity_on_first_family():
     assert certify_two_point("g1", 5, u_formula="family1_literal")
 

@@ -14,6 +14,7 @@ from hypoint.poly import (
     VARS,
     RatFun,
     _DEG_LIMIT,
+    _Atom,
     poly_exact_sqrt,
     rf_eq,
 )
@@ -601,3 +602,78 @@ def test_constants_and_monomials_scale_c_and_mexp():
     assert (t * t / t).factors == () and (t * t / t).mexp == t.mexp
     x = (t + 1) / (2 * t - 1) * half
     assert pickle.loads(pickle.dumps(x)) == x and str(x.factors[0][0]) == "1*t^1 + 1"
+
+
+nonzero_fracs = fracs.filter(bool)
+
+
+@st.composite
+def binomials(draw):
+    """A two-term polynomial over a variable subset, int or Fraction
+    coefficients."""
+    vars_ = draw(st.sampled_from([("t",), ("a", "t"), ("u", "b"), ("t", "u")]))
+    keys = draw(st.lists(st.tuples(*(st.integers(0, 3) for _ in vars_)), min_size=2, max_size=2, unique=True))
+    cs = st.one_of(st.integers(-9, 9).filter(bool), nonzero_fracs)
+    return MPoly.from_terms({k: draw(cs) for k in keys}, vars_)
+
+
+@settings(max_examples=60, deadline=None)
+@given(binomials(), st.integers(0, 15))
+def test_binomial_power_equals_repeated_product(f, e):
+    assert len(f.terms) == 2
+    ref = MPoly.const(1)
+    for _ in range(e):
+        ref = ref * f
+    got = f**e
+    assert got == ref and _is_normal(got) and got.degs == ref.degs
+    assert len(got.terms) == (e + 1 if e else 1)
+
+
+def test_binomial_power_keeps_the_degree_guard():
+    half = _DEG_LIMIT >> 1
+    assert (T ** (half - 1) + U) ** 2 == T ** (2 * half - 2) + 2 * T ** (half - 1) * U + U**2
+    for f, e in ((T**half + U, 2), (T + 1, _DEG_LIMIT), (Fraction(1, 2) * A + U**3, _DEG_LIMIT // 3 + 1)):
+        with pytest.raises(OverflowError):
+            f**e
+
+
+atom_polys = st.one_of(binomials(), polys().filter(lambda f: len(f.terms) >= 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(atom_polys, st.permutations(range(1, 11)), st.integers(1, 10))
+def test_atom_powers_in_any_order_equal_poly_powers(f, order, k):
+    atom = _Atom(f)
+    for e in order[:k] + [9, 8, 2, 5]:
+        assert atom**e == f**e
+    assert atom**3 is atom**3 and atom**1 is f
+
+
+def _square_and_multiply_products(e):
+    return e.bit_length() - 1 + bin(e).count("1") - 1
+
+
+@pytest.mark.parametrize("order", [(9, 8, 2, 5), (2, 3), (8, 9), (2, 4, 5, 6, 7, 8), (16, 9, 15),
+                                   (31, 30, 2, 1), (13, 7, 12, 25), (3, 5, 6, 11, 22, 24)])
+def test_atom_power_never_costs_more_products_than_square_and_multiply(order, monkeypatch):
+    # a linear chain p^e = p^(e-1)*p from a small memo would cost e - k
+    # products; the memo may only save products, never add them
+    f = T + U + 1
+    refs = {e: f**e for e in order}
+    products = []
+    mul = MPoly.__mul__
+
+    def counted(g, h):
+        products[-1] += 1
+        return mul(g, h)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted)
+    atom = _Atom(f)
+    for e in order:
+        products.append(0)
+        assert atom**e == refs[e]
+        assert products[-1] <= _square_and_multiply_products(e)
+    # runs of neighbouring exponents cost one product each once a neighbour
+    # is memoised
+    if order == (2, 4, 5, 6, 7, 8):
+        assert products == [1] * 6

@@ -15,3 +15,44 @@ def test_library_has_no_assert_statement(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+_CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+_MUTATORS = {"setdefault", "update", "__setitem__"}
+
+
+def _module_names(tree):
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_library_keeps_no_memo_beyond_its_objects(path):
+    # a memo lives on the object it serves (an atom's powers die with the
+    # atom), so no functools cache decorator is imported and no function
+    # rebinds a global or writes into a module-level container
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module_names = _module_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"functools.{a.name} at line {node.lineno}" for a in node.names if a.name in _CACHE_DECORATORS]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "functools" and node.attr in _CACHE_DECORATORS):
+            found.append(f"functools.{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.Global):
+            found.append(f"global {', '.join(node.names)} at line {node.lineno}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                target = None
+                if isinstance(inner, ast.Subscript) and isinstance(inner.ctx, ast.Store):
+                    target = inner.value
+                elif (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+                      and inner.func.attr in _MUTATORS):
+                    target = inner.func.value
+                if isinstance(target, ast.Name) and target.id in module_names:
+                    found.append(f"{node.name} writes module-level {target.id} at line {inner.lineno}")
+    assert found == [], f"{path.name} keeps a memo beyond its objects: {found}"
