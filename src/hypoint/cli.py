@@ -254,7 +254,7 @@ def _sample_sweep(args, cap) -> dict:
     for _ in range(args.samples):
         a = rng.randrange(1, ctx.p)
         b = rng.randrange(1, ctx.p)
-        res = sweep_soundness(ctx.p, args.n, a, b, args.family)
+        res = sweep_soundness(ctx, args.n, a, b, args.family)
         runs.append({k: (str(v) if isinstance(v, int) and not isinstance(v, bool) else v)
                      for k, v in res.items()})
     sound = all(r["char_violations"] == "0" and r["identity_failures"] == "0"

@@ -163,11 +163,6 @@ def _square_is_product(u, values) -> bool:
     return u * u == reduce(mul, values)
 
 
-def verify_triple(params: CurveParams, triple: ParamTriple) -> bool:
-    """u^2 = prod g(x_i), exact in the triple's ring (rf_eq for symbolic)."""
-    return _square_is_product(triple.u, [g_eval(params, x) for x in triple.xs])
-
-
 def _exponent(family: str, n: int) -> int:
     # shared "effective exponent": the t-power scaling of each family
     return n if family == "g1" else n - 1
@@ -518,9 +513,10 @@ def certify_reciprocal_triple(g: MPoly, n: int) -> bool:
 def quartic_triple_curve() -> ParamTriple:
     """Three-component curve on u^2 = prod (x_i^4 + 1).
 
-    The product of the three quartic values is a ratio of two exact squares;
-    u is recovered with poly_exact_sqrt (NotAPerfectSquare if either half
-    fails, which certification treats as a hard error).
+    The product of the three quartic values is a ratio of two exact squares,
+    with denominator den^12 for the common denominator den of the x_i; u is
+    the numerator's root by poly_exact_sqrt (NotAPerfectSquare if it fails,
+    which certification treats as a hard error) over den^6.
     """
     tp = MPoly.var("t")
     den = 3 * tp**2 + 3 * tp + 1
@@ -529,11 +525,10 @@ def quartic_triple_curve() -> ParamTriple:
     for np_ in nums:
         num_prod = num_prod * (np_**4 + den**4)
     root_num = poly_exact_sqrt(num_prod)
-    root_den = poly_exact_sqrt(den**12)
-    if root_num is None or root_den is None:
+    if root_num is None:
         raise NotAPerfectSquare("quartic product is not a square ratio")
     xs = tuple(RatFun(np_, den) for np_ in nums)
-    return ParamTriple(xs, RatFun(root_num, root_den))
+    return ParamTriple(xs, RatFun(root_num, den**6))
 
 
 def certify_quartic() -> bool:

@@ -22,6 +22,16 @@ first: one exponentiation gives a candidate root (q = 3 mod 4) or the
 Tonelli-Shanks start values, and the same computation reports a non-square,
 so a test-and-root costs one power.
 
+A Field caches what depends on the field alone, per instance and on first
+use: the non-residue and Tonelli-Shanks constants that sqrt needs, and the
+discrete-log tables of the survey walk (Field.log_tables: antilog, log,
+quadratic character, canonical root and Zech tables over the first
+generator). The caches hold ints, tuples and None, never a FieldElement,
+which refers back to its Field, so they live exactly as long as their Field
+object and are freed with it without the cycle collector. No module-level
+memo keeps them alive, and a Field that is built but never walked holds no
+table.
+
 Extension fields take an explicit monic modulus f, constant term first, whose
 irreducibility is verified by Ben-Or's test, gcd(z^(p^k) - z, f) = 1 for
 k <= m/2. The powers z^(p^k) are taken in F_p[z]/(f) with the field's own
@@ -152,6 +162,18 @@ def is_prime(n: int, trusted: bool = False) -> bool:
             f"{n} exceeds the deterministic primality range; pass trust_prime=True"
         )
     return _miller_rabin(n, (2,)) and _strong_lucas(n)
+
+
+def _prime_factors(m: int) -> list:
+    """The distinct primes dividing m >= 1, by trial division."""
+    out, r = [], 2
+    while r * r <= m:
+        if m % r == 0:
+            out.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    return out + [m] if m > 1 else out
 
 
 def _poly_gcd(f, g):
@@ -347,6 +369,7 @@ class Field:
         self.signature = (p, m, modulus)
         self._nonresidue = None
         self._tonelli = None
+        self._logs = None
         if m > 1:
             self._check_irreducible()
 
@@ -453,6 +476,73 @@ class Field:
                 x = self._ext_mul(x, x)
         return result
 
+    # -- discrete logs -----------------------------------------------------------
+
+    def log_tables(self) -> tuple:
+        """(alog, log, chi, root, zech) on canonical indices (cached), over the
+        first generator gen of F_q^* in canonical order:
+
+        * alog[k] is the index of gen^k, k = 0..q-2, and log inverts it, with
+          log[0] = None for zero;
+        * chi[i] is the quadratic character of element i, 0 on zero;
+        * root[i] is the index of i's canonical square root, None for a
+          non-square: of the two roots alog[j] and alog[j + (q-1)/2] of
+          alog[2j], the one with the smaller index;
+        * zech[k] is log(1 + gen^k), None where 1 + gen^k = 0.
+
+        The tables are tuples of ints and None, built on the first call and
+        never written, and they refer to nothing else, so a field that drops
+        them frees them without the cycle collector. They take O(q) time and
+        memory: callers check q against the survey's enumeration cap first."""
+        if self._logs is None:
+            q = self.q
+            alog = self._antilog()
+            log = [None] * q
+            for k, i in enumerate(alog):
+                log[i] = k
+            # the squares are gen^(2j), j < (q-1)/2, with roots gen^j and
+            # gen^(j + (q-1)/2); every other nonzero element is a non-square
+            half = (q - 1) // 2
+            chi = [0] + [-1] * (q - 1)
+            root = [0] + [None] * (q - 1)
+            for i, r, s in zip(alog[::2], alog[:half], alog[half:]):
+                chi[i] = 1
+                root[i] = r if r < s else s
+            zech = self._zech(alog, log)
+            self._logs = tuple(map(tuple, (alog, log, chi, root, zech)))
+        return self._logs
+
+    def _antilog(self) -> list:
+        """Indices of gen^0, ..., gen^(q-2) for the first generator of F_q^* in
+        canonical order. A candidate is tested by its order, gen^((q-1)/r) != 1
+        for every prime r | q - 1, so only the generator's cycle is walked: on
+        F_p in ints (the index is the value), on F_p^m in tuples indexed at the end."""
+        p, qm1 = self.p, self.q - 1
+        cofactors = [qm1 // r for r in _prime_factors(qm1)]
+        if self.m == 1:
+            gen = next(v for v in range(1, p) if all(pow(v, c, p) != 1 for c in cofactors))
+            alog, x = [], 1
+            for _ in range(qm1):
+                alog.append(x)
+                x = x * gen % p
+            return alog
+        one = self.one().val
+        gen = next(x.val for x in map(self.element, range(1, self.q))
+                   if all(self._ext_pow(x.val, c) != one for c in cofactors))
+        mul, cycle, x = self._ext_mul, [], one
+        for _ in range(qm1):
+            cycle.append(x)
+            x = mul(x, gen)
+        return list(map(self.index, cycle))
+
+    def _zech(self, alog, log) -> list:
+        """log(1 + gen^k) for k = 0..q-2, None where 1 + gen^k = 0. Adding one
+        adds the index of one to a canonical index, mod q: a table shift, no
+        field operation."""
+        step = self.index(self.one().val)
+        shifted = log[step:] + log[:step]
+        return list(map(shifted.__getitem__, alog))
+
     # -- core operations -------------------------------------------------------
 
     def inv(self, x) -> FieldElement:
@@ -485,22 +575,26 @@ class Field:
 
         Indices 1..p-1 hold c*z^(m-1), c in F_p^*. For even m every such c
         is a square in F_q, as (q-1)/(p-1) = 1 + p + ... + p^(m-1) is even,
-        so the block shares z^(m-1)'s character and is skipped in one test."""
+        so the block shares z^(m-1)'s character and is skipped in one test.
+        The field caches the element's val, not the element, which would
+        refer back to the field."""
         if self._nonresidue is None:
             skip = self.m % 2 == 0 and self.legendre(self.element(1)) == 1
             self._nonresidue = next(x for x in map(self.element, range(self.p if skip else 1, self.q))
-                                    if self.legendre(x) == -1)
-        return self._nonresidue
+                                    if self.legendre(x) == -1).val
+        return FieldElement(self, self._nonresidue)
 
     def _tonelli_data(self):
-        """(q1, s, z^q1) with q - 1 = q1 * 2^s, q1 odd, z = nonresidue() (cached)."""
+        """(q1, s, z^q1) with q - 1 = q1 * 2^s, q1 odd, z = nonresidue() (cached
+        as nonresidue() is, by val)."""
         if self._tonelli is None:
             q1, s = self.q - 1, 0
             while q1 % 2 == 0:
                 q1 //= 2
                 s += 1
-            self._tonelli = (q1, s, self.nonresidue() ** q1)
-        return self._tonelli
+            self._tonelli = (q1, s, (self.nonresidue() ** q1).val)
+        q1, s, c = self._tonelli
+        return q1, s, FieldElement(self, c)
 
     def sqrt(self, x):
         """Canonical square root, or None when x is not a square.

@@ -15,16 +15,17 @@
 One engine, _DomainWalk, serves enumerate_T, domain_summary, coverage and
 sweep_soundness. It works on the canonical indices 0..q-1 of Field's element
 order (Field.element and Field.index convert), makes an element only for
-output, and builds O(q) tables, none of them q x q: discrete logs over the
-first primitive element, g, the quadratic character and the canonical root
-(or None) of every element, and X2, X3 and U for every s = t^2 g(u), the
-only way the map depends on (t, u). The tables are built in log/Zech form:
-an element is its discrete log (zero is None), so a product is an int sum
-and a sum one table read, on prime and extension fields alike. The set-up
-tables take no field arithmetic: the antilog is an int loop on F_p and a
-walk of coefficient tuples on F_p^m, and the Zech table log(1 + gen^k) is a
-shift of the log table, because adding one adds the index of one to a
-canonical index, mod q. The formulas run on whole-table log vectors, each
+output, and reads O(q) tables, none of them q x q. Those that depend on the
+field alone come from the Field, which builds them on its first walk and
+keeps them for its lifetime (Field.log_tables): discrete logs over the
+first primitive element, the Zech table, and the quadratic character and
+canonical root (or None) of every element. Every walk over the same Field
+object shares them, so a survey of many curves on one field pays for them
+once. Each walk builds the curve's own tables: g of every element, and X2,
+X3 and U for every s = t^2 g(u), the only way the map depends on (t, u).
+The tables are in log/Zech form: an element is its discrete log (zero is
+None), so a product is an int sum and a sum one table read, on prime and
+extension fields alike. The formulas run on whole-table log vectors, each
 operation one pass over a table: the g-table is one call of
 curves.g_shape on every element, and the s-table is curves._three_point
 itself, the formula encode runs and the certifier proves, called on every s
@@ -113,61 +114,16 @@ def enumerate_curve(params: CurveParams, cap=None) -> list:
 # the domain walk
 
 
-def _prime_factors(m: int) -> list:
-    """The distinct primes dividing m >= 1, by trial division."""
-    out, r = [], 2
-    while r * r <= m:
-        if m % r == 0:
-            out.append(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    return out + [m] if m > 1 else out
-
-
-def _antilog(ctx: Field) -> list:
-    """Indices of gen^0, ..., gen^(q-2) for the first generator of F_q^* in
-    canonical order. A candidate is tested by its order, gen^((q-1)/r) != 1
-    for every prime r | q - 1, so only the generator's cycle is walked: on
-    F_p in ints (the index is the value), on F_p^m in tuples indexed at the end."""
-    p, qm1 = ctx.p, ctx.q - 1
-    cofactors = [qm1 // r for r in _prime_factors(qm1)]
-    if ctx.m == 1:
-        gen = next(v for v in range(1, p) if all(pow(v, c, p) != 1 for c in cofactors))
-        alog, x = [], 1
-        for _ in range(qm1):
-            alog.append(x)
-            x = x * gen % p
-        return alog
-    one = ctx.one().val
-    gen = next(x.val for x in map(ctx.element, range(1, ctx.q))
-               if all(ctx._ext_pow(x.val, c) != one for c in cofactors))
-    mul, cycle, x = ctx._ext_mul, [], one
-    for _ in range(qm1):
-        cycle.append(x)
-        x = mul(x, gen)
-    return list(map(ctx.index, cycle))
-
-
-def _zech(ctx: Field, alog: list, log: list) -> list:
-    """log(1 + gen^k) for k = 0..q-2, None where 1 + gen^k = 0. Adding one
-    adds the index of one to a canonical index, mod q: a table shift, no
-    field operation."""
-    step = ctx.index(ctx.one().val)
-    shifted = log[step:] + log[:step]
-    return list(map(shifted.__getitem__, alog))
-
-
 class _Logs:
-    """F_q in log form over a walk's generator: the antilog, log and Zech
-    tables, and the ints coerced through the logs of their field values."""
+    """F_q in log form for one walk: the field's log and Zech tables, and the
+    ints coerced through the logs of their field values. It is the walk's, not
+    the field's, so the field's tables never refer back to the field."""
 
-    def __init__(self, ctx: Field, alog: list, log: list):
-        self.ctx, self.log = ctx, log
+    def __init__(self, ctx: Field, log: tuple, zech: tuple):
+        self.ctx, self.log, self.zech = ctx, log, zech
         self.qm1 = ctx.q - 1
         # -1 is the one element of order 2, gen^((q-1)/2)
         self.half = self.qm1 // 2
-        self.zech = _zech(ctx, alog, log)
         # logs, not vectors, so that nothing here refers back to a vector
         # and the walk's tables are freed without the cycle collector
         self.int_logs = {}
@@ -269,12 +225,15 @@ class _LogVec:
 class _DomainWalk:
     """The encoder over all of T, on canonical element indices and O(q) tables.
 
-    The tables are built in log form: the antilog by plain int or tuple
-    multiplication by the generator, the Zech table by an index shift, and
-    then g and curves._three_point run once each on whole-table vectors
-    (_LogVec), so every product is an int sum and every sum one table read,
-    on prime and extension fields alike; _three_point gathers g(X2) from the
-    g-table instead of evaluating g again. The s-table takes two
+    The tables are in log form. The field's own tables (antilog, log,
+    character, canonical root and Zech) come from Field.log_tables, built on
+    the first walk over a Field object and shared, unwritten, by every later
+    one. The walk builds only the curve's tables: g and curves._three_point
+    run once each on whole-table vectors (_LogVec), so every product is an
+    int sum and every sum one table read, on prime and extension fields
+    alike; _three_point gathers g(X2) from the g-table instead of evaluating
+    g again. A corrupted table rebound on one walk therefore leaves the
+    field's tables, and later walks, as they were. The s-table takes two
     calls, s = 1 alone and every other s; the mask of the second call, and
     a call whose core vanishes at every s, mark the excluded s. run() makes
     each check once per s, weighted by the 2 * #{u : g(u) != 0,
@@ -290,26 +249,13 @@ class _DomainWalk:
     def __init__(self, params: CurveParams):
         _require_odd(params.n)
         ctx = _field_of(params)
-        q = ctx.q
-        qm1 = q - 1
-        alog = _antilog(ctx)
-        log = [None] * q
-        for k, i in enumerate(alog):
-            log[i] = k
-
-        # squares have even logs; the two roots of alog[2j] are alog[j] and
-        # alog[j + (q-1)/2], and the canonical one has the smaller index
-        half = qm1 // 2
-        chi = [0] * q
-        root = [0] + [None] * qm1
-        for k, i in enumerate(alog):
-            chi[i] = -1 if k % 2 else 1
-            if k % 2 == 0:
-                root[i] = min(alog[k // 2], alog[k // 2 + half])
-
-        logs = _Logs(ctx, alog, log)
+        qm1 = ctx.q - 1
+        alog, log, chi, root, zech = ctx.log_tables()
+        logs = _Logs(ctx, log, zech)
         fam, n, a, b = params.family, params.n, params.a, params.b
-        gx = g_shape(fam, n, a, b, _LogVec(logs, log)).column(alog)
+        # a list copy: _LogVec compares its entries to a list, and the field's
+        # tuple stays the field's
+        gx = g_shape(fam, n, a, b, _LogVec(logs, list(log))).column(alog)
         lg0 = log[gx[0]]
 
         def g_of(x2: _LogVec) -> _LogVec:
@@ -342,7 +288,7 @@ class _DomainWalk:
         self._x2_of = x2_of
         self._x3_of = x3_of
         self._lu_of = lu_of
-        self.hit = bytearray(q)
+        self.hit = bytearray(ctx.q)
         self.size_T = 0
         self.raw_excluded = 0
         self.identity_failures = 0
@@ -525,18 +471,22 @@ def coverage(params: CurveParams, cap=None) -> CoverageReport:
     )
 
 
-def sweep_soundness(p: int, n: int, a: int, b: int, family: str = "g1",
+def sweep_soundness(p: int | Field, n: int, a: int, b: int, family: str = "g1",
                     collect_image: bool = False) -> dict:
     """Walk all of T over F_p from int inputs, counting every broken promise.
 
-    Returns counts; all three failure counters must be zero. collect_image
-    additionally returns the sorted encoded (x, y) list as ints, which drift
-    tests compare against the generic field-layer encoder.
+    p is a prime or a prime Field; sweeps over one Field object share its
+    tables. Returns counts; all three failure counters must be zero.
+    collect_image additionally returns the sorted encoded (x, y) list as
+    ints, which drift tests compare against the generic field-layer encoder.
     """
     _require_odd(n)  # before CurveParams, which accepts any n >= 2
+    ctx = field_new(p)
+    if ctx.m != 1:
+        raise ValueError(f"the soundness sweep runs over prime fields only, not {ctx}")
+    p = ctx.p
     a %= p
     b %= p
-    ctx = field_new(p)
     walk = _DomainWalk(CurveParams(family, n, ctx.elem(a), ctx.elem(b))).run()
     out = {
         "p": p,

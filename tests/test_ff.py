@@ -5,6 +5,7 @@ full p <= 1000 range runs in the acceptance gate; this file keeps a smaller
 slice so the unit suite stays fast.
 """
 
+import gc
 import itertools
 import random
 import time
@@ -179,6 +180,22 @@ def test_nonresidue_search_skips_the_square_block():
     z = K.nonresidue()
     assert time.perf_counter() - start < 0.1
     assert str(z) == "1,2"
+
+
+@pytest.mark.parametrize("spec", ["13", "5^2:3,0,1", "3^3:1,2,0,1"])
+def test_a_dropped_field_leaves_no_cyclic_garbage(spec):
+    """The non-residue, Tonelli-Shanks and log-table caches refer to nothing
+    that refers back to the field."""
+    K = field_new(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        K.sqrt(K.element(3))
+        K.log_tables()
+        del K
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_parse_elem_padding_and_limits():

@@ -27,7 +27,7 @@ from hypoint.curves import (
     parse_curve_spec,
     three_point_map,
 )
-from hypoint.ff import field_new
+from hypoint.ff import Field, FieldSpec, field_new
 from hypoint.survey import (
     CoverageReport,
     FieldTooLarge,
@@ -359,14 +359,16 @@ def test_log_tables_match_field_element_arithmetic(field, a, b, family, n):
 
 
 def _corrupt_zech(monkeypatch, k):
-    build = survey._zech
+    """Corrupt entry k of the Zech table of every Field that builds its
+    tables from here on; a Field that has built them keeps its own."""
+    build = Field._zech
 
-    def corrupted(*tables):
-        zech = build(*tables)
+    def corrupted(ctx, *tables):
+        zech = build(ctx, *tables)
         zech[k] = 0 if zech[k] is None else (zech[k] + 1) % len(zech)
         return zech
 
-    monkeypatch.setattr(survey, "_zech", corrupted)
+    monkeypatch.setattr(Field, "_zech", corrupted)
 
 
 # entry (q - 1)/2 is log(1 + gen^((q-1)/2)) = log(1 - 1), None before corruption
@@ -484,7 +486,8 @@ def test_antilog_picks_the_first_generator(field):
             powers.append(powers[-1] * gen)
         if len(powers) == ctx.q:
             break
-    assert survey._antilog(ctx) == [index[x.val] for x in powers[:-1]]
+    assert ctx._antilog() == [index[x.val] for x in powers[:-1]]
+    assert ctx.log_tables()[0] == tuple(ctx._antilog())
 
 
 @pytest.mark.parametrize("field", ["3", "59", "61", "251", "3^2:1,0,1", "5^2:3,0,1", "3^3:1,2,0,1",
@@ -494,24 +497,94 @@ def test_zech_table_matches_field_addition(field):
     ctx = field_new(field)
     elems = list(ctx.elements())
     index = {x.val: i for i, x in enumerate(elems)}
-    alog = survey._antilog(ctx)
+    alog = ctx._antilog()
     log = [None] * ctx.q
     for k, i in enumerate(alog):
         log[i] = k
     one = ctx.one()
-    assert survey._zech(ctx, alog, log) == [log[index[(elems[i] + one).val]] for i in alog]
+    assert ctx._zech(alog, log) == [log[index[(elems[i] + one).val]] for i in alog]
+    _, cached_log, _, _, cached_zech = ctx.log_tables()
+    assert (cached_log, cached_zech) == (tuple(log), tuple(ctx._zech(alog, log)))
+
+
+@pytest.mark.parametrize("field", ["3", "59", "61", "251", "3^2:1,0,1", "5^2:3,0,1", "3^3:1,2,0,1", "3^4:2,0,0,1,1"])
+def test_character_and_root_tables_match_the_field(field):
+    ctx = field_new(field)
+    _, _, chi, root, _ = ctx.log_tables()
+    elems = list(ctx.elements())
+    assert list(chi) == [ctx.legendre(x) for x in elems]
+    roots = [ctx.sqrt(x) for x in elems]
+    assert list(root) == [None if r is None else ctx.index(r.val) for r in roots]
 
 
 @pytest.mark.parametrize("field,curve", [("251", "g1:n=3,a=1,b=1"), ("3^3:1,2,0,1", "g1:n=3,a=1,2,b=2,0,1")])
 def test_walk_leaves_no_cyclic_garbage(field, curve):
+    """Neither a walk, nor a Field that drops its tables, nor a sweep that
+    builds and drops its own Field leaves garbage for the cycle collector."""
     params = parse_curve_spec(curve, field_new(field))
     gc.collect()
     gc.disable()
     try:
         coverage(params)
         assert gc.collect() == 0
+        del params
+        assert gc.collect() == 0
+        sweep_soundness(251, 3, 1, 1)
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- the field's tables, shared by every walk over it ----------------------------------
+
+SHARED_FIELDS = [("59", "2", "6"), ("61", "3", "5"), ("5^2:3,0,1", "2,1", "3,4"), ("3^3:1,2,0,1", "1,2", "2,0,1")]
+
+
+@pytest.mark.parametrize("field,a,b", SHARED_FIELDS)
+def test_walks_over_one_field_match_walks_over_fresh_fields(field, a, b):
+    curves = [f"{family}:n=3,a={a},b={b}" for family in ("g1", "g2")]
+    shared = field_new(field)
+    assert shared._logs is None  # nothing built before the first walk
+    reports = [coverage(parse_curve_spec(c, shared)).to_json() for c in curves]
+    tables = shared.log_tables()
+    assert reports == [coverage(parse_curve_spec(c, field_new(field))).to_json() for c in curves]
+    if shared.m == 1:
+        sweeps = [sweep_soundness(shared, 3, int(a), int(b), family, collect_image=True)
+                  for family in ("g1", "g2")]
+        assert sweeps == [sweep_soundness(int(field), 3, int(a), int(b), family, collect_image=True)
+                          for family in ("g1", "g2")]
+    assert shared.log_tables() is tables
+    assert tables == field_new(field).log_tables()
+
+
+@pytest.mark.parametrize("corrupt", [_wrong_roots, _squares_as_nonsquares, _x3_as_x2])
+@pytest.mark.parametrize("field,a,b", SHARED_FIELDS)
+def test_a_corrupted_walk_leaves_the_field_tables_sound(field, a, b, corrupt):
+    params = parse_curve_spec(f"g1:n=3,a={a},b={b}", field_new(field))
+    first = survey._DomainWalk(params).run()
+    corrupted = survey._DomainWalk(params)
+    corrupt(corrupted)
+    corrupted.run()
+    assert corrupted.identity_failures + corrupted.char_violations + corrupted.membership_failures > 0
+    again = survey._DomainWalk(params).run()
+    counts = {k: getattr(again, k) for k in COUNTERS}
+    assert counts == {k: getattr(first, k) for k in COUNTERS}
+    assert counts["identity_failures"] == counts["char_violations"] == counts["membership_failures"] == 0
+    assert again.hit == first.hit
+    assert (again.root, again.chi, again._x2_of, again._x3_of, again._lu_of) == \
+        (first.root, first.chi, first._x2_of, first._x3_of, first._lu_of)
+
+
+def test_encode_builds_no_tables():
+    ctx = field_new(FieldSpec(2**256 - 189, trust_prime=True))
+    params = CurveParams("g1", 3, ctx.elem(3), ctx.elem(5))
+    encode(params, ctx.elem(7), ctx.elem(11))
+    assert ctx._logs is None
+
+
+def test_sweep_takes_prime_fields_only():
+    with pytest.raises(ValueError, match="prime fields only"):
+        sweep_soundness(field_new("3^2:1,0,1"), 3, 1, 1)
 
 
 # --- degree statistics ---------------------------------------------------------
