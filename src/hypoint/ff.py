@@ -15,12 +15,11 @@ two classes here. Determinism is a contract, not an accident:
 * square roots are canonical: of the two roots r and -r the one with the
   smaller representative (resp. lexicographically smaller tuple) is returned.
 
-The quadratic character of a prime field above 2^30 is the Jacobi symbol,
-computed by reciprocity on plain ints, with no exponentiation; smaller prime
-fields and extension fields use Euler's criterion. sqrt needs no character
-first: one exponentiation gives a candidate root (q = 3 mod 4) or the
-Tonelli-Shanks start values, and the same computation reports a non-square,
-so a test-and-root costs one power.
+The quadratic character of a prime field is the Jacobi symbol, computed by
+reciprocity on plain ints, with no exponentiation; extension fields use
+Euler's criterion. sqrt needs no character first: one exponentiation gives a
+candidate root (q = 3 mod 4) or the Tonelli-Shanks start values, and the
+same computation reports a non-square, so a test-and-root costs one power.
 
 A Field caches what depends on the field alone, per instance and on first
 use: the non-residue and Tonelli-Shanks constants that sqrt needs, and the
@@ -264,22 +263,11 @@ class FieldElement:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._difference(self.val, other.val)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._difference(other.val, self.val)
-
-    def _difference(self, x, y):
-        ctx = self.ctx
-        if ctx.m == 1:
-            return FieldElement(ctx, (x - y) % ctx.p)
-        p = ctx.p
-        return FieldElement(ctx, tuple((xi - yi) % p for xi, yi in zip(x, y)))
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -556,18 +544,14 @@ class Field:
     def legendre(self, x) -> int:
         """Quadratic character: 0 on zero, +1 on nonzero squares, -1 otherwise.
 
-        Prime fields above 2^30 use the Jacobi symbol (x / p); smaller ones
-        and extension fields use Euler's criterion x^((q-1)/2).
+        Prime fields use the Jacobi symbol (x / p); extension fields use
+        Euler's criterion x^((q-1)/2).
         """
         x = self.elem(x)
         if not x:
             return 0
         if self.m == 1:
-            # pow on one 30-bit CPython digit beats the Jacobi loop; above it
-            # the loop wins (about 50 against 220 us at 256 bits)
-            if self.p >> 30:
-                return _jacobi(x.val, self.p)
-            return 1 if pow(x.val, (self.p - 1) // 2, self.p) == 1 else -1
+            return _jacobi(x.val, self.p)
         return 1 if x ** ((self.q - 1) // 2) == self.one() else -1
 
     def nonresidue(self) -> FieldElement:
@@ -610,6 +594,9 @@ class Field:
         if not x:
             return self.zero()
         if self.q % 4 == 3:
+            # not folded into Tonelli-Shanks: at s = 1 it would raise x to
+            # (q-3)/4, which can have many more one-bits than (q+1)/4 (252
+            # against 128 on F_p^3, p = 2^127 - 1)
             r = x ** ((self.q + 1) // 4)
             if r * r != x:
                 return None

@@ -232,12 +232,9 @@ class MPoly:
             t1, t2 = t2, t1
         out = {}
         get = out.get
-        if len(t2) == 1:
-            # a monomial only shifts keys, and nothing cancels over Q
-            ((k2, c2),) = t2.items()
-            out = {k1 + k2: c1 * c2 for k1, c1 in t1.items()}
-        elif t1 is t2:
-            # squaring: each cross term once, doubled
+        if t1 is t2:
+            # squaring: each cross term once, doubled, so about half the
+            # coefficient products
             items = list(t1.items())
             for i, (k1, c1) in enumerate(items):
                 k = k1 + k1
@@ -253,6 +250,7 @@ class MPoly:
                     out[k] = get(k, 0) + c1 * c2
         f = MPoly._raw(out, degs, False)
         frac = self._frac or other._frac
+        # a one-term operand only shifts keys, and nothing cancels over Q
         return f._normalize(frac) if frac or len(t2) > 1 else f
 
     __rmul__ = __mul__
@@ -416,6 +414,7 @@ def _merge(f1, f2):
     """Formal product of two factor lists: the exponents of equal atoms add,
     and atoms left at 0 drop out."""
     if not f1 or not f2:
+        # most products have an atom-free side: share the other list as it is
         return f1 or f2
     return tuple((a, e1 + e2) for a, e1, e2 in _align(f1, f2) if e1 + e2)
 
@@ -456,6 +455,7 @@ def _expand(factors, c, m) -> MPoly:
     if out is None:
         return MPoly._raw({k: c}, degs, False)
     if c == 1 and not k:
+        # nothing to scale or shift: the memoised power itself, not a copy
         return out
     f = MPoly._raw({key + k: v * c for key, v in out.terms.items()}, degs, False)
     return f._normalize() if out._frac else f
@@ -564,8 +564,6 @@ class RatFun:
 
     def __mul__(self, other):
         if other.__class__ is not RatFun:
-            if isinstance(other, (int, Fraction)):
-                return RatFun._make(_int(self.c * other), self.mexp, self.factors) if other else RatFun._const(0)
             try:
                 other = as_ratfun(other)
             except TypeError:
@@ -609,8 +607,6 @@ class RatFun:
         f1, f2 = self.factors, other.factors
         if f1 is None or f2 is None:
             return f1 is f2
-        if not f1 and not f2:
-            return self.c == other.c and self.mexp == other.mexp
         # exact: the polynomial ring is an integral domain and no atom is
         # zero, so equal atoms cancel from both sides, and each variable's
         # exponent difference moves to the side where it is positive

@@ -185,7 +185,7 @@ class _LogVec:
 
     def __mul__(self, other):
         if type(other) is not _LogVec and self.f.log_of(other) == 0:
-            return self  # the formulas' t = 1
+            return self  # the formulas' t = 1: a whole-table pass saved
         qm1 = self.f.qm1
         js, mask = self._other(other)
         return _LogVec(self.f, [None if i is None or j is None else (i + j) % qm1
@@ -453,12 +453,14 @@ def coverage(params: CurveParams, cap=None) -> CoverageReport:
         if r is None:
             continue
         curve_size += 1 if r == 0 else 2
-        if len(missed) > MISSED_CAP:
+        hit = walk.hit[x]
+        if len(missed) > MISSED_CAP or hit and not r:
             continue
-        if not walk.hit[x]:
-            missed.append(AffinePoint(element(x), element(r)))
+        px, py = element(x), element(r)
+        if not hit:
+            missed.append(AffinePoint(px, py))
         if r:
-            missed.append(AffinePoint(element(x), -element(r)))
+            missed.append(AffinePoint(px, -py))
     return CoverageReport(
         q=ctx.q,
         field=_field_text(ctx),
@@ -472,18 +474,21 @@ def coverage(params: CurveParams, cap=None) -> CoverageReport:
 
 
 def sweep_soundness(p: int | Field, n: int, a: int, b: int, family: str = "g1",
-                    collect_image: bool = False) -> dict:
+                    collect_image: bool = False, cap=None) -> dict:
     """Walk all of T over F_p from int inputs, counting every broken promise.
 
     p is a prime or a prime Field; sweeps over one Field object share its
     tables. Returns counts; all three failure counters must be zero.
     collect_image additionally returns the sorted encoded (x, y) list as
     ints, which drift tests compare against the generic field-layer encoder.
+    p above the enumeration cap raises FieldTooLarge before any table is
+    built.
     """
-    _require_odd(n)  # before CurveParams, which accepts any n >= 2
     ctx = field_new(p)
     if ctx.m != 1:
         raise ValueError(f"the soundness sweep runs over prime fields only, not {ctx}")
+    _check_cap(ctx.q, cap, _WALK_COST)
+    _require_odd(n)  # before CurveParams, which accepts any n >= 2
     p = ctx.p
     a %= p
     b %= p

@@ -280,6 +280,13 @@ def test_survey_sweep_field_too_large_exits_2(capsys):
         capsys,
     )
     assert code == 2 and payload["error"] == "FieldTooLarge"
+    # above the cap and of even degree: the cap is checked first
+    code, out, _ = run(
+        ["survey", "--field", "10007", "--family", "g1", "--n", "4", "--samples", "1", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == '{"detail": "q = 10007 exceeds the enumeration cap 10000", "error": "FieldTooLarge"}\n'
 
 
 @pytest.mark.parametrize(

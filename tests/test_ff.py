@@ -336,7 +336,8 @@ def test_256_bit_sqrt_roundtrip(p):
     assert r == x or r == -x
 
 
-@pytest.mark.parametrize("p", [2**256 - 189, 2**255 - 19, 3 * 2**30 + 1], ids=["3mod4", "1mod4", "31bit"])
+@pytest.mark.parametrize("p", [2**256 - 189, 2**255 - 19, 3 * 2**30 + 1, 59, 65537],
+                         ids=["3mod4", "1mod4", "31bit", "59", "65537"])
 def test_jacobi_legendre_matches_euler(p):
     K = field_new(FieldSpec(p, trust_prime=True))
     rng = random.Random(p)
@@ -412,3 +413,8 @@ def test_subtraction_is_adding_the_negative(K):
         for c in range(-K.p - 1, 2 * K.p + 1):
             assert (x - c).val == (x + K.elem(-c)).val
             assert (c - x).val == (K.elem(c) + (-x)).val
+    x = K.one()
+    with pytest.raises(TypeError, match="for -:"):
+        1.5 - x
+    with pytest.raises(TypeError, match="for -:"):
+        x - 1.5

@@ -294,8 +294,8 @@ fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def frac_polys(draw, vars_=("t", "u")):
-    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in vars_)), fracs, max_size=5))
+def frac_polys(draw, vars_=("t", "u"), max_size=5):
+    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in vars_)), fracs, max_size=max_size))
     return MPoly.from_terms(terms, vars_) if terms else MPoly.const(0)
 
 
@@ -323,8 +323,8 @@ def _is_normal(f):
 
 
 @settings(max_examples=60, deadline=None)
-@given(frac_polys(), frac_polys(), st.integers(-2, 2))
-def test_square_path_equals_general_product(f, g, k):
+@given(frac_polys(), frac_polys(), st.integers(-2, 2), frac_polys(max_size=1))
+def test_square_path_equals_general_product(f, g, k, m):
     # f + k*g and f - k*g make cancelling cross terms likely in the products
     for h in (f, f + k * g, (f + k * g) * (f - k * g)):
         sq = h * h
@@ -334,6 +334,9 @@ def test_square_path_equals_general_product(f, g, k):
         assert sq.vars == general.vars and sq.degs == general.degs
     prod = (f + k * g) * (f - k * g)
     assert prod == _reference_product(f + k * g, f - k * g) and _is_normal(prod)
+    # one-term operands, on either side, go through the same loop
+    for x, y in ((f, m), (m, f), (m, m)):
+        assert x * y == _reference_product(x, y) and _is_normal(x * y)
 
 
 @st.composite
@@ -602,6 +605,34 @@ def test_constants_and_monomials_scale_c_and_mexp():
     assert (t * t / t).factors == () and (t * t / t).mexp == t.mexp
     x = (t + 1) / (2 * t - 1) * half
     assert pickle.loads(pickle.dumps(x)) == x and str(x.factors[0][0]) == "1*t^1 + 1"
+
+
+def test_atom_free_functions_compare_by_c_and_exponents():
+    # c * t^i * u^j with no atoms: equal exactly when c and both exponents are
+    t, u = RatFun.var("t"), RatFun.var("u")
+    keys = [(3, 2, -1), (Fraction(3, 2), 2, -1), (-3, 2, -1), (3, 1, -1), (3, 2, 0),
+            (Fraction(-3, 2), -2, 1), (1, 0, 0)]
+    fs = [c * t**i * u**j for c, i, j in keys]
+    assert all(f.factors == () for f in fs)
+    for f, key in zip(fs, keys):
+        for g, other in zip(fs, keys):
+            assert (f == g) == (key == other) and rf_eq(f, g) == (key == other)
+    # the same functions built another way
+    assert RatFun(3 * T**3, U * T) == fs[0] and RatFun(3 * T**2, 2 * U) == fs[1]
+    assert RatFun(-3 * U, 2 * T**2) == fs[5] and fs[6] == 1 and fs[0] != 3
+
+
+def test_scalars_times_a_function_with_atoms_scale_c():
+    x = RatFun(T + 1, U - 2) * RatFun.var("t")
+    for k in (3, -2, Fraction(2, 3), Fraction(-4, 2)):
+        for y in (x * k, k * x):
+            c = x.c * k
+            assert y.c == c and y.c.__class__ is (int if c.denominator == 1 else Fraction)
+            assert y.mexp == x.mexp and y.factors == x.factors
+            assert rf_eq(y, RatFun((T + 1) * T * k, U - 2))
+    for zero in (0, Fraction(0)):
+        for y in (x * zero, zero * x):
+            assert y.is_zero() and y.factors is None and y.num == 0 and y.den == 1
 
 
 nonzero_fracs = fracs.filter(bool)

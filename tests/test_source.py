@@ -56,3 +56,29 @@ def test_library_keeps_no_memo_beyond_its_objects(path):
                 if isinstance(target, ast.Name) and target.id in module_names:
                     found.append(f"{node.name} writes module-level {target.id} at line {inner.lineno}")
     assert found == [], f"{path.name} keeps a memo beyond its objects: {found}"
+
+
+def _private_definitions_and_uses():
+    """Every single-underscore function, method and class defined in the
+    library, as (file, name, first line, last line), and every use of a name
+    (a Name or an attribute), as name -> [(file, line)]."""
+    defs, uses = [], {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defs.append((path.name, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((path.name, node.lineno))
+    return defs, uses
+
+
+def test_every_private_definition_is_used():
+    # a private helper nothing in the library names is dead code: a deleted
+    # path must take its helpers with it (the tests do not count as a use)
+    defs, uses = _private_definitions_and_uses()
+    assert defs
+    dead = [f"{name} ({fname}:{first})" for fname, name, first, last in defs
+            if not any(f != fname or not first <= line <= last for f, line in uses.get(name, ()))]
+    assert dead == [], f"private definitions no library code uses: {dead}"

@@ -96,11 +96,16 @@ def test_cap_enforcement_and_warning():
     assert any("cap" in str(w.message) for w in caught)
 
 
+def _sweep(params, cap):
+    return sweep_soundness(params.a.ctx, params.n, params.a.val, params.b.val, params.family, cap=cap)
+
+
 @pytest.mark.parametrize("call,cost", [
     (enumerate_curve, "enumerating the curve evaluates g at all q elements"),
     (enumerate_T, "enumerating all of T lists up to q^2 pairs"),
     (domain_summary, "the domain walk builds tables of q entries"),
     (coverage, "the domain walk builds tables of q entries"),
+    (_sweep, "the domain walk builds tables of q entries"),
 ])
 def test_raised_cap_warning_names_the_callers_cost(call, cost):
     with warnings.catch_warnings(record=True) as caught:
@@ -585,6 +590,20 @@ def test_encode_builds_no_tables():
 def test_sweep_takes_prime_fields_only():
     with pytest.raises(ValueError, match="prime fields only"):
         sweep_soundness(field_new("3^2:1,0,1"), 3, 1, 1)
+    with pytest.raises(ValueError, match="prime fields only"):  # before the cap
+        sweep_soundness(field_new("3^2:1,0,1"), 3, 1, 1, cap=5)
+
+
+def test_sweep_checks_the_cap_before_any_table(monkeypatch):
+    def no_tables(self):
+        raise AssertionError("log tables built above the cap")
+
+    monkeypatch.setattr(Field, "log_tables", no_tables)
+    for n in (3, 4):  # the cap is checked before the parity
+        with pytest.raises(FieldTooLarge, match="q = 10007 exceeds the enumeration cap 10000"):
+            sweep_soundness(10007, n, 1, 1)
+    with pytest.raises(FieldTooLarge, match="cap 250"):
+        sweep_soundness(251, 3, 1, 1, cap=250)
 
 
 # --- degree statistics ---------------------------------------------------------
