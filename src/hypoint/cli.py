@@ -24,7 +24,6 @@ import sys
 
 from .curves import (
     FAMILIES,
-    CurveError,
     DomainExcluded,
     certify_auxiliary,
     certify_even_n_value,
@@ -38,7 +37,7 @@ from .curves import (
     parse_curve_spec,
     point_json,
 )
-from .ff import FieldError, field_new, parse_field_spec
+from .ff import field_new, parse_field_spec
 from .poly import MPoly
 from .survey import FieldTooLarge, coverage, sweep_soundness
 
@@ -310,23 +309,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         mode = getattr(args, "output", "json")
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        _emit_error(exc, mode)
-        return 1
     except (DomainExcluded, FieldTooLarge) as exc:
-        _emit_error(exc, mode)
-        return 2
-    except (FieldError, CurveError, ValueError) as exc:
-        _emit_error(exc, mode)
-        return 1
-
-
-def _emit_error(exc, mode: str):
-    payload = {"error": type(exc).__name__, "detail": str(exc)}
-    if mode == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"error: {payload['error']}: {payload['detail']}")
+        error, code = exc, 2
+    except ValueError as exc:
+        error, code = exc, 1
+    # UsageError, FieldError and CurveError are all ValueErrors
+    _emit({"error": type(error).__name__, "detail": str(error)}, mode,
+          lambda pl: f"error: {pl['error']}: {pl['detail']}")
+    return code
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 Everything downstream (curve maps, the point encoder, the surveys) runs on the
 two classes here. Determinism is a contract, not an accident:
 
-* primality of p is decided by a fixed-witness Miller-Rabin test that is
-  *proven* exhaustive below 3*10^18; larger characteristics require an
-  explicit trust flag and still pass Baillie-PSW (a strong test to base 2
-  and a strong Lucas test), for which no composite is known to pass,
+* primality of p is decided by one test for every p, Baillie-PSW (a strong
+  test to base 2, then a strong Lucas test), which is *proven* exact below
+  2^64 and so below 3*10^18; larger characteristics require an explicit
+  trust flag and still pass the same test, which no known composite passes,
 * the canonical index of an element is its int value for m=1, else its
   coefficient tuple as base-p digits, constant term most significant;
   Field.element and Field.index convert, and Field.elements() walks it lazily,
@@ -53,7 +53,7 @@ class NotPrime(FieldError):
 
 
 class PrimalityUnverified(FieldError):
-    """p exceeds the deterministic Miller-Rabin range and no trust flag was given."""
+    """p is at or above DETERMINISTIC_PRIMALITY_BOUND and no trust flag was given."""
 
 
 class EvenCharacteristic(FieldError):
@@ -69,33 +69,24 @@ class DivisionByZero(ZeroDivisionError):
 
 
 DETERMINISTIC_PRIMALITY_BOUND = 3 * 10**18
-# proven complete below 3.3e18 (first nine primes), which covers the bound
-_DET_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+# trial divisors run before the strong tests, so _strong_lucas sees only n > 37
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _miller_rabin(n: int, bases) -> bool:
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n == sp:
-            return True
-        if n % sp == 0:
-            return False
+def _strong_base2(n: int) -> bool:
+    """Strong probable-prime test to base 2 of an odd n > 2."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -151,16 +142,21 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_prime(n: int, trusted: bool = False) -> bool:
-    """Nine Miller-Rabin bases, proven exhaustive, below
-    DETERMINISTIC_PRIMALITY_BOUND; above it only with trusted=True, and then
-    Baillie-PSW: a strong test to base 2, then a strong Lucas test."""
-    if n < DETERMINISTIC_PRIMALITY_BOUND:
-        return _miller_rabin(n, _DET_WITNESSES)
-    if not trusted:
+    """Baillie-PSW for every n: trial division by the primes up to 37, a
+    strong test to base 2, then a strong Lucas test. No composite below 2^64
+    passes it (Feitsma's list of the base-2 strong pseudoprimes there, checked
+    by Galway), which covers DETERMINISTIC_PRIMALITY_BOUND; at or above the
+    bound n is tested only with trusted=True."""
+    if n >= DETERMINISTIC_PRIMALITY_BOUND and not trusted:
         raise PrimalityUnverified(
             f"{n} exceeds the deterministic primality range; pass trust_prime=True"
         )
-    return _miller_rabin(n, (2,)) and _strong_lucas(n)
+    if n < 2:
+        return False
+    for sp in _SMALL_PRIMES:
+        if n % sp == 0:
+            return n == sp
+    return _strong_base2(n) and _strong_lucas(n)
 
 
 def _prime_factors(m: int) -> list:

@@ -421,3 +421,25 @@ def test_text_output_has_no_json(capsys):
     )
     assert code == 0
     assert "{" not in out and "x: 3" in out and "y: 3" in out
+
+
+# argv, optional ULAS_MAX_Q, exit code and stdout sha256 of CLI documents; a
+# change to any document, on purpose or not, shows up here and is re-recorded
+# in the same change
+CORPUS = json.loads((Path(__file__).resolve().parent / "data" / "cli_corpus.json").read_text())
+
+
+@pytest.mark.filterwarnings("ignore:enumeration cap raised to 20000")
+def test_cli_corpus_is_byte_identical(capsys, monkeypatch):
+    assert {entry["exit"] for entry in CORPUS} == {0, 1, 2}
+    changed = []
+    for entry in CORPUS:
+        if "ULAS_MAX_Q" in entry:
+            monkeypatch.setenv("ULAS_MAX_Q", entry["ULAS_MAX_Q"])
+        else:
+            monkeypatch.delenv("ULAS_MAX_Q", raising=False)
+        code = cli.main(list(entry["argv"]))
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        if (code, digest) != (entry["exit"], entry["stdout_sha256"]):
+            changed.append((entry["argv"], code, digest))
+    assert changed == [], f"CLI documents differ from the corpus: {changed}"

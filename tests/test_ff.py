@@ -244,13 +244,13 @@ def test_modulus_check_accepts_exactly_the_irreducible_monics(p, m, count):
 def test_extension_field_tests_its_prime_once(spec, monkeypatch):
     """The modulus check runs over F_p built from the prime already checked."""
     calls = []
-    miller_rabin = ff._miller_rabin
+    real_is_prime = ff.is_prime
 
-    def counted(n, bases):
+    def counted(n, trusted=False):
         calls.append(n)
-        return miller_rabin(n, bases)
+        return real_is_prime(n, trusted)
 
-    monkeypatch.setattr(ff, "_miller_rabin", counted)
+    monkeypatch.setattr(ff, "is_prime", counted)
     K = field_new(spec)
     assert calls == [K.p]
 
@@ -270,6 +270,37 @@ def test_int_equality_is_by_representative_and_hashes_alike():
     assert len({F9.elem(2), 2}) == 1
     assert F9.elem([2, 1]) != 2 and F9.elem(2) != 5
     assert len({F9.elem([0, 1]), F9.elem([0, 1]), 1}) == 2
+
+
+# the reference primality test: Miller-Rabin to the first nine prime bases,
+# proven exhaustive below 3.3e18, which covers DETERMINISTIC_PRIMALITY_BOUND
+NINE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _miller_rabin(n: int, bases) -> bool:
+    if n < 2:
+        return False
+    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n == sp:
+            return True
+        if n % sp == 0:
+            return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def test_primality_policy():
     assert is_prime(2**61 - 1)
@@ -294,7 +325,7 @@ TRUSTED_PSEUDOPRIMES = [318665857834031151167461, 3825123056546413051]
 @pytest.mark.parametrize("n", TRUSTED_PSEUDOPRIMES)
 def test_trusted_strong_pseudoprimes_are_rejected(n):
     assert n > DETERMINISTIC_PRIMALITY_BOUND
-    assert ff._miller_rabin(n, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert _miller_rabin(n, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
     assert not is_prime(n, trusted=True)
     with pytest.raises(NotPrime):
         field_new(FieldSpec(n, trust_prime=True))
@@ -308,12 +339,32 @@ def test_trusted_primes_pass_baillie_psw(p):
     assert is_prime(p, trusted=True)
 
 
+# the least strong pseudoprimes to the first k prime bases, k = 1..7; the
+# last passes every base 2..19 (Jaeschke 1993)
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321]
+CARMICHAEL_NUMBERS = [561, 1105, 1729, 2465, 2821, 6601, 8911]
+
+
 def test_baillie_psw_agrees_with_the_deterministic_test():
-    # every odd k in range that the trial division by 2..37 leaves over
+    # every n from -3 to 10^5: 0, 1, the trial divisors 2..37, and every odd
+    # k that the trial division leaves over, where the strong tests decide
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for k in range(39, 100001, 2):
-        if all(k % q for q in small):
-            assert (ff._miller_rabin(k, (2,)) and ff._strong_lucas(k)) == is_prime(k), k
+    for k in range(-3, 100001):
+        assert is_prime(k) == _miller_rabin(k, NINE_BASES), k
+        if k >= 39 and all(k % q for q in small):
+            assert (ff._strong_base2(k) and ff._strong_lucas(k)) == is_prime(k), k
+    for k, n in enumerate(STRONG_PSEUDOPRIMES, 1):
+        assert ff._strong_base2(n) and not is_prime(n) and not _miller_rabin(n, NINE_BASES), n
+        if k > 1:  # 2047 = 23 * 89 falls to the reference's trial division
+            assert _miller_rabin(n, NINE_BASES[:k]), n
+    assert _miller_rabin(STRONG_PSEUDOPRIMES[-1], NINE_BASES[:8])
+    for n in CARMICHAEL_NUMBERS:
+        assert not is_prime(n) and not _miller_rabin(n, NINE_BASES), n
+    rng = random.Random(20260814)
+    near = [DETERMINISTIC_PRIMALITY_BOUND - 1 - 2 * rng.randrange(10**6) for _ in range(2000)]
+    primes = [n for n in near if _miller_rabin(n, NINE_BASES)]
+    assert [n for n in near if is_prime(n)] == primes and primes
 
 
 def test_strong_lucas_test_alone():
@@ -322,7 +373,7 @@ def test_strong_lucas_test_alone():
     for k in (5459, 5777, 10877, 16109, 18971):
         assert ff._strong_lucas(k) and not is_prime(k)
     for k in (8321, 42799, 49141, 65281, 280601):
-        assert ff._miller_rabin(k, (2,)) and not ff._strong_lucas(k)
+        assert ff._strong_base2(k) and not ff._strong_lucas(k)
     assert not ff._strong_lucas(1009**2) and not ff._strong_lucas(41 * 43 * 41 * 43)
 
 

@@ -82,3 +82,26 @@ def test_every_private_definition_is_used():
     dead = [f"{name} ({fname}:{first})" for fname, name, first, last in defs
             if not any(f != fname or not first <= line <= last for f, line in uses.get(name, ()))]
     assert dead == [], f"private definitions no library code uses: {dead}"
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads; a name listed in __all__ is
+    exported, so it counts as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(((a.asname or a.name.partition(".")[0]), node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(((a.asname or a.name), node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_library_imports_only_names_it_uses(path):
+    # an import left behind by a deleted path is dead code too
+    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
