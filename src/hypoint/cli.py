@@ -25,20 +25,13 @@ import sys
 from .curves import (
     FAMILIES,
     DomainExcluded,
-    certify_auxiliary,
-    certify_even_n_value,
-    certify_quartic,
-    certify_reciprocal_pair,
-    certify_reciprocal_triple,
-    certify_three_point,
-    certify_two_point,
     encode,
     even_n_point,
+    identity_rows,
     parse_curve_spec,
     point_json,
 )
 from .ff import field_new, parse_field_spec
-from .poly import MPoly
 from .survey import FieldTooLarge, coverage, sweep_soundness
 
 
@@ -56,9 +49,8 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="hypoint", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, field=True, curve=False):
-        if field:
-            sp.add_argument("--field", required=True, help="p or p^m:c0,...,cm (modulus constant term first)")
+    def common(sp, curve=False):
+        sp.add_argument("--field", required=True, help="p or p^m:c0,...,cm (modulus constant term first)")
         if curve:
             sp.add_argument("--curve", help="g1:n=3,a=1,b=1 or g2:...; a,b parse as field elements")
         sp.add_argument("--output", choices=("json", "text"), default="json")
@@ -156,58 +148,14 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _reciprocal_samples():
-    t = MPoly.var("t")
-    pairs = ((t**3 + 1, 3), (t**4 + 1, 4), (t**4 + 3 * t**3 + 5 * t**2 + 3 * t + 1, 4))
-    triples = ((t**3 + 1, 3), (t**5 + 1, 5), (t**5 + 2 * t**4 + 7 * t**3 + 7 * t**2 + 2 * t + 1, 5))
-    return pairs, triples
-
-
-def _identity_rows(n_min: int, n_max: int, erratum_check: bool):
-    """(name, thunk, expected) rows; expected is "pass" or "fail"."""
-    rows = []
-    for fam in FAMILIES:
-        for m in (1, 2, 3):
-            for n in range(1, 6):
-                rows.append((f"surface-curve {fam} m={m} n={n}",
-                             lambda fam=fam, m=m, n=n: certify_auxiliary(fam, m, n), "pass"))
-    for fam in FAMILIES:
-        for n in range(n_min, n_max + 1):
-            rows.append((f"two-point {fam} n={n}",
-                         lambda fam=fam, n=n: certify_two_point(fam, n), "pass"))
-    for fam in FAMILIES:
-        for n in range(n_min, n_max + 1):
-            if n % 2:
-                rows.append((f"three-point {fam} n={n}",
-                             lambda fam=fam, n=n: certify_three_point(fam, n, deep=(n == 3)), "pass"))
-    for fam in FAMILIES:
-        for n in range(n_min, n_max + 1):
-            if n % 2 == 0:
-                rows.append((f"even-degree point value {fam} n={n}",
-                             lambda fam=fam, n=n: certify_even_n_value(fam, n), "pass"))
-    pairs, triples = _reciprocal_samples()
-    for g, n in pairs:
-        rows.append((f"reciprocal two-point deg {n}: {g}",
-                     lambda g=g, n=n: certify_reciprocal_pair(g, n), "pass"))
-    for g, n in triples:
-        rows.append((f"reciprocal three-point deg {n}: {g}",
-                     lambda g=g, n=n: certify_reciprocal_triple(g, n), "pass"))
-    rows.append(("quartic three-point x^4 + 1", certify_quartic, "pass"))
-    if erratum_check:
-        for n in range(n_min, n_max + 1):
-            rows.append((f"two-point g2 n={n} with first-family value term",
-                         lambda n=n: certify_two_point("g2", n, u_formula="family1_literal"), "fail"))
-    return rows
-
-
 def _cmd_identities(args) -> int:
     if not (3 <= args.n_min <= args.n_max <= 9):
         raise UsageError("need 3 <= n-min <= n-max <= 9")
     results = []
     bad = 0
-    for name, thunk, expected in _identity_rows(args.n_min, args.n_max, args.erratum_check):
-        ok = bool(thunk())
-        if expected == "pass":
+    for name, fn, fn_args, expected in identity_rows(args.n_min, args.n_max, args.erratum_check):
+        ok = bool(fn(*fn_args))
+        if expected:
             status = "certified" if ok else "failed"
             bad += not ok
             entry = {"name": name, "status": status}

@@ -18,14 +18,18 @@ symbolic layer:
   component.
 * reciprocal_pair_curve / reciprocal_triple_curve / quartic_triple_curve:
   parametrizations for self-reciprocal g and for g = x^4 + 1.
+* identity_rows: the certification suite of `hypoint identities`, one
+  (name, certify function, args, expected) row per identity.
 
 Each formula is written once and run both by the maps that encode uses, on
 field elements or exact rationals, and by the certifier, on symbolic
 rational functions; the certified identities are therefore those of the
 deployed arithmetic. One map formula, _three_point, serves both maps: the
 two-point map is the three-point map at gamma = g(X1) = 1, its X1 and X2
-being the three-point X2 and X3. The three-point X2 has the cancelled
-denominator a*s*(1 + s + ... + s^(e-2)), s = t^2*g(u); it agrees with
+being the three-point X2 and X3. One builder, _map_triple, turns it into a
+ParamTriple with g of each component evaluated once, for the field maps and
+for every symbolic form the certifier checks. The three-point X2 has the
+cancelled denominator a*s*(1 + s + ... + s^(e-2)), s = t^2*g(u); it agrees with
 the textbook quotient wherever the latter is defined and extends it at
 s = 1, which is what makes the domain-size lower bound in the survey
 unconditional. On fields and Q the maps take the sums in closed form, the
@@ -216,18 +220,20 @@ def two_point_map(params: CurveParams, t) -> ParamTriple:
 
 
 def two_point_symbolic(family: str, n: int, u_formula: str = "corrected") -> ParamTriple:
-    """Symbolic (X1(t), X2(t), U(t)) over Q(a, b), with values = (g(X1), g(X2)).
+    """Symbolic (X1(t), X2(t), U(t)) over Q(a, b), with values = (g(X1), g(X2)),
+    built by _map_triple at gamma = 1 in the raw form, as two_point_map is.
 
     u_formula="family1_literal" reproduces a published variant that builds U
     from the family-1 polynomial even for family 2; it fails certification
     (deliberately kept reproducible). g(X1) and g(X2) stay the curve's own.
     """
-    a, b, t = (RatFun.var(v) for v in "abt")
+    t = RatFun.var("t")
+    params = _symbolic_params(family, n)
     # gamma as the function 1, whose empty factor list multiplies for free
-    x1, x2, u, gx1 = _three_point(family, n, a, b, t, RatFun(1), "raw")
+    tri = _map_triple(params, t, RatFun(1), (), (), "raw")
     if u_formula == "family1_literal":
-        u = t**n * g_shape("g1", n, a, b, x1)
-    return ParamTriple((x1, x2), u, (gx1, g_shape(family, n, a, b, x2)))
+        return ParamTriple(tri.xs, t**n * g_shape("g1", n, params.a, params.b, tri.xs[0]), tri.values)
+    return tri
 
 
 def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool:
@@ -241,7 +247,7 @@ def certify_two_point(family: str, n: int, u_formula: str = "corrected") -> bool
 # three-point map
 
 
-def _three_point(family: str, n: int, a, b, t, gamma, form: str = "cancelled", g=None):
+def _three_point(family: str, n: int, a, b, t, gamma, form: str, g=None):
     """(X2, X3, U, g(X2)) in any ring, where gamma = g(X1) is nonzero and
     s = t^2*gamma. g(X2) is g_shape unless a caller that already holds g's
     values passes g, a function that returns g(X2) from X2.
@@ -288,17 +294,22 @@ def _x2(a, b, s, e: int, form: str):
     return -(b * num) / (a * s * den_core)
 
 
+def _map_triple(params: CurveParams, t, gamma, xs: tuple, values: tuple, form: str) -> ParamTriple:
+    """_three_point in any ring as ParamTriple(xs + (X2, X3), U, values +
+    (g(X2), g(X3))), g evaluated once per component. xs and values are the
+    leading component and its g-value, (u,) and (gamma,) for the three-point
+    map and empty for the two-point map."""
+    x2, x3, uu, gx2 = _three_point(params.family, params.n, params.a, params.b, t, gamma, form)
+    return ParamTriple(xs + (x2, x3), uu, values + (gx2, g_eval(params, x3)))
+
+
 def _checked_map(params: CurveParams, t, gamma, xs: tuple, values: tuple) -> ParamTriple:
-    """The raw _three_point on a field or Q as ParamTriple(xs + (X2, X3), U,
-    values + (g(X2), g(X3))), g evaluated once per component. xs and values
-    are the leading component and its g-value, (u,) and (gamma,) for the
-    three-point map and empty for the two-point map. Raises AssertionError,
-    also under python -O, when U^2 != prod values."""
-    x2, x3, uu, gx2 = _three_point(params.family, params.n, params.a, params.b, t, gamma, "raw")
-    values += (gx2, g_eval(params, x3))
-    if not _square_is_product(uu, values):
+    """The raw _map_triple on a field or Q. Raises AssertionError, also under
+    python -O, when U^2 != prod values."""
+    tri = _map_triple(params, t, gamma, xs, values, "raw")
+    if not _square_is_product(tri.u, tri.values):
         raise AssertionError(f"U^2 != prod g(x_i) for {params} at t = {t}")
-    return ParamTriple(xs + (x2, x3), uu, values)
+    return tri
 
 
 def _require_odd(n: int):
@@ -319,21 +330,23 @@ def three_point_map(params: CurveParams, t, u) -> ParamTriple:
     return _checked_map(params, t, gamma, (u,), (gamma,))
 
 
-def three_point_inner(family: str, n: int, form: str = "cancelled") -> dict:
+def three_point_inner(family: str, n: int, form: str) -> dict:
     """Symbolic three-point data over Q(a, b, c, t), where the symbol c stands
     for the inner value g(u). Tiny polynomials for every n, so the defining
     identity U^2 = c * g(X2) * g(X3) is certifiable by exact rf_eq for every
-    n; the (t, u) forms are the exact substitution c -> g(u). "g_x2" is the
-    g(X2) that _three_point computed for U, so no caller evaluates it again."""
+    n; the (t, u) forms are the exact substitution c -> g(u). "g_x2" and
+    "g_x3" are the g-values _map_triple computed, so no caller evaluates
+    them again."""
     _require_odd(n)
-    a, b, c, t = (RatFun.var(v) for v in "abct")
-    x2, x3, u, gx2 = _three_point(family, n, a, b, t, c, form)
-    return {"x2": x2, "x3": x3, "u": u, "g_x1": c, "g_x2": gx2}
+    c = RatFun.var("c")
+    tri = _map_triple(_symbolic_params(family, n), RatFun.var("t"), c, (), (c,), form)
+    (x2, x3), (_, gx2, gx3) = tri.xs, tri.values
+    return {"x2": x2, "x3": x3, "u": tri.u, "g_x1": c, "g_x2": gx2, "g_x3": gx3}
 
 
-def three_point_display(family: str, n: int, form: str = "raw") -> ParamTriple:
+def three_point_display(family: str, n: int, form: str) -> ParamTriple:
     """The displayed (t, u) rational functions over Q(a, b), with values =
-    (g(u), g(X2)), the two g-values the map computes on its way to U.
+    (g(u), g(X2), g(X3)), each evaluated once.
 
     These grow fast with n: kept as formal products, U's g(X2) atom alone
     has about 3*10^4 terms in the n = 9 raw form, and expanded numerators
@@ -341,14 +354,15 @@ def three_point_display(family: str, n: int, form: str = "raw") -> ParamTriple:
     and this materialized form is for small-n checks and inspection.
     """
     _require_odd(n)
-    a, b, t, u = (RatFun.var(v) for v in "abtu")
-    gu = g_shape(family, n, a, b, u)
-    x2, x3, uu, gx2 = _three_point(family, n, a, b, t, gu, form)
-    return ParamTriple((u, x2, x3), uu, (gu, gx2))
+    params = _symbolic_params(family, n)
+    u = RatFun.var("u")
+    gu = g_eval(params, u)
+    return _map_triple(params, RatFun.var("t"), gu, (u,), (gu,), form)
 
 
 def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
-    """Exact certification of U^2 = g(X1)*g(X2)*g(X3).
+    """Exact certification of U^2 = g(X1)*g(X2)*g(X3), on the g-values the
+    builders computed, so no g is evaluated here.
 
     Checks, all exact rf_eq comparisons over Q:
       1. the identity over Q(a, b, c, t) with c standing for g(u), in both the
@@ -356,27 +370,23 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
          the cancelled form,
       2. raw and cancelled X2 agree as rational functions,
       3. with deep=True additionally the (t, u) identity of the cancelled
-         display (affordable for n = 3), on the display's own g(u) and g(X2)
-         and one new evaluation, g(X3), and the agreement of the display's
+         display (affordable for n = 3), and the agreement of the display's
          X2 with the raw X2 that _x2 builds from the same s = t^2*g(u).
     """
-    a, b = RatFun.var("a"), RatFun.var("b")
     cores = {}
     for form in ("raw", "cancelled"):
         core = three_point_inner(family, n, form)
-        gx3 = g_shape(family, n, a, b, core["x3"])
-        if not _square_is_product(core["u"], (core["g_x1"], core["g_x2"], gx3)):
+        if not _square_is_product(core["u"], (core["g_x1"], core["g_x2"], core["g_x3"])):
             return False
         cores[form] = core
     if not rf_eq(cores["raw"]["x2"], cores["cancelled"]["x2"]):
         return False
     if deep:
         disp = three_point_display(family, n, "cancelled")
-        gu, gx2 = disp.values
-        if not _square_is_product(disp.u, (gu, gx2, g_shape(family, n, a, b, disp.xs[2]))):
+        if not _square_is_product(disp.u, disp.values):
             return False
-        t = RatFun.var("t")
-        raw_x2 = _x2(a, b, t * t * gu, _exponent(family, n), "raw")
+        a, b, t = (RatFun.var(v) for v in "abt")
+        raw_x2 = _x2(a, b, t * t * disp.values[0], _exponent(family, n), "raw")
         if not rf_eq(raw_x2, disp.xs[1]):
             return False
     return True
@@ -534,6 +544,35 @@ def quartic_triple_curve() -> ParamTriple:
 def certify_quartic() -> bool:
     triple = quartic_triple_curve()
     return _square_is_product(triple.u, [x**4 + 1 for x in triple.xs])
+
+
+# ---------------------------------------------------------------------------
+# the identity suite
+
+
+def identity_rows(n_min: int, n_max: int, erratum_check: bool) -> list:
+    """The rows of `hypoint identities`, in its output order, as (name,
+    certify function, args, expected): fn(*args) must be truthy exactly when
+    expected is True. With erratum_check, the published family-1 value term
+    runs on family 2 for each n and is expected to fail."""
+    ns = range(n_min, n_max + 1)
+    rows = [(f"surface-curve {fam} m={m} n={n}", certify_auxiliary, (fam, m, n), True)
+            for fam in FAMILIES for m in (1, 2, 3) for n in range(1, 6)]
+    rows += [(f"two-point {fam} n={n}", certify_two_point, (fam, n), True) for fam in FAMILIES for n in ns]
+    rows += [(f"three-point {fam} n={n}", certify_three_point, (fam, n, n == 3), True)
+             for fam in FAMILIES for n in ns if n % 2]
+    rows += [(f"even-degree point value {fam} n={n}", certify_even_n_value, (fam, n), True)
+             for fam in FAMILIES for n in ns if n % 2 == 0]
+    t = MPoly.var("t")
+    for g, n in ((t**3 + 1, 3), (t**4 + 1, 4), (t**4 + 3 * t**3 + 5 * t**2 + 3 * t + 1, 4)):
+        rows.append((f"reciprocal two-point deg {n}: {g}", certify_reciprocal_pair, (g, n), True))
+    for g, n in ((t**3 + 1, 3), (t**5 + 1, 5), (t**5 + 2 * t**4 + 7 * t**3 + 7 * t**2 + 2 * t + 1, 5)):
+        rows.append((f"reciprocal three-point deg {n}: {g}", certify_reciprocal_triple, (g, n), True))
+    rows.append(("quartic three-point x^4 + 1", certify_quartic, (), True))
+    if erratum_check:
+        rows += [(f"two-point g2 n={n} with first-family value term", certify_two_point,
+                  ("g2", n, "family1_literal"), False) for n in ns]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,13 @@ class Field:
     def __repr__(self):
         return f"F_{self.p}" if self.m == 1 else f"F_{self.p}^{self.m}"
 
+    def spec_text(self) -> str:
+        """The spec parse_field_spec reads back to this field: "p", or
+        "p^m:c0,...,cm" with the modulus constant term first."""
+        if self.m == 1:
+            return str(self.p)
+        return f"{self.p}^{self.m}:" + ",".join(str(c) for c in self.modulus)
+
     # -- element construction ------------------------------------------------
 
     def elem(self, v) -> FieldElement:

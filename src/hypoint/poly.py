@@ -259,7 +259,8 @@ class MPoly:
         """self^e: a monomial scales its key, a two-term polynomial takes the
         binomial theorem, e + 1 terms in one pass with no product of
         polynomials and nothing to cancel (the keys j*k1 + (e-j)*k2 are
-        distinct), and a longer one square-and-multiply."""
+        distinct), and a longer one the product chain of an atom's power
+        memo, which spends no more products than square-and-multiply."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("MPoly exponent must be a non-negative int")
         if not e:
@@ -282,14 +283,7 @@ class MPoly:
                 pw1 *= c1
             f = MPoly._raw(out, degs, False)
             return f._normalize() if self._frac else f
-        result, base = None, self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return _Atom(self) ** e
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -371,7 +365,8 @@ class _Atom:
     operand built the same way and memoised. Each step costs one product,
     and square-and-multiply takes one per binary step down to p^1, so no
     power costs more products than square-and-multiply from scratch, and
-    runs such as 2, 4, 5, 6, 7, 8 cost one product each."""
+    runs such as 2, 4, 5, 6, 7, 8 cost one product each. MPoly.__pow__
+    runs the same chain on a throwaway atom for three or more terms."""
 
     __slots__ = ("poly", "key", "_pows")
 

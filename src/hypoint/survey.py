@@ -424,12 +424,6 @@ class CoverageReport(Record):
         }
 
 
-def _field_text(ctx: Field) -> str:
-    if ctx.m == 1:
-        return str(ctx.p)
-    return f"{ctx.p}^{ctx.m}:" + ",".join(str(c) for c in ctx.modulus)
-
-
 def coverage(params: CurveParams, cap=None) -> CoverageReport:
     """Encode every admissible pair, compare the image with the affine points.
 
@@ -463,7 +457,7 @@ def coverage(params: CurveParams, cap=None) -> CoverageReport:
             missed.append(AffinePoint(px, -py))
     return CoverageReport(
         q=ctx.q,
-        field=_field_text(ctx),
+        field=ctx.spec_text(),
         params=str(params),
         **_domain_fields(walk),
         curve_size=curve_size,

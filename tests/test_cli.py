@@ -1,13 +1,18 @@
 """CLI contract: subcommands, exit codes, JSON schema, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from hypoint import cli
@@ -206,16 +211,16 @@ def test_identities_range_validation(capsys):
 
 
 def test_identities_failure_exits_3(capsys, monkeypatch):
-    rows = [("forced failure", lambda: False, "pass")]
-    monkeypatch.setattr(cli, "_identity_rows", lambda *a: rows)
+    rows = [("forced failure", bool, (0,), True)]
+    monkeypatch.setattr(cli, "identity_rows", lambda *a: rows)
     code, _, payload = run(["identities"], capsys)
     assert code == 3 and not payload["all_certified"]
     assert payload["identities"][0]["status"] == "failed"
 
 
 def test_identities_unexpected_pass_exits_3(capsys, monkeypatch):
-    rows = [("forced pass", lambda: True, "fail")]
-    monkeypatch.setattr(cli, "_identity_rows", lambda *a: rows)
+    rows = [("forced pass", bool, (1,), False)]
+    monkeypatch.setattr(cli, "identity_rows", lambda *a: rows)
     code, _, payload = run(["identities"], capsys)
     assert code == 3
     assert payload["identities"][0]["status"] == "unexpectedly_certified"
@@ -443,3 +448,91 @@ def test_cli_corpus_is_byte_identical(capsys, monkeypatch):
         if (code, digest) != (entry["exit"], entry["stdout_sha256"]):
             changed.append((entry["argv"], code, digest))
     assert changed == [], f"CLI documents differ from the corpus: {changed}"
+
+
+# --- argv fuzz ----------------------------------------------------------------
+
+# A drawn argv is a well-formed one on a field of q <= 1000 with n <= 9, so
+# that every command runs in milliseconds, and then up to three mutations:
+# a flag dropped, a value replaced by a malformed one, or a flag added that
+# the subcommand does not take or takes once.
+_PRIMES = ["3", "5", "11", "13", "101", "997"]
+_EXTENSIONS = ["3^2:1,0,1", "3^3:1,2,0,1", "5^2:3,0,1", "7^3:1,1,0,1"]
+_MALFORMED = ["", "x", "0", "-1", "2", "9", "1,2,3,4", "1e400", "3^0:", "3^2", "31^2:1,0,1", "5^2:1,0,1",
+              "3^2:1,0,1,0", "g3:n=3,a=1,b=1", "g1:n=3", "g1:n=3,a=1,b=1,b=2", "g1:n=4,a=1,b=1", "2000"]
+_STRAY = [["--bogus"], ["--output", "xml"], ["--trust-prime"], ["--erratum-check"], ["--max-q", "50"],
+          ["--curve", "g1:n=3,a=1,b=1"], ["--family", "g1"], ["--n", "3"], ["--field", "11"], ["--t", "0"]]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["encode", "identities", "survey", "sweep", "sqrt"]))
+    field = draw(st.sampled_from(_PRIMES if command == "sweep" else _PRIMES + _EXTENSIONS))
+    elems = ["0", "1", "2", "3", "-1", "10"] + (["1,2", "2,0,1"] if "^" in field else [])
+
+    def elem(nonzero=False):
+        return draw(st.sampled_from(elems[1:] if nonzero else elems))
+
+    family, n = draw(st.sampled_from(["g1", "g2"])), draw(st.integers(3, 9))
+    flags = {"--output": draw(st.sampled_from(["json", "text"]))}
+    if command == "identities":
+        lo = draw(st.integers(3, 9))
+        flags.update({"--n-min": str(lo), "--n-max": str(draw(st.integers(lo, 9)))})
+        if draw(st.booleans()):
+            flags["--erratum-check"] = None
+    else:
+        flags["--field"] = field
+    if command == "encode":
+        flags["--curve"] = f"{family}:n={n},a={elem(True)},b={elem(True)}"
+        if n % 2:
+            flags.update({"--t": elem(), "--u": elem()})
+    elif command == "survey":
+        flags["--curve"] = f"{family}:n={n | 1},a={elem(True)},b={elem(True)}"
+    elif command == "sweep":
+        flags.update({"--family": family, "--n": str(n | 1), "--samples": str(draw(st.integers(1, 3))),
+                      "--seed": str(draw(st.integers(0, 9)))})
+    elif command == "sqrt":
+        flags["--x"] = elem()
+    fragments = [[flag] + ([] if value is None else [value]) for flag, value in flags.items()]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(fragments) - 1))
+        mutation = draw(st.sampled_from(["drop", "malform", "stray"]))
+        if mutation == "drop":
+            fragments.pop(i)
+        elif mutation == "malform":
+            fragments[i] = fragments[i][:1] + [draw(st.sampled_from(_MALFORMED))]
+        else:
+            fragments.insert(i, draw(st.sampled_from(_STRAY)))
+        if not fragments:
+            break
+    fragments = draw(st.permutations(fragments))
+    return ["survey" if command == "sweep" else command] + [token for fragment in fragments for token in fragment]
+
+
+@pytest.mark.filterwarnings("ignore:enumeration cap raised")
+@settings(max_examples=150, deadline=None)
+@given(_argvs(), st.sampled_from([None, "50", "2000", "0", "oops"]))
+def test_fuzzed_argv_exits_by_contract(argv, env_cap):
+    """Every argv exits 0-3 with no traceback; a json document is one line
+    that validates against the schema."""
+    try:
+        mode = cli._build_parser().parse_args(argv).output
+    except cli.UsageError:
+        mode = "json"  # main reports a bad argv as a json document
+    saved = os.environ.pop("ULAS_MAX_Q", None)
+    if env_cap is not None:
+        os.environ["ULAS_MAX_Q"] = env_cap
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            code = cli.main(argv)
+    finally:
+        os.environ.pop("ULAS_MAX_Q", None)
+        if saved is not None:
+            os.environ["ULAS_MAX_Q"] = saved
+    out = buf.getvalue()
+    assert code in (0, 1, 2, 3)
+    if mode == "json":
+        assert out.count("\n") == 1 and out.endswith("\n")
+        VALIDATOR.validate(json.loads(out))
+    else:
+        assert out.endswith("\n")

@@ -36,6 +36,7 @@ from hypoint.curves import (
     even_n_point,
     g_eval,
     g_shape,
+    identity_rows,
     is_reciprocal,
     make_point,
     parse_curve_spec,
@@ -470,10 +471,11 @@ def test_second_family_literal_value_term_fails(n):
 
 
 @pytest.mark.parametrize("u_formula,calls", [("corrected", ["g2", "g2"]),
-                                             ("family1_literal", ["g2", "g1", "g2"])])
+                                             ("family1_literal", ["g2", "g2", "g1"])])
 def test_two_point_certificate_evaluates_g_of_x1_once(u_formula, calls, monkeypatch):
-    # the curve's own g(X1) is evaluated once, as in two_point_map, and
-    # the erratum's U adds one evaluation of the first family's g
+    # the curve's own g(X1) and g(X2) are evaluated once, as in
+    # two_point_map, and the erratum's U, formed after both, adds one
+    # evaluation of the first family's g
     seen = []
     shape = curves.g_shape
 
@@ -541,8 +543,8 @@ def test_deep_three_point_certificate_evaluates_g_seven_times(family, monkeypatc
 def test_three_point_display_values_are_g_of_u_and_x2(family, n, form):
     a, b = RatFun.var("a"), RatFun.var("b")
     disp = three_point_display(family, n, form)
-    assert len(disp.values) == 2
-    for x, gx in zip(disp.xs, disp.values):
+    assert len(disp.values) == 3
+    for x, gx in zip(disp.xs, disp.values, strict=True):
         assert rf_eq(gx, g_shape(family, n, a, b, x))
 
 
@@ -560,6 +562,16 @@ def test_deep_check_compares_the_display_x2_with_a_raw_x2(family, monkeypatch):
     monkeypatch.setattr(curves, "_x2", skewed)
     assert certify_three_point(family, 3)
     assert not certify_three_point(family, 3, deep=True)
+
+
+def test_identity_rows_run_every_public_certificate():
+    # the full suite names each row once and reaches every certify_*
+    # function, so no certificate is left out of `hypoint identities`
+    rows = identity_rows(3, 9, True)
+    assert len(rows) == len({name for name, *_ in rows}) == 72
+    public = {fn for name, fn in vars(curves).items() if name.startswith("certify_") and callable(fn)}
+    assert {fn for _, fn, _, _ in rows} == public
+    assert [expected for *_, expected in rows].count(False) == 7
 
 
 def test_literal_value_term_is_identity_on_first_family():

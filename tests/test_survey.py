@@ -27,7 +27,7 @@ from hypoint.curves import (
     parse_curve_spec,
     three_point_map,
 )
-from hypoint.ff import Field, FieldSpec, field_new
+from hypoint.ff import Field, FieldSpec, field_new, parse_field_spec
 from hypoint.survey import (
     CoverageReport,
     FieldTooLarge,
@@ -691,3 +691,26 @@ def test_sweep_soundness_properties(p, n, a, b, family):
     assert sw["membership_failures"] == 0
     if family == "g1" and sw["bound_applicable"]:
         assert sw["size_T"] >= sw["bound"]
+
+
+# --- field spec text -------------------------------------------------------------
+
+
+def _parametrized_fields():
+    """Every "field" value of the parametrize lists above, as spec text."""
+    specs = set()
+    for fn in list(globals().values()):
+        for mark in getattr(fn, "pytestmark", ()):
+            names = mark.args[0].split(",") if mark.name == "parametrize" else ()
+            if "field" in names:
+                i = names.index("field")
+                specs.update(str(vals[i] if len(names) > 1 else vals) for vals in mark.args[1])
+    return sorted(specs)
+
+
+@pytest.mark.parametrize("field", _parametrized_fields())
+def test_field_spec_text_parses_back_to_the_field(field):
+    # the "field" of every coverage report is this text
+    K = field_new(field)
+    spec = parse_field_spec(K.spec_text())
+    assert (spec.p, spec.m, spec.modulus) == K.signature
