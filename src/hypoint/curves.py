@@ -112,13 +112,13 @@ class AffinePoint(Record):
 class ParamTriple(Record):
     """Components (x_1..x_k) and u with u^2 = prod g(x_i), k in {2, 3}.
 
-    values holds (g(x_1), ..., g(x_j)), j <= k, for the leading components
-    whose g-values the construction already computed.
+    values holds (g(x_1), ..., g(x_k)), each computed once by the
+    construction.
     """
 
     __slots__ = ("xs", "u", "values")
 
-    def __init__(self, xs: tuple, u, values: tuple | None = None):
+    def __init__(self, xs: tuple, u, values: tuple):
         self._init(xs, u, values)
 
 
@@ -344,12 +344,12 @@ def three_point_inner(family: str, n: int, form: str) -> dict:
     return {"x2": x2, "x3": x3, "u": tri.u, "g_x1": c, "g_x2": gx2, "g_x3": gx3}
 
 
-def three_point_display(family: str, n: int, form: str) -> ParamTriple:
-    """The displayed (t, u) rational functions over Q(a, b), with values =
-    (g(u), g(X2), g(X3)), each evaluated once.
+def three_point_display(family: str, n: int) -> ParamTriple:
+    """The displayed (t, u) rational functions over Q(a, b) in the cancelled
+    form, with values = (g(u), g(X2), g(X3)), each evaluated once.
 
     These grow fast with n: kept as formal products, U's g(X2) atom alone
-    has about 3*10^4 terms in the n = 9 raw form, and expanded numerators
+    has about 8*10^4 terms for g1 at n = 9, and expanded numerators
     are far larger; certification therefore happens on three_point_inner,
     and this materialized form is for small-n checks and inspection.
     """
@@ -357,7 +357,7 @@ def three_point_display(family: str, n: int, form: str) -> ParamTriple:
     params = _symbolic_params(family, n)
     u = RatFun.var("u")
     gu = g_eval(params, u)
-    return _map_triple(params, RatFun.var("t"), gu, (u,), (gu,), form)
+    return _map_triple(params, RatFun.var("t"), gu, (u,), (gu,), "cancelled")
 
 
 def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
@@ -382,7 +382,7 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
     if not rf_eq(cores["raw"]["x2"], cores["cancelled"]["x2"]):
         return False
     if deep:
-        disp = three_point_display(family, n, "cancelled")
+        disp = three_point_display(family, n)
         if not _square_is_product(disp.u, disp.values):
             return False
         a, b, t = (RatFun.var(v) for v in "abt")
@@ -526,7 +526,8 @@ def quartic_triple_curve() -> ParamTriple:
     The product of the three quartic values is a ratio of two exact squares,
     with denominator den^12 for the common denominator den of the x_i; u is
     the numerator's root by poly_exact_sqrt (NotAPerfectSquare if it fails,
-    which certification treats as a hard error) over den^6.
+    which certification treats as a hard error) over den^6, and values holds
+    x_i^4 + 1 for each component.
     """
     tp = MPoly.var("t")
     den = 3 * tp**2 + 3 * tp + 1
@@ -538,12 +539,12 @@ def quartic_triple_curve() -> ParamTriple:
     if root_num is None:
         raise NotAPerfectSquare("quartic product is not a square ratio")
     xs = tuple(RatFun(np_, den) for np_ in nums)
-    return ParamTriple(xs, RatFun(root_num, den**6))
+    return ParamTriple(xs, RatFun(root_num, den**6), tuple(x**4 + 1 for x in xs))
 
 
 def certify_quartic() -> bool:
     triple = quartic_triple_curve()
-    return _square_is_product(triple.u, [x**4 + 1 for x in triple.xs])
+    return _square_is_product(triple.u, triple.values)
 
 
 # ---------------------------------------------------------------------------

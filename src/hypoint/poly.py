@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomials and rational functions over Q.
+"""Exact sparse multivariate polynomials over Z and rational functions over Q.
 
 This is the certification layer: every identity the curve constructions rely
 on is checked here by exact arithmetic, never numerically. Two deliberate
@@ -17,8 +17,9 @@ restrictions shape the design:
   holding the exponent of ``VARS[i]`` whatever variables a polynomial uses,
   so a monomial product between any two polynomials is one integer addition.
 
-Coefficients are ``fractions.Fraction`` values, stored as plain ``int`` when
-integral so that the common all-integer paths stay fast.
+Every ``MPoly`` coefficient is a plain ``int``. The certified identities have
+integer coefficients, so rational numbers meet them only as constants, and a
+``RatFun`` keeps those in c; no ``MPoly`` operation divides.
 """
 
 from __future__ import annotations
@@ -51,51 +52,48 @@ def _check_vars(vs):
             raise ValueError(f"unknown variable {v!r}; universe is {VARS}")
 
 
+def _check_ints(cs):
+    for c in cs:
+        if c.__class__ is not int:
+            raise TypeError(f"MPoly coefficients are ints, not {type(c).__name__}; "
+                            "a rational constant belongs in a RatFun")
+
+
 class MPoly:
-    """Sparse polynomial over the fixed variable universe.
+    """Sparse polynomial with int coefficients over the fixed variable universe.
 
     ``terms`` maps packed exponent keys to nonzero coefficients, limb i of a
     key holding the exponent of ``VARS[i]``; ``degs`` holds the degree in
     each universe variable, and ``vars`` is the tuple of those actually used,
     in universe order. The constructor takes such a ``terms`` dict and
-    normalizes it in place; ``from_terms`` packs exponent tuples. Instances
+    normalizes it in place; ``from_terms`` packs exponent tuples. Both, and
+    ``const``, raise TypeError on a coefficient that is not an int. Instances
     are treated as immutable; no operation modifies its operands.
     """
 
-    __slots__ = ("terms", "degs", "_frac")
+    __slots__ = ("terms", "degs")
 
     def __init__(self, terms=None):
         if terms is not None and not isinstance(terms, dict):
             raise TypeError("MPoly takes a dict of packed keys; use MPoly.from_terms for exponent tuples")
         self.terms = {} if terms is None else terms
+        _check_ints(self.terms.values())
         self.degs = None
         self._normalize()
 
     @classmethod
-    def _raw(cls, terms, degs, frac):
-        """Wrap already normal data: every coefficient nonzero and integral
-        ones plain ints, degs[i] the degree in VARS[i], frac whether any
-        coefficient is a Fraction."""
+    def _raw(cls, terms, degs):
+        """Wrap already normal data, unchecked: every coefficient a nonzero
+        int, degs[i] the degree in VARS[i]."""
         f = object.__new__(cls)
-        f.terms, f.degs, f._frac = terms, degs, frac
+        f.terms, f.degs = terms, degs
         return f
 
-    def _normalize(self, frac=True):
+    def _normalize(self):
         """Normalize in place, on a dict this polynomial owns, and return it:
-        collapse integral Fractions only when frac says one may be present
-        (an exact class test, cheaper than isinstance through the numbers
-        ABCs), drop zeros, and read degs off the keys only when degs is
-        unset or a term dropped."""
+        drop zeros, and read degs off the keys only when degs is unset or a
+        term dropped."""
         terms = self.terms
-        if frac:
-            frac = False
-            for k, c in terms.items():
-                if c.__class__ is Fraction:
-                    if c.denominator == 1:
-                        terms[k] = c.numerator
-                    else:
-                        frac = True
-        self._frac = frac
         zeros = [k for k, c in terms.items() if not c]
         for k in zeros:
             del terms[k]
@@ -113,16 +111,14 @@ class MPoly:
 
     @classmethod
     def const(cls, c) -> "MPoly":
-        if c.__class__ is not int:
-            c = Fraction(c)
-            c = c.numerator if c.denominator == 1 else c
-        return cls._raw({0: c} if c else {}, _NO_DEGS, c.__class__ is Fraction)
+        _check_ints((c,))
+        return cls._raw({0: c} if c else {}, _NO_DEGS)
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
         _check_vars((name,))
         i = _VAR_INDEX[name]
-        return cls._raw({1 << (_SHIFT * i): 1}, _NO_DEGS[:i] + (1,) + _NO_DEGS[i + 1:], False)
+        return cls._raw({1 << (_SHIFT * i): 1}, _NO_DEGS[:i] + (1,) + _NO_DEGS[i + 1:])
 
     @classmethod
     def from_terms(cls, mapping, vars) -> "MPoly":
@@ -136,7 +132,7 @@ class MPoly:
             if len(exps) != len(shifts) or not all(0 <= e <= _MASK for e in exps):
                 raise ValueError(f"exponents {exps} do not fit the variables {vars}")
             k = sum(int(e) << s for e, s in zip(exps, shifts))
-            terms[k] = terms.get(k, 0) + Fraction(c)
+            terms[k] = terms.get(k, 0) + c
         return cls(terms)
 
     # -- helpers -----------------------------------------------------------
@@ -144,9 +140,6 @@ class MPoly:
     @property
     def vars(self):
         return tuple(v for v, d in zip(VARS, self.degs) if d)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -165,15 +158,15 @@ class MPoly:
         return self.degs[_VAR_INDEX[var]]
 
     def coeffs(self, var) -> list:
-        """Dense coefficients [c_0, ..., c_d] of a polynomial in var alone, as
-        Fractions; the zero polynomial gives []."""
+        """Dense int coefficients [c_0, ..., c_d] of a polynomial in var
+        alone; the zero polynomial gives []."""
         _check_vars((var,))
         if self.vars not in ((), (var,)):
             raise ValueError(f"not univariate in {var}: vars {self.vars}")
         s = _SHIFT * _VAR_INDEX[var]
-        out = [Fraction(0)] * (self.degs[_VAR_INDEX[var]] + 1) if self.terms else []
+        out = [0] * (self.degs[_VAR_INDEX[var]] + 1) if self.terms else []
         for k, c in self.terms.items():
-            out[k >> s] = Fraction(c)
+            out[k >> s] = c
         return out
 
     # -- ring operations ---------------------------------------------------
@@ -181,8 +174,10 @@ class MPoly:
     def _coerce(self, other):
         if isinstance(other, MPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is int:
             return MPoly.const(other)
+        # a RatFun answers through its reflected operator; for a Fraction or
+        # a float the operator raises TypeError
         return None
 
     def __add__(self, other):
@@ -199,13 +194,12 @@ class MPoly:
         get = out.get
         for k, c in t2.items():
             out[k] = get(k, 0) + c
-        f = MPoly._raw(out, tuple(map(max, self.degs, other.degs)), False)
-        return f._normalize(self._frac or other._frac)
+        return MPoly._raw(out, tuple(map(max, self.degs, other.degs)))._normalize()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._raw({k: -c for k, c in self.terms.items()}, self.degs, self._frac)
+        return MPoly._raw({k: -c for k, c in self.terms.items()}, self.degs)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -216,7 +210,7 @@ class MPoly:
         return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        """Product without renormalising: over Q the product of nonzero
+        """Product without renormalising: over Z the product of nonzero
         polynomials has the degrees of its factors added, so only cancelled
         coefficients need dropping."""
         other = self._coerce(other)
@@ -248,10 +242,9 @@ class MPoly:
                 for k1, c1 in t1.items():
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        f = MPoly._raw(out, degs, False)
-        frac = self._frac or other._frac
-        # a one-term operand only shifts keys, and nothing cancels over Q
-        return f._normalize(frac) if frac or len(t2) > 1 else f
+        f = MPoly._raw(out, degs)
+        # a one-term operand only shifts keys, and nothing cancels over Z
+        return f._normalize() if len(t2) > 1 else f
 
     __rmul__ = __mul__
 
@@ -271,7 +264,7 @@ class MPoly:
                 raise OverflowError("power degree exceeds packing limit")
             if len(self.terms) == 1:
                 ((k, c),) = self.terms.items()
-                return MPoly._raw({k * e: c**e}, degs, self._frac)
+                return MPoly._raw({k * e: c**e}, degs)
             (k1, c1), (k2, c2) = self.terms.items()
             pows2 = [1]  # c2^0 .. c2^e
             for _ in range(e):
@@ -281,8 +274,7 @@ class MPoly:
                 out[j * k1 + (e - j) * k2] = binom * pw1 * pows2[e - j]
                 binom = binom * (e - j) // (j + 1)
                 pw1 *= c1
-            f = MPoly._raw(out, degs, False)
-            return f._normalize() if self._frac else f
+            return MPoly._raw(out, degs)
         return _Atom(self) ** e
 
     def __eq__(self, other):
@@ -448,12 +440,11 @@ def _expand(factors, c, m) -> MPoly:
         raise OverflowError("per-variable degree exceeds packing limit")
     k = sum(map(lshift, m, _SHIFTS))
     if out is None:
-        return MPoly._raw({k: c}, degs, False)
+        return MPoly._raw({k: c}, degs)
     if c == 1 and not k:
         # nothing to scale or shift: the memoised power itself, not a copy
         return out
-    f = MPoly._raw({key + k: v * c for key, v in out.terms.items()}, degs, False)
-    return f._normalize() if out._frac else f
+    return MPoly._raw({key + k: v * c for key, v in out.terms.items()}, degs)
 
 
 def _poly_fun(p: MPoly, m=_NO_DEGS, factors=(), c=1) -> "RatFun":
@@ -470,10 +461,11 @@ def _poly_fun(p: MPoly, m=_NO_DEGS, factors=(), c=1) -> "RatFun":
 class RatFun:
     """A rational function c * x^mexp * prod atom^e, *never* reduced.
 
-    c is a nonzero int or Fraction, an int whenever it is integral; mexp
-    holds a signed exponent for each of ``a b c d t u``; ``factors`` holds
-    (atom, exponent) pairs, each atom of two or more terms and memoising its
-    powers for its own lifetime. The zero function has c = 0 and ``factors``
+    c is a nonzero int or Fraction, an int whenever it is integral, and
+    holds the function's whole rational part; mexp holds a signed exponent
+    for each of ``a b c d t u``; ``factors`` holds (atom, exponent) pairs,
+    each atom an int polynomial of two or more terms memoising its powers
+    for its own lifetime. The zero function has c = 0 and ``factors``
     None. ``num`` and ``den`` take c's numerator and denominator. A sum
     keeps the shared atoms at their smaller exponents (for a denominator
     atom the formal lcm) and the smaller exponent of each variable; the sum
@@ -525,9 +517,6 @@ class RatFun:
         if self._den is None:
             self._den = self._half(-1, self.c.denominator)
         return self._den
-
-    def is_zero(self) -> bool:
-        return self.factors is None
 
     def __bool__(self):
         return self.factors is not None
@@ -611,7 +600,7 @@ class RatFun:
     def substitute(self, bindings) -> "RatFun":
         n = self.num.substitute(bindings)
         d = self.den.substitute(bindings)
-        if d.is_zero():
+        if not d:
             raise DivisionByZeroFunction("substitution produced an identically zero denominator")
         return n / d
 
@@ -637,53 +626,42 @@ def rf_eq(f, g) -> bool:
     return as_ratfun(f) == as_ratfun(g)
 
 
-def _fraction_sqrt(c: Fraction):
-    if c < 0:
-        return None
-    c = Fraction(c)
-    rn, rd = isqrt(c.numerator), isqrt(c.denominator)
-    if rn * rn != c.numerator or rd * rd != c.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 def poly_exact_sqrt(f: MPoly):
     """Exact square root of a univariate polynomial, or None.
 
     Coefficient matching from the top: if f = h^2 with deg h = m, the
-    coefficients of h are determined by h_m = sqrt(f_2m) and a linear solve
-    per lower coefficient. The candidate is verified by squaring, so a False
-    negative is impossible and no tolerance is involved. The returned root has
-    positive leading coefficient. Coefficients stay ints while every division
-    is exact; a Fraction is made only where one is not.
+    coefficients of h are determined by h_m = sqrt(f_2m) and one division per
+    lower coefficient. By Gauss's lemma a square in Z[t] has its root in
+    Z[t], so a leading coefficient that is not a square, or a division that
+    is not exact, means f is no square. The candidate is verified by
+    squaring, so a false negative is impossible and no tolerance is
+    involved. The returned root has positive leading coefficient.
     """
     vs = f.vars
     if len(vs) > 1:
         raise ValueError("poly_exact_sqrt is univariate only")
     var = vs[0] if vs else "t"
-    coeffs = [_int(c) for c in f.coeffs(var)]
+    coeffs = f.coeffs(var)
     if not coeffs:
         return MPoly()
     d = len(coeffs) - 1
     if d % 2:
         return None
     m = d // 2
-    lead = _fraction_sqrt(coeffs[d])
-    if lead is None or lead == 0:
+    lead = isqrt(max(coeffs[d], 0))
+    if lead * lead != coeffs[d]:
         return None
     h = [0] * (m + 1)
-    h[m] = lead = _int(lead)
+    h[m] = lead
     for k in range(m - 1, -1, -1):
         acc = 0
         for i in range(k + 1, m):
             j = m + k - i
             if k < j <= m:
                 acc += h[i] * h[j]
-        num, den = coeffs[m + k] - acc, 2 * lead
-        if num.__class__ is int and den.__class__ is int and not num % den:
-            h[k] = num // den
-        else:
-            h[k] = _int(Fraction(num) / den)
+        h[k], r = divmod(coeffs[m + k] - acc, 2 * lead)
+        if r:
+            return None
     s = _SHIFT * _VAR_INDEX[var]
     root = MPoly({i << s: c for i, c in enumerate(h) if c})
     if root * root == f:

@@ -529,7 +529,8 @@ def degree_stats(a, b, u) -> DegreeStats:
 
     u must avoid the roots of g. The product is formed from the cancelled
     map over rational t and reduced to lowest terms by univariate gcd (the
-    one ff's modulus check runs over F_p); that single-variable gcd is this
+    one ff's modulus check runs over F_p) on Fraction coefficients, since the
+    gcd divides and N and D have int ones; that single-variable gcd is this
     module's private exception to the no-gcd rule of the symbolic layer.
     """
     a, b, u = Fraction(a), Fraction(b), Fraction(u)
@@ -543,6 +544,6 @@ def degree_stats(a, b, u) -> DegreeStats:
     num, den = prod.num.coeffs("t"), prod.den.coeffs("t")
     if not num:
         return DegreeStats(a, b, u, -1, 0)
-    shared = len(_poly_gcd(num, den)) - 1
+    shared = len(_poly_gcd(map(Fraction, num), map(Fraction, den))) - 1
     return DegreeStats(a, b, u, len(num) - 1 - shared, len(den) - 1 - shared)
 

@@ -84,7 +84,7 @@ def test_records_keep_frozen_dataclass_behaviour():
         pt.z = 0
     with pytest.raises(AttributeError):
         del pt.y
-    assert repr(ParamTriple((1, 2), 3)) == "ParamTriple(xs=(1, 2), u=3, values=None)"
+    assert repr(ParamTriple((1, 2), 3, (4, 5))) == "ParamTriple(xs=(1, 2), u=3, values=(4, 5))"
     assert ParamTriple(xs=(1,), u=2, values=(4,)).values == (4,)
     assert repr(FieldSpec(p=5, trust_prime=True)) == "FieldSpec(p=5, m=1, modulus=None, trust_prime=True)"
     assert FieldSpec(3, 2, (1, 0, 1)) == FieldSpec(p=3, m=2, modulus=(1, 0, 1), trust_prime=False)
@@ -356,7 +356,7 @@ def test_three_point_map_returns_each_g_value():
     t = RatFun.var("t")
     sym = three_point_map(CurveParams("g1", 3, F(1), F(1)), t, F(3))
     assert all(rf_eq(v, g_eval(CurveParams("g1", 3, F(1), F(1)), x)) for x, v in zip(sym.xs, sym.values, strict=True))
-    assert rf_eq(sym.xs[1], three_point_display("g1", 3, "cancelled").xs[1].substitute(
+    assert rf_eq(sym.xs[1], three_point_display("g1", 3).xs[1].substitute(
         {"a": RatFun(1), "b": RatFun(1), "u": RatFun(3)}))
 
 
@@ -539,10 +539,10 @@ def test_deep_three_point_certificate_evaluates_g_seven_times(family, monkeypatc
     assert seen == [family] * 7
 
 
-@pytest.mark.parametrize("family,n,form", [("g1", 3, "raw"), ("g2", 3, "cancelled"), ("g1", 5, "cancelled")])
-def test_three_point_display_values_are_g_of_u_and_x2(family, n, form):
+@pytest.mark.parametrize("family,n", [("g1", 3), ("g2", 3), ("g1", 5)])
+def test_three_point_display_values_are_g_of_u_and_x2(family, n):
     a, b = RatFun.var("a"), RatFun.var("b")
-    disp = three_point_display(family, n, form)
+    disp = three_point_display(family, n)
     assert len(disp.values) == 3
     for x, gx in zip(disp.xs, disp.values, strict=True):
         assert rf_eq(gx, g_shape(family, n, a, b, x))
@@ -588,7 +588,7 @@ def test_deep_identity_rejects_one_extra_monomial():
     # The n = 3 deep sides share their denominator, so rf_eq decides them on
     # the numerators alone; one monomial more in U^2 must flip the verdict.
     a, b = RatFun.var("a"), RatFun.var("b")
-    disp = three_point_display("g1", 3, form="cancelled")
+    disp = three_point_display("g1", 3)
     lhs = disp.u * disp.u
     rhs = 1
     for x in disp.xs:
@@ -648,7 +648,7 @@ def test_even_degree_reversed_ratio_fails():
 
 
 def test_display_matches_deployed_map_at_rational_points():
-    disp = three_point_display("g1", 3, form="cancelled")
+    disp = three_point_display("g1", 3)
     params = CurveParams("g1", 3, F(1), F(1))
     tr = three_point_map(params, F(2), F(3))
     point = {"a": F(1), "b": F(1), "t": F(2), "u": F(3)}
@@ -719,6 +719,7 @@ def test_reciprocal_rejections():
 def test_quartic_triple_curve_values():
     tr = quartic_triple_curve()
     assert certify_quartic()
+    assert all(rf_eq(v, x**4 + 1) for x, v in zip(tr.xs, tr.values, strict=True))
     vals = [x.evaluate({"t": F(1)}) for x in tr.xs]
     assert vals == [F(3, 7), F(5, 7), F(8, 7)]
     u0 = tr.u.evaluate({"t": F(0)})

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypoint.curves import identity_rows
 from hypoint.poly import (
     DivisionByZeroFunction,
     MPoly,
@@ -18,6 +19,7 @@ from hypoint.poly import (
     poly_exact_sqrt,
     rf_eq,
 )
+from hypoint.survey import degree_stats
 
 A, B, T, U = (MPoly.var(v) for v in "abtu")
 
@@ -33,12 +35,12 @@ def test_normalization_drops_zero_terms_and_unused_vars():
     f = T * T - T * T + A
     assert f.vars == ("a",)
     assert f == A
-    assert (T - T).is_zero()
+    assert not (T - T)
 
 
 def test_zero_tests_follow_the_ring():
     assert not MPoly() and not (T - T) and not MPoly.const(0)
-    assert T and MPoly.const(Fraction(1, 2))
+    assert T and MPoly.const(-1) and RatFun(Fraction(1, 2))
     assert not RatFun(T - T, T) and not (RatFun.var("t") - RatFun.var("t"))
     assert RatFun(1, T) and RatFun.var("a")
 
@@ -79,10 +81,41 @@ def test_known_product():
 
 
 def test_scalar_coercion_and_fractions():
-    assert T + Fraction(1, 2) == Fraction(1, 2) + T
-    f = Fraction(3, 2) * T
-    assert f * 2 == 3 * T
-    assert (2 * T) - T - T == 0
+    # ints coerce to MPoly; a Fraction coefficient raises TypeError, and the
+    # same Fraction goes into a RatFun's c
+    assert T + 2 == 2 + T and (2 * T) - T - T == 0
+    half = Fraction(1, 2)
+    for build in (lambda: MPoly.const(half), lambda: MPoly.const(1.0), lambda: MPoly({1 << 64: half}),
+                  lambda: MPoly.from_terms({(1,): half}, ("t",)), lambda: T + half, lambda: half + T,
+                  lambda: T - half, lambda: half - T, lambda: T * half, lambda: half * T):
+        with pytest.raises(TypeError):
+            build()
+    t = RatFun(T)
+    assert t + half == half + t and rf_eq(t + half, RatFun(2 * T + 1, 2))
+    assert rf_eq(t - half, RatFun(2 * T - 1, 2)) and rf_eq(half - t, RatFun(1 - 2 * T, 2))
+    assert (t * half).c == half == (half * t).c and rf_eq(t * half, RatFun(T, 2))
+    f = Fraction(3, 2) * t
+    assert f * 2 == 3 * t
+    assert (2 * t) - t - t == 0
+
+
+def test_every_coefficient_the_library_builds_is_an_int(monkeypatch):
+    # _raw skips validation, so the internal paths are guarded here: every
+    # identity row and degree_stats at rational a, b and u, recording the
+    # class of each coefficient that reaches _raw
+    classes = set()
+    raw = MPoly._raw.__func__
+
+    def recording(cls, terms, degs):
+        classes.update(c.__class__ for c in terms.values())
+        return raw(cls, terms, degs)
+
+    monkeypatch.setattr(MPoly, "_raw", classmethod(recording))
+    for _, fn, args, expected in identity_rows(3, 9, True):
+        assert bool(fn(*args)) == expected
+    stats = degree_stats(Fraction(1, 2), Fraction(3, 4), Fraction(1, 3))
+    assert (stats.deg_num, stats.deg_den) == (8, 6)
+    assert classes == {int}
 
 
 def test_degree_conventions():
@@ -110,8 +143,8 @@ def test_pow_laws():
 
 
 def test_str_deterministic_and_readable():
-    f = 3 * T**2 * U - Fraction(1, 2) * U + 7
-    assert str(f) == "3*t^2*u^1 - 1/2*u^1 + 7"
+    f = 3 * T**2 * U - 2 * U + 7
+    assert str(f) == "3*t^2*u^1 - 2*u^1 + 7"
     assert str(MPoly.const(0)) == "0"
 
 
@@ -165,11 +198,16 @@ def test_evaluate_pole():
 def test_exact_sqrt_examples():
     assert poly_exact_sqrt(T**4 + 2 * T**2 + 1) == T**2 + 1
     assert poly_exact_sqrt(T**2 + 1) is None
-    assert poly_exact_sqrt(Fraction(9, 4) * T**2) == Fraction(3, 2) * T
+    assert poly_exact_sqrt(9 * T**2) == 3 * T
     assert poly_exact_sqrt(T - T) == MPoly.const(0)
     assert poly_exact_sqrt(T**3) is None
     assert poly_exact_sqrt(-(T**2)) is None
     assert poly_exact_sqrt(MPoly.const(49)) == 7
+    # a square in Z[t] has its root in Z[t] (Gauss's lemma), so a division
+    # that is not exact or a leading coefficient that is no square ends it
+    assert poly_exact_sqrt(T**2 + T + 1) is None and poly_exact_sqrt(2 * T**2) is None
+    root = poly_exact_sqrt((2 * T + 1) ** 2)
+    assert root == 2 * T + 1 and all(type(c) is int for c in root.terms.values())
 
 
 def test_exact_sqrt_multivariate_rejected():
@@ -180,8 +218,9 @@ def test_exact_sqrt_multivariate_rejected():
 def test_univariate_readers_in_any_variable():
     # a and u sit in the first and last limb of the packed keys
     for x, v in ((A, "a"), (U, "u"), (T, "t")):
-        h = x**2 - 2 * x + Fraction(3, 2)
-        assert (h * h).coeffs(v) == [Fraction(9, 4), -6, 7, -4, 1]
+        h = 2 * x**2 - 4 * x + 3
+        assert (h * h).coeffs(v) == [9, -24, 28, -16, 4]
+        assert all(type(c) is int for c in (h * h).coeffs(v))
         assert poly_exact_sqrt(h * h) == h and poly_exact_sqrt(h * h).vars == (v,)
         assert poly_exact_sqrt(x**2 + 1) is None and poly_exact_sqrt(x**3) is None
         assert poly_exact_sqrt(MPoly.const(4)) == 2 and MPoly.const(4).coeffs(v) == [4]
@@ -214,8 +253,10 @@ def test_normalization_collapses_and_prunes():
     f = MPoly({1 << 64: 0, 1 << 80: 3})
     assert f.vars == ("u",) and f.terms == {1 << 80: 3}
     assert MPoly.const(0).terms == {}
-    c = MPoly.const(Fraction(4, 2)).terms[0]
-    assert c == 2 and type(c) is int
+    # over Z nothing collapses: even an integral Fraction is refused
+    for c in (Fraction(4, 2), Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            MPoly({1 << 64: c})
     assert (T + A) - A == T and ((T + A) - A).vars == ("t",)
     # the guard uses the exact per-variable maximum (here 2^14), not the OR
     # of the exponents (2^15 - 1), so this product still fits
@@ -264,7 +305,7 @@ def test_rf_eq_stable_under_common_factors(f, g):
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), polys(), polys(), st.booleans())
 def test_rf_eq_matches_explicit_cross_product(f, g, d, e, same_num):
-    assume(not d.is_zero() and not e.is_zero())
+    assume(d and e)
     if same_num:
         g = MPoly(dict(f.terms))
     shared = rf_eq(RatFun(f, d), RatFun(g, d))
@@ -291,11 +332,12 @@ def test_exact_sqrt_roundtrip(f):
 
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+wide_coeffs = st.integers(-12, 12)
 
 
 @st.composite
-def frac_polys(draw, vars_=("t", "u"), max_size=5):
-    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in vars_)), fracs, max_size=max_size))
+def wide_polys(draw, vars_=("t", "u"), max_size=5):
+    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in vars_)), wide_coeffs, max_size=max_size))
     return MPoly.from_terms(terms, vars_) if terms else MPoly.const(0)
 
 
@@ -309,21 +351,21 @@ def _reference_product(f, g):
     for k1, c1 in f.terms.items():
         for k2, c2 in g.terms.items():
             e = tuple(x + y for x, y in zip(spread(f, k1), spread(g, k2)))
-            out[e] = out.get(e, 0) + Fraction(c1) * Fraction(c2)
+            out[e] = out.get(e, 0) + c1 * c2
     return MPoly.from_terms(out, vs)
 
 
 def _is_normal(f):
-    """Nonzero coefficients, integral ones as int, and the stored degrees
+    """Every coefficient a nonzero int, and the stored degrees
     equal to those read off the 16-bit limbs of the keys, one per universe
     variable, with no limb past the last."""
     degs = tuple(max(((k >> (16 * i)) & 0xFFFF for k in f.terms), default=0) for i in range(len(VARS)))
-    coeffs_ok = all(c and (type(c) is int or c.denominator != 1) for c in f.terms.values())
+    coeffs_ok = all(c and type(c) is int for c in f.terms.values())
     return coeffs_ok and f.degs == degs and not any(k >> (16 * len(VARS)) for k in f.terms)
 
 
 @settings(max_examples=60, deadline=None)
-@given(frac_polys(), frac_polys(), st.integers(-2, 2), frac_polys(max_size=1))
+@given(wide_polys(), wide_polys(), st.integers(-2, 2), wide_polys(max_size=1))
 def test_square_path_equals_general_product(f, g, k, m):
     # f + k*g and f - k*g make cancelling cross terms likely in the products
     for h in (f, f + k * g, (f + k * g) * (f - k * g)):
@@ -344,7 +386,7 @@ def mixed_polys(draw):
     """A polynomial over one of several variable subsets, some given out of
     universe order, so operands rarely share their variables."""
     vars_ = draw(st.sampled_from([("a", "t"), ("u", "a"), ("t", "u"), ("u",), ("d", "b"), ()]))
-    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in vars_)), fracs, max_size=4))
+    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in vars_)), wide_coeffs, max_size=4))
     return MPoly.from_terms(terms, vars_) if terms else MPoly.const(0)
 
 
@@ -355,7 +397,7 @@ def _reference_sum(f, g, sign=1):
         for k, c in p.terms.items():
             exps = dict(zip(p.vars, p.exponents(k)))
             e = tuple(exps.get(v, 0) for v in VARS)
-            out[e] = out.get(e, 0) + s * Fraction(c)
+            out[e] = out.get(e, 0) + s * c
     return MPoly.from_terms(out, VARS)
 
 
@@ -376,11 +418,11 @@ def test_arithmetic_across_variable_subsets_matches_exponent_tuples(f, g, h, k):
 
 
 def test_subtraction_results_are_normal():
-    f = T * U - Fraction(1, 2) * T + 3
+    f = T * U - 2 * T + 3
     assert f - f == 0 and (f - f).vars == ()
-    assert 3 - f == T * (Fraction(1, 2) - U) and _is_normal(3 - f)
+    assert 3 - f == T * (2 - U) and _is_normal(3 - f)
     assert (f - (T * U - 1)).vars == ("t",)
-    assert Fraction(1, 2) - MPoly.const(Fraction(1, 2)) == 0
+    assert 2 - MPoly.const(2) == 0 and Fraction(1, 2) - RatFun(Fraction(1, 2)) == 0
 
 
 small_polys = st.builds(
@@ -455,9 +497,9 @@ def test_ratfun_sums_with_zero():
     zero = RatFun(0)
     assert (0 - x) == -x and rf_eq(zero - x, RatFun(-(T + 1), U - 2))
     assert rf_eq(x - 0, x) and rf_eq(x - zero, x) and rf_eq(0 + x, x) and rf_eq(zero + x, x)
-    assert (x - x).is_zero() and not (x - x) and (x - x).factors is None
+    assert not (x - x) and (x - x).factors is None
     assert (x - x).num == 0 and (x - x).den == 1 and rf_eq(x - x, 0)
-    assert (zero * x).is_zero() and (x * zero).is_zero() and (zero / x).is_zero()
+    assert not (zero * x) and not (x * zero) and not (zero / x)
     assert zero**0 == 1 and zero**3 == 0
     with pytest.raises(DivisionByZeroFunction):
         zero**-1
@@ -531,7 +573,7 @@ def test_ratfun_chains_with_shared_atoms_match_cross_multiplication(pool, picks,
     ref = RatFun(ref_n, ref_d)
     assert rf_eq(acc, ref) and rf_eq(ref, acc)
     assert acc.num * ref_d == ref_n * acc.den
-    assert acc.is_zero() == ref_n.is_zero() == (acc.factors is None)
+    assert (not acc) == (not ref_n) == (acc.factors is None)
     assert rf_eq(acc + 1, ref + 1) and not rf_eq(acc + 1, ref) and not rf_eq(acc, ref - 1)
     assert all(e and a for a, e in acc.factors or ())
     pt = dict(zip("tu", point))
@@ -541,14 +583,14 @@ def test_ratfun_chains_with_shared_atoms_match_cross_multiplication(pool, picks,
 
 def _assert_normal(f):
     # constants and monomials never become atoms, c is an int whenever it
-    # is integral, and no float appears anywhere
+    # is integral, every polynomial coefficient is an int, and no float
+    # appears anywhere
     assert f.c.__class__ is int or (f.c.__class__ is Fraction and f.c.denominator != 1)
     assert all(e.__class__ is int for e in f.mexp)
     for a, e in f.factors or ():
         assert len(a.poly.terms) >= 2 and e.__class__ is int and e
     for p in [f.num, f.den] + [a.poly for a, _ in f.factors or ()]:
-        assert all(c.__class__ is int or (c.__class__ is Fraction and c.denominator != 1)
-                   for c in p.terms.values())
+        assert all(c.__class__ is int for c in p.terms.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -582,7 +624,7 @@ def test_ratfun_chains_over_constants_and_monomials(extra, chain, point):
             acc = acc**e
             ref_n, ref_d = (ref_n**e, ref_d**e) if e >= 0 else (ref_d**-e, ref_n**-e)
         _assert_normal(acc)
-        assert acc.num * ref_d == ref_n * acc.den and acc.is_zero() == (not ref_n)
+        assert acc.num * ref_d == ref_n * acc.den and (not acc) == (not ref_n)
         assert rf_eq(acc, RatFun(ref_n, ref_d)) and not rf_eq(acc, RatFun(ref_n + ref_d, ref_d))
     pt = dict(zip("tu", point))
     if ref_d.evaluate(pt) and acc.den.evaluate(pt):
@@ -594,7 +636,7 @@ def test_constants_and_monomials_scale_c_and_mexp():
     assert half == Fraction(1, 2) and half.factors == () and half.c == Fraction(1, 2)
     assert half.num == 1 and half.den == 2
     t = RatFun.var("t")
-    assert (t * 0).is_zero() and (0 * t).is_zero() and (t * 0).den == 1
+    assert not (t * 0) and not (0 * t) and (t * 0).den == 1
     with pytest.raises(TypeError):
         1.5 * t
     with pytest.raises(TypeError):
@@ -629,22 +671,19 @@ def test_scalars_times_a_function_with_atoms_scale_c():
             c = x.c * k
             assert y.c == c and y.c.__class__ is (int if c.denominator == 1 else Fraction)
             assert y.mexp == x.mexp and y.factors == x.factors
-            assert rf_eq(y, RatFun((T + 1) * T * k, U - 2))
+            assert rf_eq(y, RatFun((T + 1) * T * k.numerator, (U - 2) * k.denominator))
     for zero in (0, Fraction(0)):
         for y in (x * zero, zero * x):
-            assert y.is_zero() and y.factors is None and y.num == 0 and y.den == 1
-
-
-nonzero_fracs = fracs.filter(bool)
+            assert not y and y.factors is None and y.num == 0 and y.den == 1
 
 
 @st.composite
 def binomials(draw):
-    """A two-term polynomial over a variable subset, int or Fraction
+    """A two-term polynomial over a variable subset, nonzero int
     coefficients."""
     vars_ = draw(st.sampled_from([("t",), ("a", "t"), ("u", "b"), ("t", "u")]))
     keys = draw(st.lists(st.tuples(*(st.integers(0, 3) for _ in vars_)), min_size=2, max_size=2, unique=True))
-    cs = st.one_of(st.integers(-9, 9).filter(bool), nonzero_fracs)
+    cs = wide_coeffs.filter(bool)
     return MPoly.from_terms({k: draw(cs) for k in keys}, vars_)
 
 
@@ -663,7 +702,7 @@ def test_binomial_power_equals_repeated_product(f, e):
 def test_binomial_power_keeps_the_degree_guard():
     half = _DEG_LIMIT >> 1
     assert (T ** (half - 1) + U) ** 2 == T ** (2 * half - 2) + 2 * T ** (half - 1) * U + U**2
-    for f, e in ((T**half + U, 2), (T + 1, _DEG_LIMIT), (Fraction(1, 2) * A + U**3, _DEG_LIMIT // 3 + 1)):
+    for f, e in ((T**half + U, 2), (T + 1, _DEG_LIMIT), (-2 * A + U**3, _DEG_LIMIT // 3 + 1)):
         with pytest.raises(OverflowError):
             f**e
 

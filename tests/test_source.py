@@ -105,3 +105,25 @@ def test_library_imports_only_names_it_uses(path):
     # an import left behind by a deleted path is dead code too
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+_MPOLY_INTERNALS = {"terms", "degs", "_raw", "_normalize", "_SHIFT", "_MASK"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "poly.py"], ids=lambda path: path.name)
+def test_only_poly_reads_mpoly_internals(path):
+    # packed keys, degree tuples and the unchecked constructor belong to
+    # poly.py; every other module goes through MPoly's public methods
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in _MPOLY_INTERNALS:
+            found.append(f"{name} at line {node.lineno}")
+    assert found == [], f"{path.name} reads MPoly internals: {found}"
