@@ -8,7 +8,8 @@ Exit codes are a fixed contract for CI consumers:
     2  domain errors (pair outside the encoder domain, field over the cap)
     3  certification failure in the identities subcommand
 
-All JSON output is printed with sorted keys and decimal-string integers, so
+All JSON output is printed with sorted keys, and every number in it is a
+decimal string: _emit applies _record.json_value once to every payload, so
 repeated invocations with identical flags are byte identical. The exhaustive
 enumeration cap (default 10000) can be overridden by --max-q or the
 ULAS_MAX_Q environment variable; the flag wins.
@@ -22,6 +23,7 @@ import os
 import random
 import sys
 
+from ._record import json_value
 from .curves import (
     FAMILIES,
     DomainExcluded,
@@ -29,7 +31,6 @@ from .curves import (
     even_n_point,
     identity_rows,
     parse_curve_spec,
-    point_json,
 )
 from .ff import field_new, parse_field_spec
 from .survey import FieldTooLarge, coverage, sweep_soundness
@@ -84,6 +85,7 @@ def _build_parser() -> _Parser:
 
 
 def _emit(payload, mode: str, renderer=None):
+    payload = json_value(payload)
     if mode == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -144,7 +146,7 @@ def _cmd_encode(args) -> int:
         if args.t is None or args.u is None:
             raise UsageError("odd-degree encoding needs both --t and --u")
         pt = encode(params, ctx.parse_elem(args.t), ctx.parse_elem(args.u))
-    _emit(point_json(pt), args.output)
+    _emit(pt, args.output)
     return 0
 
 
@@ -168,8 +170,8 @@ def _cmd_identities(args) -> int:
     payload = {
         "all_certified": bad == 0,
         "identities": results,
-        "n_max": str(args.n_max),
-        "n_min": str(args.n_min),
+        "n_max": args.n_max,
+        "n_min": args.n_min,
     }
 
     def text(pl):
@@ -200,20 +202,18 @@ def _sample_sweep(args, cap) -> dict:
     for _ in range(args.samples):
         a = rng.randrange(1, ctx.p)
         b = rng.randrange(1, ctx.p)
-        res = sweep_soundness(ctx, args.n, a, b, args.family, cap=cap)
-        runs.append({k: (str(v) if isinstance(v, int) and not isinstance(v, bool) else v)
-                     for k, v in res.items()})
-    sound = all(r["char_violations"] == "0" and r["identity_failures"] == "0"
-                and r["membership_failures"] == "0" for r in runs)
+        runs.append(sweep_soundness(ctx, args.n, a, b, args.family, cap=cap))
+    sound = not any(r["char_violations"] or r["identity_failures"] or r["membership_failures"]
+                    for r in runs)
     bounds = all(r["bound_holds"] for r in runs if r["bound_applicable"])
     return {
         "all_bounds_hold": bounds,
         "all_sound": sound,
         "family": args.family,
-        "field": str(ctx.p),
-        "n": str(args.n),
-        "samples": str(args.samples),
-        "seed": str(args.seed),
+        "field": ctx.p,
+        "n": args.n,
+        "samples": args.samples,
+        "seed": args.seed,
         "sweep": runs,
     }
 
@@ -230,15 +230,13 @@ def _cmd_survey(args) -> int:
         raise UsageError("survey needs --curve, or the sweep flags")
     ctx = _field(args)
     params = parse_curve_spec(args.curve, ctx)
-    report = coverage(params, cap)
-    _emit(report.to_json(), args.output)
+    _emit(coverage(params, cap), args.output)
     return 0
 
 
 def _cmd_sqrt(args) -> int:
     ctx = _field(args)
-    r = ctx.sqrt(ctx.parse_elem(args.x))
-    _emit({"sqrt": None if r is None else str(r)}, args.output)
+    _emit({"sqrt": ctx.sqrt(ctx.parse_elem(args.x))}, args.output)
     return 0
 
 

@@ -124,8 +124,6 @@ class ParamTriple(Record):
 
 def _geom_sum(s, k: int):
     """1 + s + ... + s^(k-1); k >= 1."""
-    if k < 1:
-        raise ValueError("geometric sum needs k >= 1")
     acc = s**0
     pw = acc
     for _ in range(k - 1):
@@ -150,10 +148,6 @@ def make_point(params: CurveParams, x, y, gx=None) -> AffinePoint:
     if y * y != (g_eval(params, x) if gx is None else gx):
         raise NotOnCurve(f"({x}, {y}) not on {params}")
     return AffinePoint(x, y)
-
-
-def point_json(pt: AffinePoint) -> dict:
-    return {"x": str(pt.x), "y": str(pt.y)}
 
 
 def _square_is_product(u, values) -> bool:

@@ -328,19 +328,21 @@ class FieldElement:
 class Field:
     """Context object for F_(p^m); constructed through field_new."""
 
-    def __init__(self, spec: FieldSpec, _p_checked: bool = False):
+    def __init__(self, spec: FieldSpec):
         p, m = spec.p, spec.m
         if not isinstance(p, int) or not isinstance(m, int) or m < 1:
             raise ValueError("p and m must be ints, m >= 1")
-        if p % 2 == 0:
-            raise EvenCharacteristic(f"characteristic {p} is even; odd fields only")
-        if not _p_checked and not is_prime(p, trusted=spec.trust_prime):
-            raise NotPrime(f"{p} is not prime")
         if m == 1:
+            if p % 2 == 0:
+                raise EvenCharacteristic(f"characteristic {p} is even; odd fields only")
+            if not is_prime(p, trusted=spec.trust_prime):
+                raise NotPrime(f"{p} is not prime")
             if spec.modulus is not None:
                 raise ValueError("prime fields take no modulus")
             modulus = None
         else:
+            # the prime subfield checks p (even, then prime) before the modulus
+            fp = Field(FieldSpec(p, trust_prime=spec.trust_prime))
             if spec.modulus is None:
                 raise ValueError("extension fields need a modulus (constant term first)")
             modulus = tuple(c % p for c in spec.modulus)
@@ -355,13 +357,12 @@ class Field:
         self._tonelli = None
         self._logs = None
         if m > 1:
-            self._check_irreducible()
+            self._check_irreducible(fp)
 
-    def _check_irreducible(self):
+    def _check_irreducible(self, fp: Field):
         """Ben-Or's test, gcd(z^(p^k) - z, modulus) = 1 for k <= m/2, in the
         ring F_p[z]/(modulus), whose arithmetic needs no irreducibility. The
-        gcd runs over F_p, built from the prime this field has checked."""
-        fp = Field(FieldSpec(self.p), _p_checked=True)
+        gcd runs over fp, this field's prime subfield."""
         mod = [fp.elem(c) for c in self.modulus]
         z = self.elem([0, 1])
         zq = z

@@ -278,8 +278,12 @@ class MPoly:
         return _Atom(self) ** e
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self.terms == other.terms
+        coerced = self._coerce(other)
+        if coerced is None:
+            # a Fraction, float or other operand: compared as a rational
+            # function, so MPoly answers as RatFun does
+            return _poly_fun(self) == other
+        return self.terms == coerced.terms
 
     # -- evaluation / substitution ------------------------------------------
 
@@ -473,7 +477,7 @@ class RatFun:
     single term. Equal functions may differ in representation.
     """
 
-    __slots__ = ("c", "mexp", "factors", "_num", "_den")
+    __slots__ = ("c", "mexp", "factors")
 
     def __init__(self, num, den=None):
         f = _poly_fun(num) if isinstance(num, MPoly) else RatFun._const(num)
@@ -482,12 +486,12 @@ class RatFun:
             if den.factors is None:
                 raise DivisionByZeroFunction("zero denominator")
             f = f / den
-        self.c, self.mexp, self.factors, self._num, self._den = f.c, f.mexp, f.factors, None, None
+        self.c, self.mexp, self.factors = f.c, f.mexp, f.factors
 
     @classmethod
     def _make(cls, c, mexp, factors) -> "RatFun":
         f = object.__new__(cls)
-        f.c, f.mexp, f.factors, f._num, f._den = c, mexp, factors, None, None
+        f.c, f.mexp, f.factors = c, mexp, factors
         return f
 
     @classmethod
@@ -506,17 +510,13 @@ class RatFun:
 
     @property
     def num(self) -> MPoly:
-        """The expanded numerator, computed once on demand."""
-        if self._num is None:
-            self._num = MPoly() if self.factors is None else self._half(1, self.c.numerator)
-        return self._num
+        """The expanded numerator, computed on every read."""
+        return MPoly() if self.factors is None else self._half(1, self.c.numerator)
 
     @property
     def den(self) -> MPoly:
-        """The expanded denominator, computed once on demand."""
-        if self._den is None:
-            self._den = self._half(-1, self.c.denominator)
-        return self._den
+        """The expanded denominator, computed on every read."""
+        return self._half(-1, self.c.denominator)
 
     def __bool__(self):
         return self.factors is not None
@@ -611,9 +611,10 @@ class RatFun:
         return self.num.evaluate(point) / dval
 
     def __str__(self):
-        if self.den == 1:
+        den = self.den
+        if den == 1:
             return str(self.num)
-        return f"({self.num})/({self.den})"
+        return f"({self.num})/({den})"
 
     def __repr__(self):
         return f"RatFun({self})"

@@ -42,9 +42,10 @@ output u) once and weights it by the pairs it stands for: a survey costs
 O(q), and its counts are still pair counts. Only enumerate_T, whose output
 has q^2 entries, visits pairs.
 
-Everything is deterministic; reports serialize with all counts as decimal
-strings so consumers never face 64-bit overflow. Coverage is measured against
-affine points only (the encoder never outputs the point at infinity).
+Everything is deterministic; reports serialize through Record.to_json, whose
+_record.json_value writes every count as a decimal string. Coverage is
+measured against affine points only (the encoder never outputs the point at
+infinity).
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .curves import (
     _x2,
     g_eval,
     g_shape,
-    point_json,
 )
 from .ff import Field, _poly_gcd, field_new
 from .poly import RatFun
@@ -202,8 +202,6 @@ class _LogVec:
                                 for i, j in zip(self.ks, js)], mask)
 
     def __pow__(self, e: int):
-        if not e:
-            return _LogVec(self.f, [0] * len(self.ks), self.mask)
         qm1 = self.f.qm1
         return _LogVec(self.f, [None if i is None else i * e % qm1 for i in self.ks], self.mask)
 
@@ -407,19 +405,8 @@ class CoverageReport(Record):
     def to_json(self) -> dict:
         ratio = self.coverage_ratio
         return {
-            "q": str(self.q),
-            "field": self.field,
-            "params": self.params,
-            "size_T": str(self.size_T),
-            "raw_excluded": str(self.raw_excluded),
-            "bound": str(self.bound),
-            "bound_applicable": self.bound_applicable,
-            "bound_holds": self.bound_holds,
-            "curve_size": str(self.curve_size),
-            "image_size": str(self.image_size),
+            **super().to_json(),
             "coverage_ratio": "0" if ratio == 0 else f"{ratio.numerator}/{ratio.denominator}",
-            "missed": [point_json(pt) for pt in self.missed],
-            "missed_truncated": self.missed_truncated,
             "curve_size_convention": "affine points only; the encoder never outputs the point at infinity",
         }
 
@@ -513,15 +500,6 @@ class DegreeStats(Record):
 
     def __init__(self, a: Fraction, b: Fraction, u: Fraction, deg_num: int, deg_den: int):
         self._init(a, b, u, deg_num, deg_den)
-
-    def to_json(self) -> dict:
-        return {
-            "a": str(self.a),
-            "b": str(self.b),
-            "u": str(self.u),
-            "deg_num": str(self.deg_num),
-            "deg_den": str(self.deg_den),
-        }
 
 
 def degree_stats(a, b, u) -> DegreeStats:

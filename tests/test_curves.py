@@ -40,7 +40,6 @@ from hypoint.curves import (
     is_reciprocal,
     make_point,
     parse_curve_spec,
-    point_json,
     quartic_triple_curve,
     reciprocal_pair_curve,
     reciprocal_triple_curve,
@@ -296,14 +295,14 @@ def test_three_point_rejections():
 
 def test_encode_frozen_instance():
     pt = encode(P11, K11.elem(2), K11.elem(3))
-    assert point_json(pt) == {"x": "3", "y": "3"}
+    assert pt.to_json() == {"x": "3", "y": "3"}
 
 
 def test_encode_root_short_circuit():
     # g(2) = 0 over F_11, so u = 2 returns (2, 0) for any t
     for t in (0, 1, 7):
         pt = encode(P11, K11.elem(t), K11.elem(2))
-        assert point_json(pt) == {"x": "2", "y": "0"}
+        assert pt.to_json() == {"x": "2", "y": "0"}
 
 
 def test_encode_domain_exclusion():
@@ -446,7 +445,7 @@ def test_encode_rejects_an_all_nonsquare_triple(p, monkeypatch):
 
 def test_even_n_point_frozen_instance():
     params = CurveParams("g1", 4, K11.elem(2), K11.elem(6))
-    assert point_json(even_n_point(params)) == {"x": "8", "y": "9"}
+    assert even_n_point(params).to_json() == {"x": "8", "y": "9"}
     with pytest.raises(UnsupportedParity):
         even_n_point(P11)
 

@@ -99,6 +99,18 @@ def test_scalar_coercion_and_fractions():
     assert (2 * t) - t - t == 0
 
 
+def test_mpoly_compares_with_a_fraction_as_ratfun_does():
+    # a refused operand is compared as a rational function, never silently
+    # unequal; arithmetic with it still raises
+    one = MPoly.const(1)
+    assert one == Fraction(1) and Fraction(1) == one and RatFun(1) == Fraction(1)
+    assert 2 * T == 2 * RatFun(T) and MPoly.const(3) == Fraction(6, 2)
+    for other in (Fraction(1, 2), 1.0, "x", None):
+        assert one != other and not (one == other) and (RatFun(1) == other) == (one == other)
+    with pytest.raises(TypeError):
+        one + Fraction(1)
+
+
 def test_every_coefficient_the_library_builds_is_an_int(monkeypatch):
     # _raw skips validation, so the internal paths are guarded here: every
     # identity row and degree_stats at rational a, b and u, recording the

@@ -127,3 +127,45 @@ def test_only_poly_reads_mpoly_internals(path):
         if name in _MPOLY_INTERNALS:
             found.append(f"{name} at line {node.lineno}")
     assert found == [], f"{path.name} reads MPoly internals: {found}"
+
+
+def _calls(tree, test):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and test(node.func)]
+
+
+def _is_dumps(func):
+    return (isinstance(func, ast.Attribute) and func.attr == "dumps"
+            or isinstance(func, ast.Name) and func.id == "dumps")
+
+
+def _is_super_to_json(func):
+    return (isinstance(func, ast.Attribute) and func.attr == "to_json" and isinstance(func.value, ast.Call)
+            and isinstance(func.value.func, ast.Name) and func.value.func.id == "super")
+
+
+def test_json_dumps_is_called_only_in_emit():
+    # the document rule is applied once, by json_value at the top of
+    # cli._emit, so nothing else in the library serializes a document
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = ()
+        if path.name == "cli.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_emit":
+                    allowed = range(node.lineno, node.end_lineno + 1)
+        found += [f"{path.name}:{call.lineno}" for call in _calls(tree, _is_dumps) if call.lineno not in allowed]
+    assert found == [], f"json.dumps outside cli._emit: {found}"
+
+
+def test_every_to_json_builds_on_record():
+    # a record's document is Record.to_json's, through json_value; a
+    # subclass may add entries that are not fields, never write its own
+    found = []
+    for path in SOURCES:
+        if path.name == "_record.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "to_json" and not _calls(node, _is_super_to_json):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"to_json without super().to_json(): {found}"
