@@ -8,8 +8,10 @@ restrictions shape the design:
   rational c, a signed exponent per variable, and polynomial atoms of two
   or more terms, with positive (numerator) or negative exponents. Products,
   quotients and powers multiply c and add, subtract or scale exponents, so
-  equal atoms cancel formally. Sums and ``rf_eq`` expand only the atoms the
-  two sides do not share. Atoms match by a key computed once and are never
+  equal atoms cancel formally. A sum and ``rf_eq`` keep what the two sides
+  share and expand only the rests, each rest's product scaled and shifted
+  straight into one dict, the other added in; ``rf_eq`` is a difference
+  tested for zero. Atoms match by a key computed once and are never
   split, so no multivariate GCD or factorization exists anywhere in this
   module. An atom memoises its powers; the memo lives and dies with it.
 * The variable universe is fixed to ``a b c d t u``. Every exponent vector is
@@ -76,10 +78,11 @@ class MPoly:
     def __init__(self, terms=None):
         if terms is not None and not isinstance(terms, dict):
             raise TypeError("MPoly takes a dict of packed keys; use MPoly.from_terms for exponent tuples")
-        self.terms = {} if terms is None else terms
-        _check_ints(self.terms.values())
+        self.terms = terms = {} if terms is None else terms
+        _check_ints(terms.values())
         self.degs = None
-        self._normalize()
+        if max(self._normalize().degs) >= _DEG_LIMIT or any(k >> (_SHIFT * len(VARS)) for k in terms):
+            raise OverflowError("per-variable degree exceeds packing limit")
 
     @classmethod
     def _raw(cls, terms, degs):
@@ -91,20 +94,18 @@ class MPoly:
 
     def _normalize(self):
         """Normalize in place, on a dict this polynomial owns, and return it:
-        drop zeros, and read degs off the keys only when degs is unset or a
-        term dropped."""
-        terms = self.terms
+        drop zeros, and read a degree off the keys only when degs is unset
+        or a dropped key reached it; every other degree stands."""
+        terms, degs = self.terms, self.degs
         zeros = [k for k, c in terms.items() if not c]
         for k in zeros:
             del terms[k]
-        if zeros or self.degs is None:
-            used = 0
-            for k in terms:
-                used |= k
-            self.degs = tuple(max((k >> s) & _MASK for k in terms) if (used >> s) & _MASK else 0
-                              for s in _SHIFTS)
-            if max(self.degs) >= _DEG_LIMIT or used >> (_SHIFT * len(VARS)):
-                raise OverflowError("per-variable degree exceeds packing limit")
+        if not terms:
+            self.degs = _NO_DEGS
+        elif zeros or degs is None:
+            self.degs = tuple(max((k >> s) & _MASK for k in terms)
+                              if degs is None or d and any((z >> s) & _MASK == d for z in zeros) else d
+                              for d, s in zip(degs or _NO_DEGS, _SHIFTS))
         return self
 
     # -- constructors ------------------------------------------------------
@@ -116,9 +117,7 @@ class MPoly:
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        _check_vars((name,))
-        i = _VAR_INDEX[name]
-        return cls._raw({1 << (_SHIFT * i): 1}, _NO_DEGS[:i] + (1,) + _NO_DEGS[i + 1:])
+        return cls.from_terms({(1,): 1}, (name,))
 
     @classmethod
     def from_terms(cls, mapping, vars) -> "MPoly":
@@ -176,25 +175,13 @@ class MPoly:
             return other
         if other.__class__ is int:
             return MPoly.const(other)
-        # a RatFun answers through its reflected operator; for a Fraction or
-        # a float the operator raises TypeError
-        return None
+        # otherwise None: a RatFun answers through its reflected operator;
+        # for a Fraction or a float the operator raises TypeError
 
-    def __add__(self, other):
-        """Sum in one dict: a copy of the longer operand, the shorter added
-        in, zeros dropped in place; each degree is the larger of the
-        operands' unless a term cancelled."""
+    def __add__(self, other, sign=1):
+        """self + sign * other, in one _sum pass."""
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        t1, t2 = self.terms, other.terms
-        if len(t1) < len(t2):
-            t1, t2 = t2, t1
-        out = dict(t1)
-        get = out.get
-        for k, c in t2.items():
-            out[k] = get(k, 0) + c
-        return MPoly._raw(out, tuple(map(max, self.degs, other.degs)))._normalize()
+        return NotImplemented if other is None else _sum(self, 1, _NO_DEGS, other, sign, _NO_DEGS)
 
     __radd__ = __add__
 
@@ -202,12 +189,10 @@ class MPoly:
         return MPoly._raw({k: -c for k, c in self.terms.items()}, self.degs)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self + -other
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else other - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         """Product without renormalising: over Z the product of nonzero
@@ -217,9 +202,7 @@ class MPoly:
         if other is None:
             return NotImplemented
         t1, t2 = self.terms, other.terms
-        if not t1 or not t2:
-            return MPoly()
-        degs = tuple(map(int.__add__, self.degs, other.degs))
+        degs = tuple(map(add, self.degs, other.degs))
         if max(degs) >= _DEG_LIMIT:
             raise OverflowError("product degree exceeds packing limit")
         if len(t1) < len(t2):
@@ -242,9 +225,7 @@ class MPoly:
                 for k1, c1 in t1.items():
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        f = MPoly._raw(out, degs)
-        # a one-term operand only shifts keys, and nothing cancels over Z
-        return f._normalize() if len(t2) > 1 else f
+        return MPoly._raw(out, degs)._normalize()
 
     __rmul__ = __mul__
 
@@ -340,6 +321,9 @@ def _int(c):
     return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
+_ONE = MPoly.const(1)
+
+
 def as_ratfun(f) -> "RatFun":
     if isinstance(f, RatFun):
         return f
@@ -410,11 +394,13 @@ def _merge(f1, f2):
     return tuple((a, e1 + e2) for a, e1, e2 in _align(f1, f2) if e1 + e2)
 
 
-def _cross(f, g):
-    """What a sum and an equality share: the atoms f and g share at their
-    smaller exponents (a denominator atom's formal lcm), the smaller exponent
-    m of each variable, the c that f.c and g.c are int multiples of, and
-    each side's rest, expanded."""
+def _cross(f, g, sign):
+    """f + sign * g as _poly_fun's arguments: the two rests, each a product
+    of memoised atom powers, scaled, shifted and added in one _sum pass; the
+    smaller exponent m of each variable; the atoms f and g share, at their
+    smaller exponents (a denominator atom's formal lcm); and the c that f.c
+    and g.c are int multiples of. An equality is the same pass at sign -1,
+    tested for zero."""
     common, rest1, rest2 = [], [], []
     for a, e1, e2 in _align(f.factors, g.factors):
         e = min(e1, e2)
@@ -428,27 +414,42 @@ def _cross(f, g):
     n, d = gcd(n1, n2), lcm(d1, d2)
     m1, m2 = f.mexp, g.mexp
     m = m1 if m1 == m2 else tuple(map(min, m1, m2))
-    p1 = _expand(rest1, n1 // n * (d // d1), tuple(map(sub, m1, m)))
-    p2 = _expand(rest2, n2 // n * (d // d2), tuple(map(sub, m2, m)))
-    return tuple(common), m, n if d == 1 else Fraction(n, d), p1, p2
+    return (_sum(_expand(rest1), n1 // n * (d // d1), tuple(map(sub, m1, m)),
+                 _expand(rest2), sign * n2 // n * (d // d2), tuple(map(sub, m2, m))),
+            m, tuple(common), n if d == 1 else Fraction(n, d))
 
 
-def _expand(factors, c, m) -> MPoly:
-    """c * x^m * a_1^e_1 * ... * a_k^e_k for an int c, (atom, e > 0) pairs
-    and m >= 0: memoised atom powers, short ones first, then c * x^m."""
-    out = None
-    for atom, e in sorted(factors, key=lambda f: len(f[0].poly.terms)):
-        out = atom**e if out is None else out * atom**e
-    degs = m if out is None else tuple(map(add, out.degs, m))
+def _expand(factors) -> MPoly:
+    """a_1^e_1 * ... * a_k^e_k for (atom, e > 0) pairs, the constant 1 for
+    none: the memoised atom powers multiplied in list order, and a lone
+    power itself, not a copy; the caller's _sum pass scales and shifts it."""
+    out = _ONE
+    for atom, e in factors:
+        out = atom**e if out is _ONE else out * atom**e
+    return out
+
+
+def _sum(p1, c1, m1, p2, c2, m2) -> MPoly:
+    """c1 * x^m1 * p1 + c2 * x^m2 * p2 for int c1, c2 and m1, m2 >= 0, in
+    one pass: the longer operand scaled and shifted into a fresh dict (a
+    plain copy when there is nothing to scale or shift), the shorter added
+    in, and zeros dropped once; each degree is the larger of the operands'
+    unless a dropped key reached it."""
+    if len(p1.terms) < len(p2.terms):
+        p1, c1, m1, p2, c2, m2 = p2, c2, m2, p1, c1, m1
+    k1, k2 = sum(map(lshift, m1, _SHIFTS)), sum(map(lshift, m2, _SHIFTS))
+    if k1 == k2 and c1 == -c2 and p1.terms == p2.terms:
+        # operands that cancel outright, as a true equality's do: one dict comparison in C
+        return MPoly()
+    out = dict(p1.terms) if c1 == 1 and not k1 else {k + k1: v * c1 for k, v in p1.terms.items()}
+    get = out.get
+    for k, v in p2.terms.items():
+        k += k2
+        out[k] = get(k, 0) + v * c2
+    degs = tuple(map(max, map(add, p1.degs, m1), map(add, p2.degs, m2)))
     if max(degs) >= _DEG_LIMIT:
         raise OverflowError("per-variable degree exceeds packing limit")
-    k = sum(map(lshift, m, _SHIFTS))
-    if out is None:
-        return MPoly._raw({k: c}, degs)
-    if c == 1 and not k:
-        # nothing to scale or shift: the memoised power itself, not a copy
-        return out
-    return MPoly._raw({key + k: v * c for key, v in out.terms.items()}, degs)
+    return MPoly._raw(out, degs)._normalize()
 
 
 def _poly_fun(p: MPoly, m=_NO_DEGS, factors=(), c=1) -> "RatFun":
@@ -501,12 +502,13 @@ class RatFun:
 
     @classmethod
     def var(cls, name: str) -> "RatFun":
-        return _poly_fun(MPoly.var(name))
+        _check_vars((name,))
+        return _VAR_FUNS[name]
 
     def _half(self, sign: int, c) -> MPoly:
         """c times the expanded atoms and variables of the given sign."""
-        return _expand([(a, sign * e) for a, e in self.factors or () if sign * e > 0], c,
-                       tuple(max(sign * e, 0) for e in self.mexp))
+        return _sum(_expand([(a, sign * e) for a, e in self.factors or () if sign * e > 0]), c,
+                    tuple(max(sign * e, 0) for e in self.mexp), MPoly(), 0, _NO_DEGS)
 
     @property
     def num(self) -> MPoly:
@@ -521,15 +523,14 @@ class RatFun:
     def __bool__(self):
         return self.factors is not None
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         try:
             other = as_ratfun(other)
         except TypeError:
             return NotImplemented
         if self.factors is None or other.factors is None:
-            return other if self.factors is None else self
-        common, m, c, p1, p2 = _cross(self, other)
-        return _poly_fun(p1 + p2, m, common, c)
+            return other * sign if self.factors is None else self
+        return _poly_fun(*_cross(self, other, sign))
 
     __radd__ = __add__
 
@@ -537,11 +538,7 @@ class RatFun:
         return RatFun._make(-self.c, self.mexp, self.factors)
 
     def __sub__(self, other):
-        try:
-            other = as_ratfun(other)
-        except TypeError:
-            return NotImplemented
-        return self + -other
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return -self + other
@@ -584,6 +581,10 @@ class RatFun:
                             tuple((a, e * k) for a, k in self.factors if e))
 
     def __eq__(self, other):
+        # exact: the polynomial ring is an integral domain and no atom is
+        # zero, so equal atoms cancel from both sides, each variable's
+        # exponent difference moves to the side where it is positive, and
+        # the difference of what is left is tested for zero
         try:
             other = as_ratfun(other)
         except TypeError:
@@ -591,11 +592,7 @@ class RatFun:
         f1, f2 = self.factors, other.factors
         if f1 is None or f2 is None:
             return f1 is f2
-        # exact: the polynomial ring is an integral domain and no atom is
-        # zero, so equal atoms cancel from both sides, and each variable's
-        # exponent difference moves to the side where it is positive
-        _, _, _, p1, p2 = _cross(self, other)
-        return p1 == p2
+        return not _cross(self, other, -1)[0]
 
     def substitute(self, bindings) -> "RatFun":
         n = self.num.substitute(bindings)
@@ -620,10 +617,16 @@ class RatFun:
         return f"RatFun({self})"
 
 
+# immutable, so built once, at import, and shared by every RatFun.var call
+_VAR_FUNS = {v: _poly_fun(MPoly.var(v)) for v in VARS}
+
+
 def rf_eq(f, g) -> bool:
     """Exact equality of rational functions: atoms equal on both sides cancel
     formally, and what is left, one side's numerator atoms times the other
-    side's denominator atoms, is expanded and compared. No GCD is taken."""
+    side's denominator atoms, is expanded and subtracted in the one pass a
+    sum takes; the functions are equal when nothing remains. No GCD is
+    taken."""
     return as_ratfun(f) == as_ratfun(g)
 
 
@@ -655,16 +658,9 @@ def poly_exact_sqrt(f: MPoly):
     h = [0] * (m + 1)
     h[m] = lead
     for k in range(m - 1, -1, -1):
-        acc = 0
-        for i in range(k + 1, m):
-            j = m + k - i
-            if k < j <= m:
-                acc += h[i] * h[j]
-        h[k], r = divmod(coeffs[m + k] - acc, 2 * lead)
+        h[k], r = divmod(coeffs[m + k] - sum(h[i] * h[m + k - i] for i in range(k + 1, m)), 2 * lead)
         if r:
             return None
     s = _SHIFT * _VAR_INDEX[var]
     root = MPoly({i << s: c for i, c in enumerate(h) if c})
-    if root * root == f:
-        return root
-    return None
+    return root if root * root == f else None

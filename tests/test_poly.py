@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypoint.curves import identity_rows
+from hypoint.curves import certify_auxiliary, certify_three_point, certify_two_point, identity_rows
 from hypoint.poly import (
     DivisionByZeroFunction,
     MPoly,
@@ -759,3 +759,64 @@ def test_atom_power_never_costs_more_products_than_square_and_multiply(order, mo
     # is memoised
     if order == (2, 4, 5, 6, 7, 8):
         assert products == [1] * 6
+
+
+def _checked_sum(x, y, sign):
+    """x + sign*y, checked against the cross-multiplied num/den on exponent
+    tuples; every polynomial the result holds, its num and den, and each
+    atom's, must be normal."""
+    r = x + y if sign == 1 else x - y
+    ref_num = _reference_sum(_reference_product(x.num, y.den), _reference_product(y.num, x.den), sign)
+    ref_den = _reference_product(x.den, y.den)
+    assert _reference_product(r.num, ref_den) == _reference_product(ref_num, r.den)
+    for p in [r.num, r.den] + [a.poly for a, _ in r.factors or ()]:
+        assert _is_normal(p)
+    return r
+
+
+shared_atoms = st.builds(lambda p: p if len(p.terms) >= 2 else T + 2 * U - 1, wide_polys(max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_polys(max_size=3), wide_polys(max_size=2), shared_atoms, shared_atoms,
+       st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=4, max_size=4),
+       st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_ratfun_sums_over_shared_atoms_with_cancelling_tops_match_cross_multiplication(
+        n1, n2, a, b, exps, shifts):
+    # f and h share the atoms A and B at different exponents. f + (h - f)
+    # and f - (f - h) cancel all of f's rest, its top-degree terms with it,
+    # so the sum's degrees fall and must be read again where they fell.
+    assume(n1 and n2)
+    e1, e2, f1, f2 = exps
+    assume(e1 != e2 and f1 != f2)
+    big_a, big_b = RatFun(a), RatFun(b)
+    f = RatFun(n1) * big_a**e1 * big_b**f1 * RatFun.var("t") ** shifts[0]
+    h = RatFun(n2) * big_a**e2 * big_b**f2 * RatFun.var("u") ** shifts[1]
+    for sign in (1, -1):
+        _checked_sum(f, h, sign)
+    assert rf_eq(_checked_sum(f, _checked_sum(h, f, -1), 1), h)
+    assert rf_eq(_checked_sum(f, _checked_sum(f, h, -1), -1), h)
+
+
+def test_a_cancelled_top_key_rescans_only_the_degrees_it_reached():
+    t3u, tu2 = T**3 * U, T * U**2
+    f = (t3u + tu2) - t3u
+    assert f == tu2 and (f.degree("t"), f.degree("u")) == (1, 2) and _is_normal(f)
+    # t^3*u cancels but t^3 keeps the t-degree and u keeps the u-degree
+    g = T**3 * U + T**3 + U
+    assert (g - t3u).degs == g.degs and (g - t3u).degree("t") == 3 and _is_normal(g - t3u)
+    # a degree no dropped key reached is kept as stored, unread: here a
+    # deliberately wrong u-degree of 9 survives, and t is read again
+    stale = MPoly._raw({next(iter(t3u.terms)): 0, next(iter(T.terms)): 1}, (0, 0, 0, 0, 3, 9))
+    assert stale._normalize().degs == (0, 0, 0, 0, 1, 9)
+
+
+def test_ratfun_sum_makes_no_mpoly_sum(monkeypatch):
+    # a RatFun sum or equality scales and adds its two rests in one pass and
+    # never builds an MPoly sum
+    def refuse(self, other, sign=1):
+        raise AssertionError("an MPoly sum")
+
+    monkeypatch.setattr(MPoly, "__add__", refuse)
+    monkeypatch.setattr(MPoly, "__radd__", refuse)
+    assert certify_three_point("g1", 5) and certify_two_point("g2", 4) and certify_auxiliary("g2", 2, 3)
