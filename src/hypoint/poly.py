@@ -16,8 +16,10 @@ restrictions shape the design:
   module. An atom memoises its powers; the memo lives and dies with it.
 * The variable universe is fixed to ``a b c d t u``. Every exponent vector is
   packed into one int with a fixed 16-bit limb per universe variable, limb i
-  holding the exponent of ``VARS[i]`` whatever variables a polynomial uses,
-  so a monomial product between any two polynomials is one integer addition.
+  holding the exponent of ``VARS[i]``, so a monomial product between any two
+  polynomials is one integer addition. Degrees are read off the keys, never
+  stored: every limb stays below 2^15, so keys add without a carry, and one
+  bit test on the OR of the keys an operation makes finds a limb at the limit.
 
 Every ``MPoly`` coefficient is a plain ``int``. The certified identities have
 integer coefficients, so rational numbers meet them only as constants, and a
@@ -27,8 +29,9 @@ integer coefficients, so rational numbers meet them only as constants, and a
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
-from operator import add, lshift, sub
+from operator import add, lshift, or_, sub
 
 VARS = ("a", "b", "c", "d", "t", "u")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -36,8 +39,9 @@ _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
 _DEG_LIMIT = 1 << 15  # headroom so one multiplication cannot carry across limbs
-_NO_DEGS = (0,) * len(VARS)
+_NO_EXPS = (0,) * len(VARS)
 _SHIFTS = tuple(range(0, _SHIFT * len(VARS), _SHIFT))
+_HIGH_BITS = ~sum((_DEG_LIMIT - 1) << s for s in _SHIFTS)  # the bits no valid key has
 
 
 class DivisionByZeroFunction(ZeroDivisionError):
@@ -61,51 +65,59 @@ def _check_ints(cs):
                             "a rational constant belongs in a RatFun")
 
 
+def _pack(m) -> int:
+    """The key of the exponent vector m (entries >= 0); an entry of 2^15 or
+    more raises OverflowError, as its carry into the next limb passes _guard."""
+    if max(m) >= _DEG_LIMIT:
+        raise OverflowError("per-variable degree exceeds packing limit")
+    return sum(map(lshift, m, _SHIFTS))
+
+
+def _unpack(k) -> tuple:
+    """The exponent of each universe variable in the packed key k."""
+    return tuple((k >> s) & _MASK for s in _SHIFTS)
+
+
+def _guard(keys):
+    """keys, once their OR has every limb below 2^15 and no bit past the last
+    limb (so no key is negative); else OverflowError. Keys that pass add without a carry."""
+    if reduce(or_, keys, 0) & _HIGH_BITS:
+        raise OverflowError("per-variable degree exceeds packing limit")
+    return keys
+
+
 class MPoly:
     """Sparse polynomial with int coefficients over the fixed variable universe.
 
     ``terms`` maps packed exponent keys to nonzero coefficients, limb i of a
-    key holding the exponent of ``VARS[i]``; ``degs`` holds the degree in
-    each universe variable, and ``vars`` is the tuple of those actually used,
-    in universe order. The constructor takes such a ``terms`` dict and
-    normalizes it in place; ``from_terms`` packs exponent tuples. Both, and
-    ``const``, raise TypeError on a coefficient that is not an int. Instances
-    are treated as immutable; no operation modifies its operands.
+    key holding the exponent of ``VARS[i]``, each limb below 2^15; ``vars``
+    (those used, in universe order) and the degrees are read off the keys.
+    The constructor takes such a dict, drops its zeros in place and guards
+    the keys left; ``from_terms`` packs exponent tuples. Both, and ``const``,
+    raise TypeError on a coefficient that is not an int, before any
+    OverflowError. Instances are treated as immutable.
     """
 
-    __slots__ = ("terms", "degs")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         if terms is not None and not isinstance(terms, dict):
             raise TypeError("MPoly takes a dict of packed keys; use MPoly.from_terms for exponent tuples")
         self.terms = terms = {} if terms is None else terms
         _check_ints(terms.values())
-        self.degs = None
-        if max(self._normalize().degs) >= _DEG_LIMIT or any(k >> (_SHIFT * len(VARS)) for k in terms):
-            raise OverflowError("per-variable degree exceeds packing limit")
+        _guard(self._normalize().terms)
 
     @classmethod
-    def _raw(cls, terms, degs):
-        """Wrap already normal data, unchecked: every coefficient a nonzero
-        int, degs[i] the degree in VARS[i]."""
+    def _raw(cls, terms):
+        """Wrap int terms unchecked, their keys guarded; _normalize drops zeros."""
         f = object.__new__(cls)
-        f.terms, f.degs = terms, degs
+        f.terms = terms
         return f
 
     def _normalize(self):
-        """Normalize in place, on a dict this polynomial owns, and return it:
-        drop zeros, and read a degree off the keys only when degs is unset
-        or a dropped key reached it; every other degree stands."""
-        terms, degs = self.terms, self.degs
-        zeros = [k for k, c in terms.items() if not c]
-        for k in zeros:
-            del terms[k]
-        if not terms:
-            self.degs = _NO_DEGS
-        elif zeros or degs is None:
-            self.degs = tuple(max((k >> s) & _MASK for k in terms)
-                              if degs is None or d and any((z >> s) & _MASK == d for z in zeros) else d
-                              for d, s in zip(degs or _NO_DEGS, _SHIFTS))
+        """Drop zeros in place, from a dict this polynomial owns; return it."""
+        for k in [k for k, c in self.terms.items() if not c]:
+            del self.terms[k]
         return self
 
     # -- constructors ------------------------------------------------------
@@ -113,7 +125,7 @@ class MPoly:
     @classmethod
     def const(cls, c) -> "MPoly":
         _check_ints((c,))
-        return cls._raw({0: c} if c else {}, _NO_DEGS)
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
@@ -138,7 +150,7 @@ class MPoly:
 
     @property
     def vars(self):
-        return tuple(v for v, d in zip(VARS, self.degs) if d)
+        return tuple(v for v, d in zip(VARS, _unpack(reduce(or_, self.terms, 0))) if d)
 
     def __bool__(self):
         return bool(self.terms)
@@ -152,9 +164,9 @@ class MPoly:
         if not self.terms:
             return -1
         if var is None:
-            return max(sum(self.exponents(k)) for k in self.terms)
+            return max(map(sum, map(_unpack, self.terms)))
         _check_vars((var,))
-        return self.degs[_VAR_INDEX[var]]
+        return max((k >> (_SHIFT * _VAR_INDEX[var])) & _MASK for k in self.terms)
 
     def coeffs(self, var) -> list:
         """Dense int coefficients [c_0, ..., c_d] of a polynomial in var
@@ -162,10 +174,9 @@ class MPoly:
         _check_vars((var,))
         if self.vars not in ((), (var,)):
             raise ValueError(f"not univariate in {var}: vars {self.vars}")
-        s = _SHIFT * _VAR_INDEX[var]
-        out = [0] * (self.degs[_VAR_INDEX[var]] + 1) if self.terms else []
+        out = [0] * (self.degree(var) + 1)
         for k, c in self.terms.items():
-            out[k >> s] = c
+            out[k >> (_SHIFT * _VAR_INDEX[var])] = c
         return out
 
     # -- ring operations ---------------------------------------------------
@@ -181,12 +192,12 @@ class MPoly:
     def __add__(self, other, sign=1):
         """self + sign * other, in one _sum pass."""
         other = self._coerce(other)
-        return NotImplemented if other is None else _sum(self, 1, _NO_DEGS, other, sign, _NO_DEGS)
+        return NotImplemented if other is None else _sum(self, 1, _NO_EXPS, other, sign, _NO_EXPS)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._raw({k: -c for k, c in self.terms.items()}, self.degs)
+        return MPoly._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self.__add__(other, -1)
@@ -195,16 +206,12 @@ class MPoly:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        """Product without renormalising: over Z the product of nonzero
-        polynomials has the degrees of its factors added, so only cancelled
-        coefficients need dropping."""
+        """Product: every key it makes is guarded, and only cancelled
+        coefficients are dropped."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         t1, t2 = self.terms, other.terms
-        degs = tuple(map(add, self.degs, other.degs))
-        if max(degs) >= _DEG_LIMIT:
-            raise OverflowError("product degree exceeds packing limit")
         if len(t1) < len(t2):
             t1, t2 = t2, t1
         out = {}
@@ -225,7 +232,7 @@ class MPoly:
                 for k1, c1 in t1.items():
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        return MPoly._raw(out, degs)._normalize()
+        return MPoly._raw(_guard(out))._normalize()
 
     __rmul__ = __mul__
 
@@ -233,19 +240,19 @@ class MPoly:
         """self^e: a monomial scales its key, a two-term polynomial takes the
         binomial theorem, e + 1 terms in one pass with no product of
         polynomials and nothing to cancel (the keys j*k1 + (e-j)*k2 are
-        distinct), and a longer one the product chain of an atom's power
-        memo, which spends no more products than square-and-multiply."""
+        distinct), each after a check of e times the largest limb, since _guard
+        cannot see a scaled key's carry; a longer one the product chain of an
+        atom's power memo, which spends no more products than square-and-multiply."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("MPoly exponent must be a non-negative int")
         if not e:
             return MPoly.const(1)
         if 0 < len(self.terms) <= 2:
-            degs = tuple(d * e for d in self.degs)
-            if max(degs) >= _DEG_LIMIT:
+            if max(map(max, map(_unpack, self.terms))) * e >= _DEG_LIMIT:
                 raise OverflowError("power degree exceeds packing limit")
             if len(self.terms) == 1:
                 ((k, c),) = self.terms.items()
-                return MPoly._raw({k * e: c**e}, degs)
+                return MPoly._raw({k * e: c**e})
             (k1, c1), (k2, c2) = self.terms.items()
             pows2 = [1]  # c2^0 .. c2^e
             for _ in range(e):
@@ -255,7 +262,7 @@ class MPoly:
                 out[j * k1 + (e - j) * k2] = binom * pw1 * pows2[e - j]
                 binom = binom * (e - j) // (j + 1)
                 pw1 *= c1
-            return MPoly._raw(out, degs)
+            return MPoly._raw(out)
         return _Atom(self) ** e
 
     def __eq__(self, other):
@@ -304,13 +311,11 @@ class MPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []  # (sign, body) per term, highest total degree first
-        for k in sorted(self.terms, key=lambda k: (sum(self.exponents(k)), self.exponents(k)), reverse=True):
-            c = self.terms[k]
-            body = str(abs(c)) + "".join(f"*{v}^{e}" for v, e in zip(self.vars, self.exponents(k)) if e)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in parts[1:])
+        # highest total degree first; no two exponent vectors are equal, so no c is compared
+        rows = sorted(((sum(e), e, c) for e, c in zip(map(_unpack, self.terms), self.terms.values())), reverse=True)
+        text = " ".join(("- " if c < 0 else "+ ") + str(abs(c)) + "".join(f"*{v}^{x}" for v, x in zip(VARS, e) if x)
+                        for _, e, c in rows)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"MPoly({self})"
@@ -430,14 +435,13 @@ def _expand(factors) -> MPoly:
 
 
 def _sum(p1, c1, m1, p2, c2, m2) -> MPoly:
-    """c1 * x^m1 * p1 + c2 * x^m2 * p2 for int c1, c2 and m1, m2 >= 0, in
-    one pass: the longer operand scaled and shifted into a fresh dict (a
-    plain copy when there is nothing to scale or shift), the shorter added
-    in, and zeros dropped once; each degree is the larger of the operands'
-    unless a dropped key reached it."""
+    """c1 * x^m1 * p1 + c2 * x^m2 * p2 for int c1, c2 and m1, m2 >= 0, in one
+    pass: the longer operand scaled and shifted into a fresh dict (a plain copy
+    when there is nothing to scale or shift), the shorter added in, and zeros
+    dropped once; the keys are guarded only when a shift is nonzero."""
     if len(p1.terms) < len(p2.terms):
         p1, c1, m1, p2, c2, m2 = p2, c2, m2, p1, c1, m1
-    k1, k2 = sum(map(lshift, m1, _SHIFTS)), sum(map(lshift, m2, _SHIFTS))
+    k1, k2 = _pack(m1), _pack(m2)
     if k1 == k2 and c1 == -c2 and p1.terms == p2.terms:
         # operands that cancel outright, as a true equality's do: one dict comparison in C
         return MPoly()
@@ -446,13 +450,10 @@ def _sum(p1, c1, m1, p2, c2, m2) -> MPoly:
     for k, v in p2.terms.items():
         k += k2
         out[k] = get(k, 0) + v * c2
-    degs = tuple(map(max, map(add, p1.degs, m1), map(add, p2.degs, m2)))
-    if max(degs) >= _DEG_LIMIT:
-        raise OverflowError("per-variable degree exceeds packing limit")
-    return MPoly._raw(out, degs)._normalize()
+    return MPoly._raw(_guard(out) if k1 or k2 else out)._normalize()
 
 
-def _poly_fun(p: MPoly, m=_NO_DEGS, factors=(), c=1) -> "RatFun":
+def _poly_fun(p: MPoly, m=_NO_EXPS, factors=(), c=1) -> "RatFun":
     """c * x^m * p * (the factor list) as a RatFun: a single-term p goes into
     c and mexp, a longer one becomes an atom, merged in case it is a factor."""
     if not p.terms:
@@ -460,7 +461,7 @@ def _poly_fun(p: MPoly, m=_NO_DEGS, factors=(), c=1) -> "RatFun":
     if len(p.terms) > 1:
         return RatFun._make(c, m, _merge(factors, ((_Atom(p), 1),)))
     ((k, v),) = p.terms.items()
-    return RatFun._make(_int(c * v), tuple(((k >> s) & _MASK) + e for e, s in zip(m, _SHIFTS)), factors)
+    return RatFun._make(_int(c * v), tuple(map(add, _unpack(k), m)), factors)
 
 
 class RatFun:
@@ -498,7 +499,7 @@ class RatFun:
     @classmethod
     def _const(cls, c) -> "RatFun":
         c = c if c.__class__ is int else _int(Fraction(c))
-        return cls._make(c, _NO_DEGS, () if c else None)
+        return cls._make(c, _NO_EXPS, () if c else None)
 
     @classmethod
     def var(cls, name: str) -> "RatFun":
@@ -508,7 +509,7 @@ class RatFun:
     def _half(self, sign: int, c) -> MPoly:
         """c times the expanded atoms and variables of the given sign."""
         return _sum(_expand([(a, sign * e) for a, e in self.factors or () if sign * e > 0]), c,
-                    tuple(max(sign * e, 0) for e in self.mexp), MPoly(), 0, _NO_DEGS)
+                    tuple(max(sign * e, 0) for e in self.mexp), MPoly(), 0, _NO_EXPS)
 
     @property
     def num(self) -> MPoly:
@@ -553,7 +554,7 @@ class RatFun:
         if f1 is None or f2 is None:
             return self if f1 is None else other
         m1, m2 = self.mexp, other.mexp
-        return RatFun._make(_int(self.c * other.c), m1 if m2 is _NO_DEGS else tuple(map(add, m1, m2)),
+        return RatFun._make(_int(self.c * other.c), m1 if m2 is _NO_EXPS else tuple(map(add, m1, m2)),
                             _merge(f1, f2))
 
     __rmul__ = __mul__
@@ -661,6 +662,5 @@ def poly_exact_sqrt(f: MPoly):
         h[k], r = divmod(coeffs[m + k] - sum(h[i] * h[m + k - i] for i in range(k + 1, m)), 2 * lead)
         if r:
             return None
-    s = _SHIFT * _VAR_INDEX[var]
-    root = MPoly({i << s: c for i, c in enumerate(h) if c})
+    root = MPoly.from_terms({(i,): c for i, c in enumerate(h) if c}, (var,))
     return root if root * root == f else None

@@ -61,7 +61,7 @@ def test_variable_order_is_canonical():
 def test_keys_are_packed_over_the_fixed_universe():
     # limb i of every key holds the exponent of VARS[i], whatever the variables
     assert A.terms == {1: 1} and T.terms == {1 << 64: 1} and U.terms == {1 << 80: 1}
-    assert (A * U**3).terms == {1 | 3 << 80: 1} and (U**3).degs == (0, 0, 0, 0, 0, 3)
+    assert (A * U**3).terms == {1 | 3 << 80: 1} and (U**3).vars == ("u",) and (U**3).degree("u") == 3
     assert MPoly({1 << 80: 3}) == 3 * U and MPoly({1 << 80: 3}).vars == ("u",)
     # a call in the old relative layout, where key 1 meant "u", is refused
     with pytest.raises(TypeError):
@@ -118,9 +118,9 @@ def test_every_coefficient_the_library_builds_is_an_int(monkeypatch):
     classes = set()
     raw = MPoly._raw.__func__
 
-    def recording(cls, terms, degs):
+    def recording(cls, terms):
         classes.update(c.__class__ for c in terms.values())
-        return raw(cls, terms, degs)
+        return raw(cls, terms)
 
     monkeypatch.setattr(MPoly, "_raw", classmethod(recording))
     for _, fn, args, expected in identity_rows(3, 9, True):
@@ -368,12 +368,13 @@ def _reference_product(f, g):
 
 
 def _is_normal(f):
-    """Every coefficient a nonzero int, and the stored degrees
-    equal to those read off the 16-bit limbs of the keys, one per universe
-    variable, with no limb past the last."""
-    degs = tuple(max(((k >> (16 * i)) & 0xFFFF for k in f.terms), default=0) for i in range(len(VARS)))
+    """Every coefficient a nonzero int, and every key in the layout the
+    packing guard relies on: each 16-bit limb, one per universe variable,
+    below _DEG_LIMIT, and no bit past the last limb."""
     coeffs_ok = all(c and type(c) is int for c in f.terms.values())
-    return coeffs_ok and f.degs == degs and not any(k >> (16 * len(VARS)) for k in f.terms)
+    limbs_ok = all(not k >> (16 * len(VARS)) and all((k >> (16 * i)) & 0xFFFF < _DEG_LIMIT for i in range(len(VARS)))
+                   for k in f.terms)
+    return coeffs_ok and limbs_ok
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,7 +386,7 @@ def test_square_path_equals_general_product(f, g, k, m):
         general = h * MPoly(dict(h.terms))
         assert sq == general == _reference_product(h, h)
         assert _is_normal(sq) and _is_normal(general)
-        assert sq.vars == general.vars and sq.degs == general.degs
+        assert sq.vars == general.vars and all(sq.degree(v) == general.degree(v) for v in VARS)
     prod = (f + k * g) * (f - k * g)
     assert prod == _reference_product(f + k * g, f - k * g) and _is_normal(prod)
     # one-term operands, on either side, go through the same loop
@@ -707,7 +708,7 @@ def test_binomial_power_equals_repeated_product(f, e):
     for _ in range(e):
         ref = ref * f
     got = f**e
-    assert got == ref and _is_normal(got) and got.degs == ref.degs
+    assert got == ref and _is_normal(got) and all(got.degree(v) == ref.degree(v) for v in VARS)
     assert len(got.terms) == (e + 1 if e else 1)
 
 
@@ -798,17 +799,35 @@ def test_ratfun_sums_over_shared_atoms_with_cancelling_tops_match_cross_multipli
     assert rf_eq(_checked_sum(f, _checked_sum(f, h, -1), -1), h)
 
 
-def test_a_cancelled_top_key_rescans_only_the_degrees_it_reached():
+def test_a_cancelled_top_key_leaves_the_degrees_of_the_keys_left():
     t3u, tu2 = T**3 * U, T * U**2
     f = (t3u + tu2) - t3u
     assert f == tu2 and (f.degree("t"), f.degree("u")) == (1, 2) and _is_normal(f)
     # t^3*u cancels but t^3 keeps the t-degree and u keeps the u-degree
     g = T**3 * U + T**3 + U
-    assert (g - t3u).degs == g.degs and (g - t3u).degree("t") == 3 and _is_normal(g - t3u)
-    # a degree no dropped key reached is kept as stored, unread: here a
-    # deliberately wrong u-degree of 9 survives, and t is read again
-    stale = MPoly._raw({next(iter(t3u.terms)): 0, next(iter(T.terms)): 1}, (0, 0, 0, 0, 3, 9))
-    assert stale._normalize().degs == (0, 0, 0, 0, 1, 9)
+    assert ((g - t3u).degree("t"), (g - t3u).degree("u")) == (3, 1) and _is_normal(g - t3u)
+
+
+def test_every_key_making_site_keeps_the_packing_guard():
+    # each site that makes a key raises OverflowError exactly where a limb
+    # would reach _DEG_LIMIT: a RatFun sum packs each shift and guards the
+    # shifted keys, a product guards its keys, a power checks e times its
+    # largest limb, and num/den pack their shift
+    t, limit, half = RatFun.var("t"), _DEG_LIMIT, _DEG_LIMIT >> 1
+    assert (t ** (limit - 1) + 1).num == T ** (limit - 1) + 1
+    assert (t ** (limit - 2) * RatFun(T + 1) + 1).num.degree("t") == limit - 1
+    assert ((T ** (half - 1) + U + 1) ** 2).degree("t") == limit - 2
+    assert (T**half * T ** (half - 1)).degree("t") == limit - 1
+    assert (1 / t ** (limit - 1)).den == T ** (limit - 1)
+    # a shift of 2^16 would carry into the u limb, past the bit test
+    for build in (lambda: t**limit + 1, lambda: (t**limit + 1) * RatFun(T + 1), lambda: t ** (2 * limit) + 1,
+                  lambda: t ** (limit - 1) * RatFun(T + 1) + 1, lambda: (T**half + U + 1) ** 2,
+                  lambda: T**half * T ** (half - 1) * T, lambda: (1 / t**limit).den,
+                  lambda: (1 / t ** (2 * limit)).den):
+        with pytest.raises(OverflowError):
+            build()
+    # the constructor drops zeros before it guards the keys left
+    assert MPoly({limit << 64: 0, 1 << 64: 1}) == T
 
 
 def test_ratfun_sum_makes_no_mpoly_sum(monkeypatch):

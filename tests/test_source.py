@@ -107,12 +107,13 @@ def test_library_imports_only_names_it_uses(path):
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
 
 
-_MPOLY_INTERNALS = {"terms", "degs", "_raw", "_normalize", "_SHIFT", "_MASK"}
+_MPOLY_INTERNALS = {"terms", "_raw", "_normalize", "_SHIFT", "_SHIFTS", "_MASK", "_HIGH_BITS", "_pack", "_unpack",
+                    "_guard"}
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "poly.py"], ids=lambda path: path.name)
 def test_only_poly_reads_mpoly_internals(path):
-    # packed keys, degree tuples and the unchecked constructor belong to
+    # packed keys, their packing guard and the unchecked constructor belong to
     # poly.py; every other module goes through MPoly's public methods
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
