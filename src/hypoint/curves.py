@@ -17,7 +17,9 @@ symbolic layer:
   domain pair (t, u) via the three-point map and the first quadratic-square
   component.
 * reciprocal_pair_curve / reciprocal_triple_curve / quartic_triple_curve:
-  parametrizations for self-reciprocal g and for g = x^4 + 1.
+  parametrizations for self-reciprocal g and for g = x^4 + 1. The
+  reciprocal curves evaluate g by Horner's rule in any ring, as g_shape
+  evaluates the trinomials.
 * identity_rows: the certification suite of `hypoint identities`, one
   (name, certify function, args, expected) row per identity.
 
@@ -474,8 +476,12 @@ def is_reciprocal(g: MPoly, n: int) -> bool:
     return len(coeffs) == n + 1 and coeffs == coeffs[::-1]
 
 
-def _apply(g: MPoly, x) -> RatFun:
-    return g.substitute({_poly_var(g): x if isinstance(x, RatFun) else RatFun(x)})
+def _apply(g: MPoly, x):
+    """g(x) by Horner's rule on g's int coefficients, in x's ring."""
+    *rest, acc = g.coeffs(_poly_var(g))
+    for c in reversed(rest):
+        acc = acc * x + c
+    return acc
 
 
 def reciprocal_pair_curve(g: MPoly, n: int) -> ParamTriple:

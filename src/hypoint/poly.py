@@ -11,9 +11,10 @@ restrictions shape the design:
   equal atoms cancel formally. A sum and ``rf_eq`` keep what the two sides
   share and expand only the rests, each rest's product scaled and shifted
   straight into one dict, the other added in; ``rf_eq`` is a difference
-  tested for zero. Atoms match by a key computed once and are never
-  split, so no multivariate GCD or factorization exists anywhere in this
-  module. An atom memoises its powers; the memo lives and dies with it.
+  tested for zero. Factors are a dict from atom to exponent, an atom its own
+  key, hashed once; atoms are never split, so no multivariate GCD or
+  factorization exists anywhere in this module. An atom memoises its
+  powers; the memo lives and dies with it.
 * The variable universe is fixed to ``a b c d t u``. Every exponent vector is
   packed into one int with a fixed 16-bit limb per universe variable, limb i
   holding the exponent of ``VARS[i]``, so a monomial product between any two
@@ -23,7 +24,8 @@ restrictions shape the design:
 
 Every ``MPoly`` coefficient is a plain ``int``. The certified identities have
 integer coefficients, so rational numbers meet them only as constants, and a
-``RatFun`` keeps those in c; no ``MPoly`` operation divides.
+``RatFun`` keeps those in c; no ``MPoly`` operation divides. There is no
+symbolic substitution: g(x) is Horner's rule on g's coefficients in x's ring.
 """
 
 from __future__ import annotations
@@ -155,10 +157,6 @@ class MPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def exponents(self, k):
-        """The exponent of each of vars in the packed key k."""
-        return tuple((k >> (_SHIFT * _VAR_INDEX[v])) & _MASK for v in self.vars)
-
     def degree(self, var=None) -> int:
         """Total degree, or degree in one variable; zero polynomial gives -1."""
         if not self.terms:
@@ -237,22 +235,19 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        """self^e: a monomial scales its key, a two-term polynomial takes the
-        binomial theorem, e + 1 terms in one pass with no product of
-        polynomials and nothing to cancel (the keys j*k1 + (e-j)*k2 are
-        distinct), each after a check of e times the largest limb, since _guard
-        cannot see a scaled key's carry; a longer one the product chain of an
-        atom's power memo, which spends no more products than square-and-multiply."""
+        """self^e: a two-term polynomial takes the binomial theorem, e + 1
+        terms in one pass with no product of polynomials and nothing to
+        cancel (the keys j*k1 + (e-j)*k2 are distinct), after a check of e
+        times the largest limb, since _guard cannot see a scaled key's carry;
+        any other the product chain of an atom's power memo, which spends no
+        more products than square-and-multiply and guards every product."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("MPoly exponent must be a non-negative int")
         if not e:
             return MPoly.const(1)
-        if 0 < len(self.terms) <= 2:
+        if len(self.terms) == 2:
             if max(map(max, map(_unpack, self.terms))) * e >= _DEG_LIMIT:
                 raise OverflowError("power degree exceeds packing limit")
-            if len(self.terms) == 1:
-                ((k, c),) = self.terms.items()
-                return MPoly._raw({k * e: c**e})
             (k1, c1), (k2, c2) = self.terms.items()
             pows2 = [1]  # c2^0 .. c2^e
             for _ in range(e):
@@ -273,7 +268,7 @@ class MPoly:
             return _poly_fun(self) == other
         return self.terms == coerced.terms
 
-    # -- evaluation / substitution ------------------------------------------
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a rational point binding every variable used."""
@@ -286,24 +281,6 @@ class MPoly:
             for val, s in vals:
                 c *= val ** ((k >> s) & _MASK)
             total += c
-        return total
-
-    def substitute(self, bindings) -> "RatFun":
-        """Substitute rational functions for variables; unbound ones persist.
-
-        The terms are summed as RatFuns, so the result's denominator is the
-        formal product of the binding denominators' atoms, each raised to the
-        degree of its variable; only equal atoms cancel, and no gcd is taken.
-        """
-        _check_vars(bindings)
-        bound = {v: as_ratfun(f) for v, f in bindings.items()}
-        vals = [(bound[v] if v in bound else RatFun.var(v), _SHIFT * _VAR_INDEX[v]) for v in self.vars]
-        total = RatFun(0)
-        for k, c in self.terms.items():
-            term = RatFun(c)
-            for x, s in vals:
-                term = term * x ** ((k >> s) & _MASK)
-            total = total + term
         return total
 
     # -- text form -----------------------------------------------------------
@@ -339,8 +316,9 @@ def as_ratfun(f) -> "RatFun":
     raise TypeError(f"cannot interpret {type(f).__name__} as a rational function")
 
 
-class _Atom:
-    """A factor-list polynomial of two or more terms, its key, computed once,
+class _Atom(frozenset):
+    """A factor polynomial of two or more terms, as the frozenset of its terms
+    (its own dict key, hashed once, compared in C), the polynomial itself,
     and a memo of its powers that dies with the atom; no MPoly is written.
 
     A two-term atom takes each missing power e by the binomial theorem. A
@@ -351,12 +329,18 @@ class _Atom:
     and square-and-multiply takes one per binary step down to p^1, so no
     power costs more products than square-and-multiply from scratch, and
     runs such as 2, 4, 5, 6, 7, 8 cost one product each. MPoly.__pow__
-    runs the same chain on a throwaway atom for three or more terms."""
+    runs the same chain on a throwaway atom for any polynomial but a
+    binomial. A pickled atom is rebuilt from its polynomial alone."""
 
-    __slots__ = ("poly", "key", "_pows")
+    __slots__ = ("poly", "_pows")
 
-    def __init__(self, poly: MPoly):
-        self.poly, self.key, self._pows = poly, frozenset(poly.terms.items()), {1: poly}
+    def __new__(cls, poly: MPoly):
+        self = super().__new__(cls, poly.terms.items())
+        self.poly, self._pows = poly, {1: poly}
+        return self
+
+    def __reduce__(self):
+        return _Atom, (self.poly,)
 
     def __pow__(self, e: int) -> MPoly:
         """The atom's polynomial to a power e >= 1, memoised."""
@@ -382,35 +366,30 @@ class _Atom:
         return str(self.poly)
 
 
-def _align(f1, f2):
-    """(atom, e1, e2) for every atom of either factor list; an atom missing
-    from a list has exponent 0 there. Atoms match by key, a dict lookup."""
-    rest = {a.key: (a, e) for a, e in f2}
-    out = [(a, e, rest.pop(a.key, (a, 0))[1]) for a, e in f1]
-    return out + [(a, 0, e) for a, e in rest.values()]
-
-
 def _merge(f1, f2):
-    """Formal product of two factor lists: the exponents of equal atoms add,
-    and atoms left at 0 drop out."""
+    """Formal product of two factor dicts: the exponents of equal atoms add,
+    and atoms left at 0 drop out; f1's atoms come first, then those only f2
+    has. No factor dict is ever written, so one may be shared."""
     if not f1 or not f2:
-        # most products have an atom-free side: share the other list as it is
+        # most products have an atom-free side: share the other dict as it is
         return f1 or f2
-    return tuple((a, e1 + e2) for a, e1, e2 in _align(f1, f2) if e1 + e2)
+    return {a: e for a in {**f1, **f2} if (e := f1.get(a, 0) + f2.get(a, 0))}
 
 
 def _cross(f, g, sign):
     """f + sign * g as _poly_fun's arguments: the two rests, each a product
     of memoised atom powers, scaled, shifted and added in one _sum pass; the
-    smaller exponent m of each variable; the atoms f and g share, at their
-    smaller exponents (a denominator atom's formal lcm); and the c that f.c
-    and g.c are int multiples of. An equality is the same pass at sign -1,
-    tested for zero."""
-    common, rest1, rest2 = [], [], []
-    for a, e1, e2 in _align(f.factors, g.factors):
+    smaller exponent m of each variable; a fresh dict of the atoms f and g
+    share, at their smaller exponents (a denominator atom's formal lcm), f's
+    atoms first; and the c that f.c and g.c are int multiples of. An equality
+    is the same pass at sign -1, tested for zero."""
+    f1, f2 = f.factors, g.factors
+    common, rest1, rest2 = {}, [], []
+    for a in {**f1, **f2}:
+        e1, e2 = f1.get(a, 0), f2.get(a, 0)
         e = min(e1, e2)
         if e:
-            common.append((a, e))
+            common[a] = e
         if e1 > e:
             rest1.append((a, e1 - e))
         if e2 > e:
@@ -421,13 +400,13 @@ def _cross(f, g, sign):
     m = m1 if m1 == m2 else tuple(map(min, m1, m2))
     return (_sum(_expand(rest1), n1 // n * (d // d1), tuple(map(sub, m1, m)),
                  _expand(rest2), sign * n2 // n * (d // d2), tuple(map(sub, m2, m))),
-            m, tuple(common), n if d == 1 else Fraction(n, d))
+            m, common, n if d == 1 else Fraction(n, d))
 
 
 def _expand(factors) -> MPoly:
-    """a_1^e_1 * ... * a_k^e_k for (atom, e > 0) pairs, the constant 1 for
-    none: the memoised atom powers multiplied in list order, and a lone
-    power itself, not a copy; the caller's _sum pass scales and shifts it."""
+    """a_1^e_1 * ... * a_k^e_k for (atom, e > 0) pairs in factor-dict order,
+    the constant 1 for none: the memoised atom powers multiplied in that
+    order, and a lone power itself, not a copy; _sum scales and shifts it."""
     out = _ONE
     for atom, e in factors:
         out = atom**e if out is _ONE else out * atom**e
@@ -453,13 +432,14 @@ def _sum(p1, c1, m1, p2, c2, m2) -> MPoly:
     return MPoly._raw(_guard(out) if k1 or k2 else out)._normalize()
 
 
-def _poly_fun(p: MPoly, m=_NO_EXPS, factors=(), c=1) -> "RatFun":
-    """c * x^m * p * (the factor list) as a RatFun: a single-term p goes into
-    c and mexp, a longer one becomes an atom, merged in case it is a factor."""
+def _poly_fun(p: MPoly, m=_NO_EXPS, factors={}, c=1) -> "RatFun":
+    """c * x^m * p * (the factor dict, shared as every one may be) as a RatFun:
+    a single-term p goes into c and mexp, a longer one becomes an atom,
+    merged in case it is a factor."""
     if not p.terms:
         return RatFun._const(0)
     if len(p.terms) > 1:
-        return RatFun._make(c, m, _merge(factors, ((_Atom(p), 1),)))
+        return RatFun._make(c, m, _merge(factors, {_Atom(p): 1}))
     ((k, v),) = p.terms.items()
     return RatFun._make(_int(c * v), tuple(map(add, _unpack(k), m)), factors)
 
@@ -469,9 +449,9 @@ class RatFun:
 
     c is a nonzero int or Fraction, an int whenever it is integral, and
     holds the function's whole rational part; mexp holds a signed exponent
-    for each of ``a b c d t u``; ``factors`` holds (atom, exponent) pairs,
-    each atom an int polynomial of two or more terms memoising its powers
-    for its own lifetime. The zero function has c = 0 and ``factors``
+    for each of ``a b c d t u``; ``factors`` maps atoms, int polynomials of
+    two or more terms memoising their powers, to nonzero exponents, and is
+    shared, so never written. The zero function has c = 0 and ``factors``
     None. ``num`` and ``den`` take c's numerator and denominator. A sum
     keeps the shared atoms at their smaller exponents (for a denominator
     atom the formal lcm) and the smaller exponent of each variable; the sum
@@ -499,7 +479,7 @@ class RatFun:
     @classmethod
     def _const(cls, c) -> "RatFun":
         c = c if c.__class__ is int else _int(Fraction(c))
-        return cls._make(c, _NO_EXPS, () if c else None)
+        return cls._make(c, _NO_EXPS, {} if c else None)
 
     @classmethod
     def var(cls, name: str) -> "RatFun":
@@ -508,7 +488,7 @@ class RatFun:
 
     def _half(self, sign: int, c) -> MPoly:
         """c times the expanded atoms and variables of the given sign."""
-        return _sum(_expand([(a, sign * e) for a, e in self.factors or () if sign * e > 0]), c,
+        return _sum(_expand([(a, sign * e) for a, e in (self.factors or {}).items() if sign * e > 0]), c,
                     tuple(max(sign * e, 0) for e in self.mexp), MPoly(), 0, _NO_EXPS)
 
     @property
@@ -579,7 +559,7 @@ class RatFun:
         # an int to a negative power would be a float
         c = self.c**e if e > 0 else Fraction(self.c) ** e
         return RatFun._make(_int(c), tuple(k * e for k in self.mexp),
-                            tuple((a, e * k) for a, k in self.factors if e))
+                            {a: e * k for a, k in self.factors.items() if e})
 
     def __eq__(self, other):
         # exact: the polynomial ring is an integral domain and no atom is
@@ -594,13 +574,6 @@ class RatFun:
         if f1 is None or f2 is None:
             return f1 is f2
         return not _cross(self, other, -1)[0]
-
-    def substitute(self, bindings) -> "RatFun":
-        n = self.num.substitute(bindings)
-        d = self.den.substitute(bindings)
-        if not d:
-            raise DivisionByZeroFunction("substitution produced an identically zero denominator")
-        return n / d
 
     def evaluate(self, point) -> Fraction:
         dval = self.den.evaluate(point)

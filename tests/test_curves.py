@@ -355,8 +355,15 @@ def test_three_point_map_returns_each_g_value():
     t = RatFun.var("t")
     sym = three_point_map(CurveParams("g1", 3, F(1), F(1)), t, F(3))
     assert all(rf_eq(v, g_eval(CurveParams("g1", 3, F(1), F(1)), x)) for x, v in zip(sym.xs, sym.values, strict=True))
-    assert rf_eq(sym.xs[1], three_point_display("g1", 3).xs[1].substitute(
-        {"a": RatFun(1), "b": RatFun(1), "u": RatFun(3)}))
+    # it is the display's X2 at a = b = 1, u = 3, exactly: the two agree at
+    # more rational t, none a pole, than their cross-multiplied t-degree
+    x2, disp = sym.xs[1], three_point_display("g1", 3).xs[1]
+    at = {"a": 1, "b": 1, "u": 3}
+    bound = max(x2.num.degree("t") + disp.den.degree("t"), disp.num.degree("t") + x2.den.degree("t"))
+    ts = [tv for tv in (F(k, 7) for k in range(1, 200))
+          if x2.den.evaluate({"t": tv}) and disp.den.evaluate({**at, "t": tv})][:bound + 1]
+    assert len(ts) == bound + 1
+    assert all(x2.evaluate({"t": tv}) == disp.evaluate({**at, "t": tv}) for tv in ts)
 
 
 @pytest.mark.parametrize("K", [field_new(13), field_new("3^3:1,2,0,1")], ids=["F13", "F27"])
@@ -705,6 +712,24 @@ def test_reciprocal_curves_evaluate_g_once_per_component(monkeypatch):
         monkeypatch.setattr(curves, "_apply", lambda g, x: calls.append(x) or apply_(g, x))
         assert certify(g, 5) and len(calls) == k
         monkeypatch.undo()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from("abcdtu"), st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(1, 9),
+       st.fractions(-5, 5, max_denominator=6), st.integers(-50, 50), st.sampled_from(range(4)),
+       st.fractions(1, 5, max_denominator=6), st.fractions(3, 6, max_denominator=6))
+def test_apply_is_g_in_the_ring_of_its_argument(v, low, lead, q, i, j, tv, uv):
+    # a random g in any one variable, evaluated at a Fraction, at an F_101
+    # element and at a rational function in t and u whose denominators are
+    # nonzero at every drawn (t, u)
+    g = MPoly.from_terms({(k,): c for k, c in enumerate(low + [lead]) if c}, (v,))
+    assert curves._apply(g, q) == g.evaluate({v: q})
+    K = field_new(101)
+    assert curves._apply(g, K.elem(i)) == K.elem(int(g.evaluate({v: i})) % 101)
+    t, u = RatFun.var("t"), RatFun.var("u")
+    x = (t, 1 / (t * t), (t + 1) / (u - 2), (t * t - u) / (2 * t + 3))[j]
+    point = {"t": tv, "u": uv}
+    assert curves._apply(g, x).evaluate(point) == g.evaluate({v: x.evaluate(point)})
 
 
 def test_reciprocal_rejections():

@@ -16,6 +16,8 @@ from hypoint.poly import (
     RatFun,
     _DEG_LIMIT,
     _Atom,
+    _unpack,
+    _VAR_FUNS,
     poly_exact_sqrt,
     rf_eq,
 )
@@ -185,20 +187,6 @@ def test_ratfun_arithmetic_cross_checks():
     assert rf_eq((t / (t + 1)) ** (-2), (t + 1) ** 2 / t**2)
 
 
-def test_ratfun_substitute_inversion_symmetry():
-    t = RatFun.var("t")
-    f = (t**2 + 1) / t
-    g = f.substitute({"t": 1 / t})
-    assert rf_eq(f, g)
-
-
-def test_substitute_rejects_identically_zero_denominator():
-    t = RatFun.var("t")
-    f = 1 / (t - 1)
-    with pytest.raises(DivisionByZeroFunction):
-        f.substitute({"t": RatFun(MPoly.const(1))})
-
-
 def test_evaluate_pole():
     t = RatFun.var("t")
     f = 1 / (t - 1)
@@ -326,15 +314,6 @@ def test_rf_eq_matches_explicit_cross_product(f, g, d, e, same_num):
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys(vars_=("t",)), st.integers(-5, 5), st.integers(-5, 5))
-def test_substitution_is_evaluation_compatible(f, num, point):
-    # substituting t -> constant then evaluating equals direct evaluation
-    g = RatFun(f).substitute({"t": RatFun(MPoly.const(num))})
-    assert g.evaluate({}) == Fraction(f.evaluate({"t": num}))
-    del point
-
-
-@settings(max_examples=40, deadline=None)
 @given(polys(vars_=("t",)))
 def test_exact_sqrt_roundtrip(f):
     sq = f * f
@@ -356,13 +335,13 @@ def wide_polys(draw, vars_=("t", "u"), max_size=5):
 def _reference_product(f, g):
     """f*g on exponent tuples over the union of variables, with no packed keys."""
     vs = tuple(sorted(set(f.vars) | set(g.vars), key="abcdtu".index))
-    def spread(p, k):
-        exps = dict(zip(p.vars, p.exponents(k)))
-        return tuple(exps.get(v, 0) for v in vs)
+    def spread(k):
+        exps = dict(zip(VARS, _unpack(k)))
+        return tuple(exps[v] for v in vs)
     out = {}
     for k1, c1 in f.terms.items():
         for k2, c2 in g.terms.items():
-            e = tuple(x + y for x, y in zip(spread(f, k1), spread(g, k2)))
+            e = tuple(x + y for x, y in zip(spread(k1), spread(k2)))
             out[e] = out.get(e, 0) + c1 * c2
     return MPoly.from_terms(out, vs)
 
@@ -408,8 +387,7 @@ def _reference_sum(f, g, sign=1):
     out = {}
     for p, s in ((f, 1), (g, sign)):
         for k, c in p.terms.items():
-            exps = dict(zip(p.vars, p.exponents(k)))
-            e = tuple(exps.get(v, 0) for v in VARS)
+            e = _unpack(k)
             out[e] = out.get(e, 0) + s * c
     return MPoly.from_terms(out, VARS)
 
@@ -485,7 +463,7 @@ def test_ratfun_chains_match_explicit_cross_multiplication(nums, dens, pick, cha
 def test_ratfun_numerator_equal_to_denominator_is_one():
     f = T * U - 3
     for x in (RatFun(f, f), RatFun(MPoly(dict(f.terms)), f), RatFun(-1, -1), RatFun(2, 2)):
-        assert x.factors == () and x.num == 1 and x.den == 1
+        assert x.factors == {} and x.num == 1 and x.den == 1
         assert rf_eq(x, 1) and x == 1 and not rf_eq(x, -1)
     assert RatFun(-1, 1) == -1 and RatFun(1, -1) == -1
 
@@ -495,13 +473,13 @@ def test_ratfun_sum_equal_to_a_common_atom_cancels_it():
     # sum of what is left, t + 1, equals it, so it must merge and cancel
     t = RatFun.var("t")
     x = t / (t + 1) + 1 / (t + 1)
-    assert x.factors == () and rf_eq(x, 1) and x.den == 1
+    assert x.factors == {} and rf_eq(x, 1) and x.den == 1
     # no gcd: t^2 - 1 is one atom, so t - 1 stays in the denominator
     y = t * t / (t - 1) - 1 / (t - 1)
     assert rf_eq(y, t + 1) and y.num == T**2 - 1 and y.den == T - 1
     # a numerator atom both sides share, times a sum equal to another atom
     z = (t + 2) * t + (t + 2) * 1
-    assert rf_eq(z, (t + 2) * (t + 1)) and sorted((str(a), e) for a, e in z.factors) == [
+    assert rf_eq(z, (t + 2) * (t + 1)) and sorted((str(a), e) for a, e in z.factors.items()) == [
         ("1*t^1 + 1", 1), ("1*t^1 + 2", 1)]
 
 
@@ -522,7 +500,7 @@ def test_ratfun_sums_with_zero():
 
 def test_ratfun_negative_powers_and_the_minus_one_atom():
     x = RatFun(T + 1, U - 2)
-    assert rf_eq(x**-2, RatFun((U - 2) ** 2, (T + 1) ** 2)) and (x**-2 * x**2).factors == ()
+    assert rf_eq(x**-2, RatFun((U - 2) ** 2, (T + 1) ** 2)) and (x**-2 * x**2).factors == {}
     assert rf_eq(1 / x, x**-1) and rf_eq(x / x, 1)
     assert -(-x) == x and rf_eq((-x) * (-x), x * x) and rf_eq((-x) ** 3, -(x**3))
     assert rf_eq(-x, RatFun(-T - 1, U - 2)) and rf_eq(-x, RatFun(T + 1, 2 - U))
@@ -588,7 +566,7 @@ def test_ratfun_chains_with_shared_atoms_match_cross_multiplication(pool, picks,
     assert acc.num * ref_d == ref_n * acc.den
     assert (not acc) == (not ref_n) == (acc.factors is None)
     assert rf_eq(acc + 1, ref + 1) and not rf_eq(acc + 1, ref) and not rf_eq(acc, ref - 1)
-    assert all(e and a for a, e in acc.factors or ())
+    assert all(e and a for a, e in (acc.factors or {}).items())
     pt = dict(zip("tu", point))
     if ref_d.evaluate(pt) and acc.den.evaluate(pt):
         assert acc.evaluate(pt) == ref_n.evaluate(pt) / ref_d.evaluate(pt)
@@ -600,9 +578,9 @@ def _assert_normal(f):
     # appears anywhere
     assert f.c.__class__ is int or (f.c.__class__ is Fraction and f.c.denominator != 1)
     assert all(e.__class__ is int for e in f.mexp)
-    for a, e in f.factors or ():
+    for a, e in (f.factors or {}).items():
         assert len(a.poly.terms) >= 2 and e.__class__ is int and e
-    for p in [f.num, f.den] + [a.poly for a, _ in f.factors or ()]:
+    for p in [f.num, f.den] + [a.poly for a in f.factors or ()]:
         assert all(c.__class__ is int for c in p.terms.values())
 
 
@@ -646,7 +624,7 @@ def test_ratfun_chains_over_constants_and_monomials(extra, chain, point):
 
 def test_constants_and_monomials_scale_c_and_mexp():
     half = RatFun(2 * T, 4 * T)
-    assert half == Fraction(1, 2) and half.factors == () and half.c == Fraction(1, 2)
+    assert half == Fraction(1, 2) and half.factors == {} and half.c == Fraction(1, 2)
     assert half.num == 1 and half.den == 2
     t = RatFun.var("t")
     assert not (t * 0) and not (0 * t) and (t * 0).den == 1
@@ -656,10 +634,47 @@ def test_constants_and_monomials_scale_c_and_mexp():
         t * 1.5
     # an int to a negative power is a float in Python; c must stay exact
     for f, c in ((RatFun(1) ** -1, 1), (RatFun(-1) ** -3, -1), ((2 * t) ** -2, Fraction(1, 4))):
-        assert f.c == c and f.c.__class__ is c.__class__ and f.factors == ()
-    assert (t * t / t).factors == () and (t * t / t).mexp == t.mexp
+        assert f.c == c and f.c.__class__ is c.__class__ and f.factors == {}
+    assert (t * t / t).factors == {} and (t * t / t).mexp == t.mexp
     x = (t + 1) / (2 * t - 1) * half
-    assert pickle.loads(pickle.dumps(x)) == x and str(x.factors[0][0]) == "1*t^1 + 1"
+    assert pickle.loads(pickle.dumps(x)) == x and str(next(iter(x.factors))) == "1*t^1 + 1"
+
+
+def _factor_items(fs):
+    """Each function's factor dict as a list of its (atom, exponent) items,
+    or None for the zero function."""
+    return [None if f.factors is None else list(f.factors.items()) for f in fs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(pool_polys, min_size=3, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=2),
+       st.integers(-2, 2))
+def test_no_operation_writes_a_factor_dict(pool, picks, e):
+    # A dict, unlike a tuple, can be changed in place, and factor dicts are
+    # shared: _merge returns one operand's dict when the other has no atoms,
+    # and every RatFun.var shares its dict with _VAR_FUNS. So no operation
+    # may write one: every operand's items, and _VAR_FUNS's, are the same
+    # after every + - * / **, ==, num and den between them, some of the
+    # operands sharing one dict already.
+    pool = [p if p else T + 2 for p in pool] + [MPoly.const(-1)]
+    t = RatFun.var("t")
+    x, y = (RatFun(pool[i]) * pool[j] / pool[k] * t for i, j, k in picks)
+    fs = [x, y, t, x * 2, t / x, y / t, RatFun(3), x - x]
+    before = _factor_items(fs + list(_VAR_FUNS.values()))
+    for f in fs:
+        for g in fs + [0, -1, Fraction(1, 2)]:
+            f + g, g + f, f - g, g - f, f * g, g * f, (f == g, g == f)
+            if f:
+                f**e, g / f
+        f.num, f.den
+    assert _factor_items(fs + list(_VAR_FUNS.values())) == before
+    # an atom pickles as its polynomial and is rebuilt with a fresh memo
+    w = x / (T + U + 2) ** 2
+    w2 = pickle.loads(pickle.dumps(w))
+    assert min(w.factors.values()) < 0 and w2 == w and w2.factors == w.factors
+    assert [(a.poly.terms, e) for a, e in w2.factors.items()] == [(a.poly.terms, e) for a, e in w.factors.items()]
+    assert all(type(a) is _Atom and a**2 == a.poly**2 for a in w2.factors)
 
 
 def test_atom_free_functions_compare_by_c_and_exponents():
@@ -668,7 +683,7 @@ def test_atom_free_functions_compare_by_c_and_exponents():
     keys = [(3, 2, -1), (Fraction(3, 2), 2, -1), (-3, 2, -1), (3, 1, -1), (3, 2, 0),
             (Fraction(-3, 2), -2, 1), (1, 0, 0)]
     fs = [c * t**i * u**j for c, i, j in keys]
-    assert all(f.factors == () for f in fs)
+    assert all(f.factors == {} for f in fs)
     for f, key in zip(fs, keys):
         for g, other in zip(fs, keys):
             assert (f == g) == (key == other) and rf_eq(f, g) == (key == other)
@@ -770,26 +785,26 @@ def _checked_sum(x, y, sign):
     ref_num = _reference_sum(_reference_product(x.num, y.den), _reference_product(y.num, x.den), sign)
     ref_den = _reference_product(x.den, y.den)
     assert _reference_product(r.num, ref_den) == _reference_product(ref_num, r.den)
-    for p in [r.num, r.den] + [a.poly for a, _ in r.factors or ()]:
+    for p in [r.num, r.den] + [a.poly for a in r.factors or ()]:
         assert _is_normal(p)
     return r
 
 
 shared_atoms = st.builds(lambda p: p if len(p.terms) >= 2 else T + 2 * U - 1, wide_polys(max_size=3))
+distinct_exps = st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=2, max_size=2, unique=True)
 
 
 @settings(max_examples=40, deadline=None)
-@given(wide_polys(max_size=3), wide_polys(max_size=2), shared_atoms, shared_atoms,
-       st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=4, max_size=4),
-       st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+@given(wide_polys(max_size=3).filter(bool), wide_polys(max_size=2).filter(bool), shared_atoms, shared_atoms,
+       distinct_exps, distinct_exps, st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
 def test_ratfun_sums_over_shared_atoms_with_cancelling_tops_match_cross_multiplication(
-        n1, n2, a, b, exps, shifts):
+        n1, n2, a, b, a_exps, b_exps, shifts):
     # f and h share the atoms A and B at different exponents. f + (h - f)
     # and f - (f - h) cancel all of f's rest, its top-degree terms with it,
     # so the sum's degrees fall and must be read again where they fell.
-    assume(n1 and n2)
-    e1, e2, f1, f2 = exps
-    assume(e1 != e2 and f1 != f2)
+    # Every input is drawn valid, since rejecting most draws fails
+    # hypothesis's health check on some seeds.
+    (e1, e2), (f1, f2) = a_exps, b_exps
     big_a, big_b = RatFun(a), RatFun(b)
     f = RatFun(n1) * big_a**e1 * big_b**f1 * RatFun.var("t") ** shifts[0]
     h = RatFun(n2) * big_a**e2 * big_b**f2 * RatFun.var("u") ** shifts[1]
