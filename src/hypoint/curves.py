@@ -361,30 +361,27 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
     builders computed, so no g is evaluated here.
 
     Checks, all exact rf_eq comparisons over Q:
-      1. the identity over Q(a, b, c, t) with c standing for g(u), in both the
-         raw form, which the field maps, encode and the survey walk run, and
-         the cancelled form,
+      1. the identity over Q(a, b, c, t) with c standing for g(u), in the raw
+         form, which the field maps, encode and the survey walk run,
       2. raw and cancelled X2 agree as rational functions,
       3. with deep=True additionally the (t, u) identity of the cancelled
          display (affordable for n = 3), and the agreement of the display's
          X2 with the raw X2 that _x2 builds from the same s = t^2*g(u).
+
+    The identity in the cancelled form follows from 1 and 2 without being
+    built: X3 = s*X2 and U and every g-value are one formula of (X2, s, t, c)
+    in both forms, so equal X2 make every side equal.
     """
-    cores = {}
-    for form in ("raw", "cancelled"):
-        core = three_point_inner(family, n, form)
-        if not _square_is_product(core["u"], (core["g_x1"], core["g_x2"], core["g_x3"])):
-            return False
-        cores[form] = core
-    if not rf_eq(cores["raw"]["x2"], cores["cancelled"]["x2"]):
+    core = three_point_inner(family, n, "raw")
+    a, b, c, t = (RatFun.var(v) for v in "abct")
+    e = _exponent(family, n)
+    if not (_square_is_product(core["u"], (c, core["g_x2"], core["g_x3"]))
+            and rf_eq(core["x2"], _x2(a, b, t * t * c, e, "cancelled"))):
         return False
     if deep:
         disp = three_point_display(family, n)
-        if not _square_is_product(disp.u, disp.values):
-            return False
-        a, b, t = (RatFun.var(v) for v in "abt")
-        raw_x2 = _x2(a, b, t * t * disp.values[0], _exponent(family, n), "raw")
-        if not rf_eq(raw_x2, disp.xs[1]):
-            return False
+        return (_square_is_product(disp.u, disp.values)
+                and rf_eq(_x2(a, b, t * t * disp.values[0], e, "raw"), disp.xs[1]))
     return True
 
 

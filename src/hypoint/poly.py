@@ -533,9 +533,7 @@ class RatFun:
         f1, f2 = self.factors, other.factors
         if f1 is None or f2 is None:
             return self if f1 is None else other
-        m1, m2 = self.mexp, other.mexp
-        return RatFun._make(_int(self.c * other.c), m1 if m2 is _NO_EXPS else tuple(map(add, m1, m2)),
-                            _merge(f1, f2))
+        return RatFun._make(_int(self.c * other.c), tuple(map(add, self.mexp, other.mexp)), _merge(f1, f2))
 
     __rmul__ = __mul__
 

@@ -466,7 +466,7 @@ def test_make_point_checks_membership():
 
 
 @pytest.mark.parametrize("family", ["g1", "g2"])
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", [*range(3, 10), 16, 21, 32])
 def test_two_point_certified(family, n):
     assert certify_two_point(family, n)
 
@@ -494,20 +494,23 @@ def test_two_point_certificate_evaluates_g_of_x1_once(u_formula, calls, monkeypa
     assert seen == calls
 
 
-@pytest.mark.parametrize("family,n", [("g1", 5), ("g2", 7)])
+@pytest.mark.parametrize("family,n", [(fam, n) for fam in ("g1", "g2") for n in (3, 5, 7, 9, 21)])
 def test_three_point_certificate_evaluates_g_once(family, n, monkeypatch):
-    # per form, U's g(X2) is reused and only g(X3) is evaluated again: two
-    # forms, four evaluations
+    # the identity is built in the raw form only: U's g(X2) is reused and
+    # only g(X3) is evaluated again, two evaluations, and g never sees the
+    # cancelled X2, which only the X2 comparison builds
+    raw = three_point_inner(family, n, "raw")
     seen = []
     shape = curves.g_shape
 
     def counted(*args):
-        seen.append(args[0])
+        seen.append(args)
         return shape(*args)
 
     monkeypatch.setattr(curves, "g_shape", counted)
     assert certify_three_point(family, n)
-    assert seen == [family] * 4
+    assert [args[0] for args in seen] == [family] * 2
+    assert [args[4].factors for args in seen] == [raw["x2"].factors, raw["x3"].factors]
 
 
 @pytest.mark.parametrize("args", [("g1", 9), ("g1", 3, True)])
@@ -530,8 +533,8 @@ def test_power_memo_never_outlives_a_call(args, monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["g1", "g2"])
-def test_deep_three_point_certificate_evaluates_g_seven_times(family, monkeypatch):
-    # four in the inner check, then the display's g(u) and g(X2), which U
+def test_deep_three_point_certificate_evaluates_g_five_times(family, monkeypatch):
+    # two in the inner check, then the display's g(u) and g(X2), which U
     # needs anyway, and one new evaluation, g(X3)
     seen = []
     shape = curves.g_shape
@@ -542,7 +545,7 @@ def test_deep_three_point_certificate_evaluates_g_seven_times(family, monkeypatc
 
     monkeypatch.setattr(curves, "g_shape", counted)
     assert certify_three_point(family, 3, deep=True)
-    assert seen == [family] * 7
+    assert seen == [family] * 5
 
 
 @pytest.mark.parametrize("family,n", [("g1", 3), ("g2", 3), ("g1", 5)])
@@ -570,6 +573,41 @@ def test_deep_check_compares_the_display_x2_with_a_raw_x2(family, monkeypatch):
     assert not certify_three_point(family, 3, deep=True)
 
 
+def _geom_sum_without_its_top_term(monkeypatch):
+    geom = curves._geom_sum
+    monkeypatch.setattr(curves, "_geom_sum", lambda s, k: geom(s, max(k - 1, 1)))
+
+
+def _cancelled_numerator_one_power_short(monkeypatch):
+    x2 = curves._x2
+
+    def mutant(a, b, s, e, form):
+        if form == "raw":
+            return x2(a, b, s, e, form)
+        den_core = curves._geom_sum(s, e - 1)
+        return -(b * (den_core + s ** (e - 2))) / (a * s * den_core)
+
+    monkeypatch.setattr(curves, "_x2", mutant)
+
+
+@pytest.mark.parametrize("mutate,changed", [(_geom_sum_without_its_top_term, 7),
+                                            (_cancelled_numerator_one_power_short, 8)])
+def test_cancelled_form_is_guarded_by_the_x2_comparison(mutate, changed, monkeypatch):
+    # a mutant of the cancelled form alone leaves the raw identity standing,
+    # so only the raw = cancelled X2 comparison can reject it; it must, for
+    # both families at every odd n where the mutant changes X2 (g2 at n = 3
+    # sums one term, which the first mutant leaves as it is)
+    cases = [(fam, n) for fam in ("g1", "g2") for n in (3, 5, 7, 9)]
+    before = {case: three_point_inner(*case, "cancelled")["x2"] for case in cases}
+    mutate(monkeypatch)
+    hit = [case for case in cases if not rf_eq(three_point_inner(*case, "cancelled")["x2"], before[case])]
+    assert len(hit) == changed
+    for fam, n in hit:
+        raw = three_point_inner(fam, n, "raw")
+        assert rf_eq(raw["u"] * raw["u"], raw["g_x1"] * raw["g_x2"] * raw["g_x3"])
+        assert not certify_three_point(fam, n)
+
+
 def test_identity_rows_run_every_public_certificate():
     # the full suite names each row once and reaches every certify_*
     # function, so no certificate is left out of `hypoint identities`
@@ -585,7 +623,7 @@ def test_literal_value_term_is_identity_on_first_family():
 
 
 @pytest.mark.parametrize("family", ["g1", "g2"])
-@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 21, 31])
 def test_three_point_certified(family, n):
     assert certify_three_point(family, n, deep=(n == 3))
 

@@ -1,4 +1,4 @@
-"""scripts/coverage_sweep.py, loaded by path and run in-process."""
+"""The scripts under scripts/, loaded by path and run in-process."""
 
 import importlib.util
 import json
@@ -10,15 +10,19 @@ from hypoint.curves import CurveParams
 from hypoint.ff import field_new
 from hypoint.survey import DEFAULT_CAP, MISSED_CAP, coverage
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "coverage_sweep.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    spec = importlib.util.spec_from_file_location("coverage_sweep", SCRIPT)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _load("coverage_sweep")
 
 
 def test_json_rows_agree_with_coverage(sweep, capsys):
@@ -53,3 +57,14 @@ def test_p_max_past_the_enumeration_cap_is_a_usage_error(sweep, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--p-max must not exceed the enumeration cap" in err and "Traceback" not in err
+
+
+def test_code_size_counts_every_library_module(capsys):
+    code_size = _load("code_size")
+    assert code_size.main() == 0
+    out = json.loads(capsys.readouterr().out)
+    modules = out["modules"]
+    assert set(modules) == {path.name for path in (ROOT / "src" / "hypoint").glob("*.py")}
+    assert out["total"] == {key: sum(m[key] for m in modules.values()) for key in ("lines", "tokens")}
+    # comments, indentation and line ends are no code tokens: if x : y = 1
+    assert code_size.code_tokens("if x:\n    y = 1  # one\n") == 6
