@@ -11,7 +11,7 @@ symbolic layer:
   g(x)*z^m = y^n + c*y + d (family 1 shape; family 2 uses y^n + c*y^2 + d*y).
 * two_point_map: (X1(t), X2(t), U(t)) with U^2 = g(X1)*g(X2), any n >= 3.
 * three_point_map: (u, X2(t,u), X3(t,u), U(t,u)) with U^2 = g(u)*g(X2)*g(X3),
-  odd n >= 3.
+  odd n >= 3; the deep n = 3 certificate runs it over Q(a, b)(t, u).
 * even_n_point: the explicit point (-b/a, (b/a)^(n/2)) on y^2 = g(x), even n.
 * encode: deterministic point construction on y^2 = g(x) over F_q from a
   domain pair (t, u) via the three-point map and the first quadratic-square
@@ -37,8 +37,9 @@ s = 1, which is what makes the domain-size lower bound in the survey
 unconditional. On fields and Q the maps take the sums in closed form, the
 raw quotient (s^e - 1)/(s^(e-1) - 1), which the certifier proves equal to
 the cancelled one, and e/(e - 1) at s = 1, so their cost grows with log n,
-not n. Both field maps check U^2 = prod g(x_i) with an explicit
-AssertionError, which python -O keeps.
+not n. Both maps check U^2 = prod g(x_i) with an explicit AssertionError,
+which python -O keeps, on whatever ring they run: the certifier runs
+three_point_map over Q(a, b)(t, u) and counts that error as a failure.
 """
 
 from __future__ import annotations
@@ -300,8 +301,9 @@ def _map_triple(params: CurveParams, t, gamma, xs: tuple, values: tuple, form: s
 
 
 def _checked_map(params: CurveParams, t, gamma, xs: tuple, values: tuple) -> ParamTriple:
-    """The raw _map_triple on a field or Q. Raises AssertionError, also under
-    python -O, when U^2 != prod values."""
+    """The raw _map_triple on a field, on Q, or over Q(a, b)(t, u) for the
+    deep certificate. Raises AssertionError, also under python -O, when
+    U^2 != prod values."""
     tri = _map_triple(params, t, gamma, xs, values, "raw")
     if not _square_is_product(tri.u, tri.values):
         raise AssertionError(f"U^2 != prod g(x_i) for {params} at t = {t}")
@@ -314,7 +316,8 @@ def _require_odd(n: int):
 
 
 def three_point_map(params: CurveParams, t, u) -> ParamTriple:
-    """(X1, X2, X3, U) = (u, ...) with U^2 = g(u)*g(X2)*g(X3); field or Q.
+    """(X1, X2, X3, U) = (u, ...) with U^2 = g(u)*g(X2)*g(X3); field or Q,
+    and over Q(a, b)(t, u), where certify_three_point runs it at n = 3.
 
     The triple carries values = (g(u), g(X2), g(X3)), each evaluated once,
     and the identity is checked on them.
@@ -330,30 +333,14 @@ def three_point_inner(family: str, n: int, form: str) -> dict:
     """Symbolic three-point data over Q(a, b, c, t), where the symbol c stands
     for the inner value g(u). Tiny polynomials for every n, so the defining
     identity U^2 = c * g(X2) * g(X3) is certifiable by exact rf_eq for every
-    n; the (t, u) forms are the exact substitution c -> g(u). "g_x2" and
-    "g_x3" are the g-values _map_triple computed, so no caller evaluates
-    them again."""
+    n; three_point_map over Q(a, b)(t, u) is the exact substitution
+    c -> g(u). "g_x2" and "g_x3" are the g-values _map_triple computed, so
+    no caller evaluates them again."""
     _require_odd(n)
     c = RatFun.var("c")
     tri = _map_triple(_symbolic_params(family, n), RatFun.var("t"), c, (), (c,), form)
     (x2, x3), (_, gx2, gx3) = tri.xs, tri.values
     return {"x2": x2, "x3": x3, "u": tri.u, "g_x1": c, "g_x2": gx2, "g_x3": gx3}
-
-
-def three_point_display(family: str, n: int) -> ParamTriple:
-    """The displayed (t, u) rational functions over Q(a, b) in the cancelled
-    form, with values = (g(u), g(X2), g(X3)), each evaluated once.
-
-    These grow fast with n: kept as formal products, U's g(X2) atom alone
-    has about 8*10^4 terms for g1 at n = 9, and expanded numerators
-    are far larger; certification therefore happens on three_point_inner,
-    and this materialized form is for small-n checks and inspection.
-    """
-    _require_odd(n)
-    params = _symbolic_params(family, n)
-    u = RatFun.var("u")
-    gu = g_eval(params, u)
-    return _map_triple(params, RatFun.var("t"), gu, (u,), (gu,), "cancelled")
 
 
 def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
@@ -364,9 +351,10 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
       1. the identity over Q(a, b, c, t) with c standing for g(u), in the raw
          form, which the field maps, encode and the survey walk run,
       2. raw and cancelled X2 agree as rational functions,
-      3. with deep=True additionally the (t, u) identity of the cancelled
-         display (affordable for n = 3), and the agreement of the display's
-         X2 with the raw X2 that _x2 builds from the same s = t^2*g(u).
+      3. with deep=True additionally the (t, u) identity, by running
+         three_point_map itself over Q(a, b)(t, u), as certify_even_n_value
+         runs even_n_point (affordable for n = 3); its AssertionError is a
+         failed certificate.
 
     The identity in the cancelled form follows from 1 and 2 without being
     built: X3 = s*X2 and U and every g-value are one formula of (X2, s, t, c)
@@ -374,14 +362,14 @@ def certify_three_point(family: str, n: int, deep: bool = False) -> bool:
     """
     core = three_point_inner(family, n, "raw")
     a, b, c, t = (RatFun.var(v) for v in "abct")
-    e = _exponent(family, n)
     if not (_square_is_product(core["u"], (c, core["g_x2"], core["g_x3"]))
-            and rf_eq(core["x2"], _x2(a, b, t * t * c, e, "cancelled"))):
+            and rf_eq(core["x2"], _x2(a, b, t * t * c, _exponent(family, n), "cancelled"))):
         return False
     if deep:
-        disp = three_point_display(family, n)
-        return (_square_is_product(disp.u, disp.values)
-                and rf_eq(_x2(a, b, t * t * disp.values[0], e, "raw"), disp.xs[1]))
+        try:
+            three_point_map(_symbolic_params(family, n), t, RatFun.var("u"))
+        except AssertionError:
+            return False
     return True
 
 

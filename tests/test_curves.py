@@ -43,7 +43,6 @@ from hypoint.curves import (
     quartic_triple_curve,
     reciprocal_pair_curve,
     reciprocal_triple_curve,
-    three_point_display,
     three_point_inner,
     three_point_map,
     two_point_map,
@@ -351,19 +350,26 @@ def test_encode_whole_domain_f11():
 def test_three_point_map_returns_each_g_value():
     tr = three_point_map(P11, K11.elem(2), K11.elem(3))
     assert tr.values == tuple(g_eval(P11, x) for x in tr.xs)
-    # a symbolic t runs the same raw form and carries its values too
-    t = RatFun.var("t")
-    sym = three_point_map(CurveParams("g1", 3, F(1), F(1)), t, F(3))
-    assert all(rf_eq(v, g_eval(CurveParams("g1", 3, F(1), F(1)), x)) for x, v in zip(sym.xs, sym.values, strict=True))
-    # it is the display's X2 at a = b = 1, u = 3, exactly: the two agree at
-    # more rational t, none a pole, than their cross-multiplied t-degree
-    x2, disp = sym.xs[1], three_point_display("g1", 3).xs[1]
-    at = {"a": 1, "b": 1, "u": 3}
-    bound = max(x2.num.degree("t") + disp.den.degree("t"), disp.num.degree("t") + x2.den.degree("t"))
-    ts = [tv for tv in (F(k, 7) for k in range(1, 200))
-          if x2.den.evaluate({"t": tv}) and disp.den.evaluate({**at, "t": tv})][:bound + 1]
-    assert len(ts) == bound + 1
-    assert all(x2.evaluate({"t": tv}) == disp.evaluate({**at, "t": tv}) for tv in ts)
+    # a symbolic t, and symbolic (a, b, t, u), run the same raw form and
+    # carry their values too
+    a, b, t, u = (RatFun.var(v) for v in "abtu")
+    for family, n in (("g1", 3), ("g2", 3), ("g1", 5)):
+        rat = three_point_map(CurveParams(family, n, F(1), F(1)), t, F(3))
+        assert all(rf_eq(v, g_shape(family, n, 1, 1, x)) for x, v in zip(rat.xs, rat.values, strict=True))
+        sym = three_point_map(CurveParams(family, n, a, b), t, u)
+        assert len(sym.values) == 3
+        assert all(rf_eq(v, g_shape(family, n, a, b, x)) for x, v in zip(sym.xs, sym.values, strict=True))
+        # the raw X2 at a = b = 1, u = 3 is the cancelled X2 at s = t^2*g(u)
+        # there, exactly: the two agree at more rational t, none a pole, than
+        # their cross-multiplied t-degree; so does the raw X2 over Q(a, b)(t, u)
+        canc = curves._x2(a, b, t * t * sym.values[0], curves._exponent(family, n), "cancelled")
+        x2, at = rat.xs[1], {"a": 1, "b": 1, "u": 3}
+        bound = max(x2.num.degree("t") + canc.den.degree("t"), canc.num.degree("t") + x2.den.degree("t"))
+        ts = [tv for tv in (F(k, 7) for k in range(1, 200))
+              if x2.den.evaluate({"t": tv}) and canc.den.evaluate({**at, "t": tv})][:bound + 1]
+        assert len(ts) == bound + 1
+        assert all(x2.evaluate({"t": tv}) == canc.evaluate({**at, "t": tv}) == sym.xs[1].evaluate({**at, "t": tv})
+                   for tv in ts)
 
 
 @pytest.mark.parametrize("K", [field_new(13), field_new("3^3:1,2,0,1")], ids=["F13", "F27"])
@@ -534,7 +540,7 @@ def test_power_memo_never_outlives_a_call(args, monkeypatch):
 
 @pytest.mark.parametrize("family", ["g1", "g2"])
 def test_deep_three_point_certificate_evaluates_g_five_times(family, monkeypatch):
-    # two in the inner check, then the display's g(u) and g(X2), which U
+    # two in the inner check, then three_point_map's g(u) and g(X2), which U
     # needs anyway, and one new evaluation, g(X3)
     seen = []
     shape = curves.g_shape
@@ -548,20 +554,11 @@ def test_deep_three_point_certificate_evaluates_g_five_times(family, monkeypatch
     assert seen == [family] * 5
 
 
-@pytest.mark.parametrize("family,n", [("g1", 3), ("g2", 3), ("g1", 5)])
-def test_three_point_display_values_are_g_of_u_and_x2(family, n):
-    a, b = RatFun.var("a"), RatFun.var("b")
-    disp = three_point_display(family, n)
-    assert len(disp.values) == 3
-    for x, gx in zip(disp.xs, disp.values, strict=True):
-        assert rf_eq(gx, g_shape(family, n, a, b, x))
-
-
 @pytest.mark.parametrize("family", ["g1", "g2"])
-def test_deep_check_compares_the_display_x2_with_a_raw_x2(family, monkeypatch):
-    # the deep check builds its raw X2 with _x2 at s = t^2*g(u), so a raw
-    # form that is wrong only where s involves u must fail the deep
-    # certificate and leave the inner one standing
+def test_deep_check_runs_the_raw_map_where_s_involves_u(family, monkeypatch):
+    # the deep check runs three_point_map, whose raw X2 comes from _x2 at
+    # s = t^2*g(u), so a raw form that is wrong only where s involves u
+    # must fail the deep certificate and leave the inner one standing
     x2 = curves._x2
 
     def skewed(a, b, s, e, form):
@@ -628,14 +625,38 @@ def test_three_point_certified(family, n):
     assert certify_three_point(family, n, deep=(n == 3))
 
 
+@pytest.mark.parametrize("family", ["g1", "g2"])
+def test_deep_certificate_runs_the_deployed_map(family, monkeypatch):
+    # the deep check is three_point_map itself over Q(a, b)(t, u), and the
+    # AssertionError of its identity check is a failed certificate
+    calls = []
+    deployed = curves.three_point_map
+
+    def recorded(params, t, u):
+        calls.append((params, t, u))
+        return deployed(params, t, u)
+
+    monkeypatch.setattr(curves, "three_point_map", recorded)
+    assert certify_three_point(family, 3, deep=True)
+    a, b, t, u = (RatFun.var(v) for v in "abtu")
+    assert calls == [(CurveParams(family, 3, a, b), t, u)]
+
+    def broken(params, t, gamma, xs, values):
+        raise AssertionError("U^2 != prod g(x_i)")
+
+    monkeypatch.setattr(curves, "_checked_map", broken)
+    assert certify_three_point(family, 3)
+    assert not certify_three_point(family, 3, deep=True)
+
+
 def test_deep_identity_rejects_one_extra_monomial():
     # The n = 3 deep sides share their denominator, so rf_eq decides them on
     # the numerators alone; one monomial more in U^2 must flip the verdict.
-    a, b = RatFun.var("a"), RatFun.var("b")
-    disp = three_point_display("g1", 3)
-    lhs = disp.u * disp.u
+    a, b, t, u = (RatFun.var(v) for v in "abtu")
+    tri = three_point_map(CurveParams("g1", 3, a, b), t, u)
+    lhs = tri.u * tri.u
     rhs = 1
-    for x in disp.xs:
+    for x in tri.xs:
         rhs = rhs * g_shape("g1", 3, a, b, x)
     assert lhs.den == rhs.den and rf_eq(lhs, rhs)
     bumped = RatFun(lhs.num + MPoly.var("a") * MPoly.var("t") ** 5, lhs.den)
@@ -692,13 +713,15 @@ def test_even_degree_reversed_ratio_fails():
 
 
 def test_display_matches_deployed_map_at_rational_points():
-    disp = three_point_display("g1", 3)
+    # the displayed (t, u) functions are three_point_map's own over Q(a, b)(t, u)
+    a, b, t, u = (RatFun.var(v) for v in "abtu")
+    sym = three_point_map(CurveParams("g1", 3, a, b), t, u)
     params = CurveParams("g1", 3, F(1), F(1))
     tr = three_point_map(params, F(2), F(3))
     point = {"a": F(1), "b": F(1), "t": F(2), "u": F(3)}
-    assert disp.xs[1].evaluate(point) == tr.xs[1]
-    assert disp.xs[2].evaluate(point) == tr.xs[2]
-    assert disp.u.evaluate(point) == tr.u
+    assert sym.xs[1].evaluate(point) == tr.xs[1]
+    assert sym.xs[2].evaluate(point) == tr.xs[2]
+    assert sym.u.evaluate(point) == tr.u
 
 
 # --- reciprocal and quartic curves --------------------------------------------

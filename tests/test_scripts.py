@@ -68,3 +68,25 @@ def test_code_size_counts_every_library_module(capsys):
     assert out["total"] == {key: sum(m[key] for m in modules.values()) for key in ("lines", "tokens")}
     # comments, indentation and line ends are no code tokens: if x : y = 1
     assert code_size.code_tokens("if x:\n    y = 1  # one\n") == 6
+
+
+@pytest.fixture(scope="module")
+def mutants():
+    return _load("mutants")
+
+
+def test_every_mutant_text_occurs_once_in_the_source(mutants):
+    entries = mutants.load()
+    assert len({entry["name"] for entry in entries}) == len(entries)
+    for entry in entries:
+        assert set(entry) == {"name", "file", "find", "replace", "target"}
+        assert entry["file"].startswith("src/") and entry["find"] != entry["replace"]
+        assert (ROOT / entry["target"].partition("::")[0]).is_file()
+        assert mutants.occurrences(entry) == 1, entry["name"]
+
+
+def test_cheapest_mutants_are_killed(mutants):
+    # only exit code 1 is a kill; both targets pass unmutated in this suite,
+    # and the script itself runs each target on an unmutated copy first
+    names = ["no Lucas step", "_sum drops the second sign"]
+    assert mutants.run([entry for entry in mutants.load() if entry["name"] in names]) == [1, 1]
