@@ -350,15 +350,13 @@ def test_encode_whole_domain_f11():
 def test_three_point_map_returns_each_g_value():
     tr = three_point_map(P11, K11.elem(2), K11.elem(3))
     assert tr.values == tuple(g_eval(P11, x) for x in tr.xs)
-    # a symbolic t, and symbolic (a, b, t, u), run the same raw form and
-    # carry their values too
+    # a symbolic t runs the same raw form and carries its values too (for
+    # symbolic (a, b, t, u) see the test below)
     a, b, t, u = (RatFun.var(v) for v in "abtu")
     for family, n in (("g1", 3), ("g2", 3), ("g1", 5)):
         rat = three_point_map(CurveParams(family, n, F(1), F(1)), t, F(3))
         assert all(rf_eq(v, g_shape(family, n, 1, 1, x)) for x, v in zip(rat.xs, rat.values, strict=True))
         sym = three_point_map(CurveParams(family, n, a, b), t, u)
-        assert len(sym.values) == 3
-        assert all(rf_eq(v, g_shape(family, n, a, b, x)) for x, v in zip(sym.xs, sym.values, strict=True))
         # the raw X2 at a = b = 1, u = 3 is the cancelled X2 at s = t^2*g(u)
         # there, exactly: the two agree at more rational t, none a pole, than
         # their cross-multiplied t-degree; so does the raw X2 over Q(a, b)(t, u)
@@ -370,6 +368,17 @@ def test_three_point_map_returns_each_g_value():
         assert len(ts) == bound + 1
         assert all(x2.evaluate({"t": tv}) == canc.evaluate({**at, "t": tv}) == sym.xs[1].evaluate({**at, "t": tv})
                    for tv in ts)
+
+
+@pytest.mark.parametrize("family,n", [("g1", 3), ("g2", 3), ("g1", 5)])
+def test_three_point_display_values_are_g_of_u_and_x2(family, n):
+    # the displayed (t, u) values are three_point_map's own over Q(a, b)(t, u):
+    # g(u), g(X2) and g(X3)
+    a, b, t, u = (RatFun.var(v) for v in "abtu")
+    sym = three_point_map(CurveParams(family, n, a, b), t, u)
+    assert len(sym.values) == 3
+    for x, gx in zip(sym.xs, sym.values, strict=True):
+        assert rf_eq(gx, g_shape(family, n, a, b, x))
 
 
 @pytest.mark.parametrize("K", [field_new(13), field_new("3^3:1,2,0,1")], ids=["F13", "F27"])
