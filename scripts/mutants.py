@@ -6,8 +6,9 @@
 
 Each entry names a file under src/, an exact text that occurs once in it,
 its replacement, and a target test file or node. For each entry the script
-copies src/, tests/ and pyproject.toml to a temporary directory, applies the
-one replacement there and runs
+copies src/, tests/, schemas/ (which the CLI tests validate against) and
+pyproject.toml to a temporary directory, applies the one replacement there
+and runs
 
     python -m pytest -x -q -p no:cacheprovider <target>
 
@@ -56,7 +57,7 @@ def _pytest(copy: Path, target: str) -> int:
 def _copy():
     with tempfile.TemporaryDirectory(prefix="hypoint-mutants-") as tmp:
         copy = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "schemas"):
             shutil.copytree(ROOT / name, copy / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy2(ROOT / "pyproject.toml", copy)

@@ -6,7 +6,10 @@ Exit codes are a fixed contract for CI consumers:
     0  success
     1  usage or specification errors (bad flags, bad field/curve strings)
     2  domain errors (pair outside the encoder domain, field over the cap)
-    3  certification failure in the identities subcommand
+    3  a broken algebraic promise or a failed certificate: an AssertionError
+       from the library (U^2 != prod g(x_i), a character product of -1, a
+       point off the curve), reported as {"error": "AssertionError", ...};
+       identities with all_certified false; a sweep with all_sound false
 
 All JSON output is printed with sorted keys, and every number in it is a
 decimal string: _emit applies _record.json_value once to every payload, so
@@ -224,8 +227,9 @@ def _cmd_survey(args) -> int:
     if sweep_flags and args.curve:
         raise UsageError("--curve and the sweep flags are mutually exclusive")
     if sweep_flags:
-        _emit(_sample_sweep(args, cap), args.output)
-        return 0
+        sweep = _sample_sweep(args, cap)
+        _emit(sweep, args.output)
+        return 0 if sweep["all_sound"] else 3
     if not args.curve:
         raise UsageError("survey needs --curve, or the sweep flags")
     ctx = _field(args)
@@ -259,6 +263,8 @@ def main(argv=None) -> int:
         error, code = exc, 2
     except ValueError as exc:
         error, code = exc, 1
+    except AssertionError as exc:
+        error, code = exc, 3
     # UsageError, FieldError and CurveError are all ValueErrors
     _emit({"error": type(error).__name__, "detail": str(error)}, mode,
           lambda pl: f"error: {pl['error']}: {pl['detail']}")

@@ -37,9 +37,14 @@ s = 1, which is what makes the domain-size lower bound in the survey
 unconditional. On fields and Q the maps take the sums in closed form, the
 raw quotient (s^e - 1)/(s^(e-1) - 1), which the certifier proves equal to
 the cancelled one, and e/(e - 1) at s = 1, so their cost grows with log n,
-not n. Both maps check U^2 = prod g(x_i) with an explicit AssertionError,
-which python -O keeps, on whatever ring they run: the certifier runs
-three_point_map over Q(a, b)(t, u) and counts that error as a failure.
+not n.
+
+A broken promise has one type, AssertionError, raised explicitly so that
+python -O keeps it: U^2 != prod g(x_i) in either map, on whatever ring it
+runs; a point off the curve in make_point, through which every point with
+y != 0 leaves encode and even_n_point; a quartic product that is not a
+square. A certificate whose builder raises it returns False, and the CLI
+reports it as exit 3. Bad input raises a CurveError instead.
 """
 
 from __future__ import annotations
@@ -76,14 +81,6 @@ class DomainExcluded(CurveError):
 
 
 class NotReciprocal(CurveError):
-    pass
-
-
-class NotAPerfectSquare(CurveError):
-    pass
-
-
-class NotOnCurve(CurveError):
     pass
 
 
@@ -147,9 +144,11 @@ def g_eval(params: CurveParams, x):
 
 
 def make_point(params: CurveParams, x, y, gx=None) -> AffinePoint:
-    """The point (x, y) after checking y^2 = g(x); gx is g(x) if known."""
-    if y * y != (g_eval(params, x) if gx is None else gx):
-        raise NotOnCurve(f"({x}, {y}) not on {params}")
+    """The point (x, y) after checking y^2 = g(x); gx is g(x) if known. A
+    missing root (y is None) or y^2 != g(x) is a broken promise and raises
+    AssertionError, also under python -O."""
+    if y is None or y * y != (g_eval(params, x) if gx is None else gx):
+        raise AssertionError(f"({x}, {y}) not on {params}")
     return AffinePoint(x, y)
 
 
@@ -295,7 +294,7 @@ def _map_triple(params: CurveParams, t, gamma, xs: tuple, values: tuple, form: s
     """_three_point in any ring as ParamTriple(xs + (X2, X3), U, values +
     (g(X2), g(X3))), g evaluated once per component. xs and values are the
     leading component and its g-value, (u,) and (gamma,) for the three-point
-    map and empty for the two-point map."""
+    map and empty for the two-point map and three_point_inner."""
     x2, x3, uu, gx2 = _three_point(params.family, params.n, params.a, params.b, t, gamma, form)
     return ParamTriple(xs + (x2, x3), uu, values + (gx2, g_eval(params, x3)))
 
@@ -338,8 +337,8 @@ def three_point_inner(family: str, n: int, form: str) -> dict:
     no caller evaluates them again."""
     _require_odd(n)
     c = RatFun.var("c")
-    tri = _map_triple(_symbolic_params(family, n), RatFun.var("t"), c, (), (c,), form)
-    (x2, x3), (_, gx2, gx3) = tri.xs, tri.values
+    tri = _map_triple(_symbolic_params(family, n), RatFun.var("t"), c, (), (), form)
+    (x2, x3), (gx2, gx3) = tri.xs, tri.values
     return {"x2": x2, "x3": x3, "u": tri.u, "g_x1": c, "g_x2": gx2, "g_x3": gx3}
 
 
@@ -389,10 +388,11 @@ def even_n_point(params: CurveParams) -> AffinePoint:
 
 def certify_even_n_value(family: str, n: int) -> bool:
     """g(-b/a) = (b/a)^n as an exact rational-function identity, checked by
-    running even_n_point over Q(a, b)."""
+    running even_n_point over Q(a, b); make_point's AssertionError is a
+    failed certificate."""
     try:
         even_n_point(_symbolic_params(family, n))
-    except NotOnCurve:
+    except AssertionError:
         return False
     return True
 
@@ -412,8 +412,9 @@ def encode(params: CurveParams, t, u) -> AffinePoint:
 
     The g-values come from three_point_map, never evaluated again. Only
     g(u) and g(X2) get a character: when both are -1, the identity makes
-    g(X3) a square, so X3 goes straight to the root, and a missing root or
-    y^2 != g(X3) raises AssertionError (the character product was -1).
+    g(X3) a square, so X3 goes straight to the root. Every point with y != 0
+    leaves through make_point, whose AssertionError reports a root that is
+    missing or wrong, for X3 a character product of -1.
     """
     _require_odd(params.n)
     ctx = _field_of(params, t, u)
@@ -428,14 +429,10 @@ def encode(params: CurveParams, t, u) -> AffinePoint:
             if not gx:
                 return AffinePoint(x, ctx.zero())
         raise AssertionError("U = 0 forces some g(X_i) = 0")
-    for x, gx in zip(triple.xs[:2], triple.values[:2]):
-        if ctx.legendre(gx) == 1:
-            return make_point(params, x, ctx.sqrt(gx), gx)
-    x3, gx3 = triple.xs[2], triple.values[2]
-    y = ctx.sqrt(gx3)
-    if y is None or y * y != gx3:
-        raise AssertionError("character product cannot be -1 on the domain")
-    return AffinePoint(x3, y)
+    values = triple.values
+    # u if g(u) is a square, else X2 if g(X2) is, else X3 with no character
+    i = 0 if ctx.legendre(values[0]) == 1 else 1 if ctx.legendre(values[1]) == 1 else 2
+    return make_point(params, triple.xs[i], ctx.sqrt(values[i]), values[i])
 
 
 def _field_of(params: CurveParams, *vals) -> Field:
@@ -510,9 +507,9 @@ def quartic_triple_curve() -> ParamTriple:
 
     The product of the three quartic values is a ratio of two exact squares,
     with denominator den^12 for the common denominator den of the x_i; u is
-    the numerator's root by poly_exact_sqrt (NotAPerfectSquare if it fails,
-    which certification treats as a hard error) over den^6, and values holds
-    x_i^4 + 1 for each component.
+    the numerator's root by poly_exact_sqrt over den^6, and values holds
+    x_i^4 + 1 for each component. A numerator that is not a square is a
+    broken promise and raises AssertionError.
     """
     tp = MPoly.var("t")
     den = 3 * tp**2 + 3 * tp + 1
@@ -522,13 +519,18 @@ def quartic_triple_curve() -> ParamTriple:
         num_prod = num_prod * (np_**4 + den**4)
     root_num = poly_exact_sqrt(num_prod)
     if root_num is None:
-        raise NotAPerfectSquare("quartic product is not a square ratio")
+        raise AssertionError("quartic product is not a square ratio")
     xs = tuple(RatFun(np_, den) for np_ in nums)
     return ParamTriple(xs, RatFun(root_num, den**6), tuple(x**4 + 1 for x in xs))
 
 
 def certify_quartic() -> bool:
-    triple = quartic_triple_curve()
+    """U^2 = prod (x_i^4 + 1) on quartic_triple_curve; its AssertionError, a
+    product that is not a square, is a failed certificate."""
+    try:
+        triple = quartic_triple_curve()
+    except AssertionError:
+        return False
     return _square_is_product(triple.u, triple.values)
 
 

@@ -397,7 +397,7 @@ def _cross(f, g, sign):
     (n1, d1), (n2, d2) = f.c.as_integer_ratio(), g.c.as_integer_ratio()
     n, d = gcd(n1, n2), lcm(d1, d2)
     m1, m2 = f.mexp, g.mexp
-    m = m1 if m1 == m2 else tuple(map(min, m1, m2))
+    m = tuple(map(min, m1, m2))
     return (_sum(_expand(rest1), n1 // n * (d // d1), tuple(map(sub, m1, m)),
                  _expand(rest2), sign * n2 // n * (d // d2), tuple(map(sub, m2, m))),
             m, common, n if d == 1 else Fraction(n, d))
@@ -416,8 +416,8 @@ def _expand(factors) -> MPoly:
 def _sum(p1, c1, m1, p2, c2, m2) -> MPoly:
     """c1 * x^m1 * p1 + c2 * x^m2 * p2 for int c1, c2 and m1, m2 >= 0, in one
     pass: the longer operand scaled and shifted into a fresh dict (a plain copy
-    when there is nothing to scale or shift), the shorter added in, and zeros
-    dropped once; the keys are guarded only when a shift is nonzero."""
+    when there is nothing to scale or shift), the shorter added in, the keys
+    guarded and zeros dropped once."""
     if len(p1.terms) < len(p2.terms):
         p1, c1, m1, p2, c2, m2 = p2, c2, m2, p1, c1, m1
     k1, k2 = _pack(m1), _pack(m2)
@@ -429,7 +429,7 @@ def _sum(p1, c1, m1, p2, c2, m2) -> MPoly:
     for k, v in p2.terms.items():
         k += k2
         out[k] = get(k, 0) + v * c2
-    return MPoly._raw(_guard(out) if k1 or k2 else out)._normalize()
+    return MPoly._raw(_guard(out))._normalize()
 
 
 def _poly_fun(p: MPoly, m=_NO_EXPS, factors={}, c=1) -> "RatFun":

@@ -124,17 +124,10 @@ class _Logs:
         self.qm1 = ctx.q - 1
         # -1 is the one element of order 2, gen^((q-1)/2)
         self.half = self.qm1 // 2
-        # logs, not vectors, so that nothing here refers back to a vector
-        # and the walk's tables are freed without the cycle collector
-        self.int_logs = {}
 
     def log_of(self, x):
         """The log of an int, through its field value, or of a field element."""
-        if type(x) is int:
-            if x not in self.int_logs:
-                self.int_logs[x] = self.log_of(self.ctx.elem(x))
-            return self.int_logs[x]
-        return self.log[self.ctx.index(x.val)]
+        return self.log[self.ctx.index((self.ctx.elem(x) if type(x) is int else x).val)]
 
 
 class _LogVec:

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from hypoint import cli
+from hypoint import cli, curves, survey
 from hypoint.curves import g_eval, parse_curve_spec
-from hypoint.ff import field_new, parse_field_spec
+from hypoint.ff import Field, field_new, parse_field_spec
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "cli_output.schema.json").read_text()
@@ -536,3 +536,63 @@ def test_fuzzed_argv_exits_by_contract(argv, env_cap):
         VALIDATOR.validate(json.loads(out))
     else:
         assert out.endswith("\n")
+
+
+# --- broken promises ------------------------------------------------------------
+
+
+def _zero_roots(monkeypatch):
+    # zero is a root of no g-value that encode completes
+    monkeypatch.setattr(Field, "sqrt", lambda self, x: self.zero())
+
+
+def _x3_as_x2(monkeypatch):
+    # every walk reads X3 as X2, so the identity fails at each s with s^n != 1
+    class Corrupted(survey._DomainWalk):
+        def __init__(self, params):
+            super().__init__(params)
+            self._x3_of = list(self._x2_of)
+
+    monkeypatch.setattr(survey, "_DomainWalk", Corrupted)
+
+
+def _no_quartic_root(monkeypatch):
+    monkeypatch.setattr(curves, "poly_exact_sqrt", lambda p: None)
+
+
+def _error_names(fragment):
+    def check(payload):
+        assert payload["error"] == "AssertionError" and fragment in payload["detail"]
+    return check
+
+
+def _only_quartic_fails(payload):
+    assert not payload["all_certified"]
+    assert {row["name"]: row["status"] for row in payload["identities"] if row["status"] != "certified"} \
+        == {"quartic three-point x^4 + 1": "failed"}
+
+
+def _unsound_sweep(payload):
+    assert not payload["all_sound"]
+    assert all(int(sample["identity_failures"]) > 0 for sample in payload["sweep"])
+
+
+@pytest.mark.parametrize("argv,corrupt,check", [
+    (["encode", "--field", "11", "--curve", "g1:n=3,a=1,b=1", "--t", "2", "--u", "3"], _zero_roots,
+     _error_names("not on g1:n=3,a=1,b=1")),
+    (["survey", "--field", "13", "--curve", "g1:n=3,a=2,b=6"], _x3_as_x2, _error_names("encoder unsound")),
+    (["identities", "--n-min", "3", "--n-max", "3"], _no_quartic_root, _only_quartic_fails),
+    (["survey", "--field", "13", "--family", "g1", "--n", "3", "--samples", "2", "--seed", "1"], _x3_as_x2,
+     _unsound_sweep),
+], ids=["encode", "survey", "identities", "sweep"])
+def test_broken_promises_exit_3(argv, corrupt, check, capsys, monkeypatch):
+    """A broken algebraic promise exits 3 with one schema-valid json line
+    that names it, and no traceback."""
+    corrupt(monkeypatch)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and "Traceback" not in captured.err
+    assert captured.out.count("\n") == 1 and captured.out.endswith("\n")
+    payload = json.loads(captured.out)
+    VALIDATOR.validate(payload)
+    check(payload)

@@ -21,7 +21,6 @@ from hypoint.curves import (
     CurveParams,
     DenominatorVanishes,
     DomainExcluded,
-    NotOnCurve,
     NotReciprocal,
     ParamTriple,
     UnsupportedParity,
@@ -450,8 +449,8 @@ def test_encode_256_bit_stream_is_pinned():
 
 @pytest.mark.parametrize("p", [11, 13], ids=["3mod4", "1mod4"])
 def test_encode_rejects_an_all_nonsquare_triple(p, monkeypatch):
-    """X3 gets no character test, but its root is checked: values whose
-    character product is -1 must raise, not return a point."""
+    """X3 gets no character test, but make_point checks its root: values
+    whose character product is -1 must raise, not return a point."""
     K = field_new(p)
     params = CurveParams("g1", 3, K.elem(1), K.elem(1))
     bad = [K.elem(v) for v in range(1, p) if K.legendre(K.elem(v)) == -1][:3]
@@ -461,7 +460,7 @@ def test_encode_rejects_an_all_nonsquare_triple(p, monkeypatch):
         return ParamTriple(xs, K.one(), tuple(bad))
 
     monkeypatch.setattr(curves, "three_point_map", fake_map)
-    with pytest.raises(AssertionError, match="character product cannot be -1"):
+    with pytest.raises(AssertionError, match=r"^\(5, None\) not on g1"):
         encode(params, K.elem(2), K.elem(3))
 
 
@@ -473,7 +472,7 @@ def test_even_n_point_frozen_instance():
 
 
 def test_make_point_checks_membership():
-    with pytest.raises(NotOnCurve):
+    with pytest.raises(AssertionError):
         make_point(P11, K11.elem(0), K11.elem(5))
 
 
@@ -818,6 +817,17 @@ def test_quartic_triple_curve_values():
     assert vals == [F(3, 7), F(5, 7), F(8, 7)]
     u0 = tr.u.evaluate({"t": F(0)})
     assert u0 * u0 == 4
+
+
+def test_certificates_count_a_broken_promise_as_failed(monkeypatch):
+    # a builder's AssertionError is a failed row, not an aborted suite
+    monkeypatch.setattr(curves, "poly_exact_sqrt", lambda p: None)
+    with pytest.raises(AssertionError, match="not a square"):
+        quartic_triple_curve()
+    assert certify_quartic() is False
+    monkeypatch.setattr(curves, "g_eval", lambda params, x: g_shape(params.family, params.n, params.a,
+                                                                     params.b, x) + 1)
+    assert certify_even_n_value("g1", 4) is False
 
 
 # --- curve spec strings --------------------------------------------------------
