@@ -10,7 +10,11 @@ restrictions shape the design:
   quotients and powers multiply c and add, subtract or scale exponents, so
   equal atoms cancel formally. A sum and ``rf_eq`` keep what the two sides
   share and expand only the rests, each rest's product scaled and shifted
-  straight into one dict, the other added in; ``rf_eq`` is a difference
+  straight into one dict, the other added in. ``rf_eq`` first compares the
+  two rests' degrees in each variable, read off the atoms' keys, and answers
+  False where one differs, before anything is expanded: the exit is exact,
+  since a variable's degree adds under products over the integral domain
+  Z[a, b, c, d, t, u]. Rests of equal degrees are summed, and the difference
   tested for zero. Factors are a dict from atom to exponent, an atom its own
   key, hashed once; atoms are never split, so no multivariate GCD or
   factorization exists anywhere in this module. An atom memoises its
@@ -43,6 +47,7 @@ _MASK = (1 << _SHIFT) - 1
 _DEG_LIMIT = 1 << 15  # headroom so one multiplication cannot carry across limbs
 _NO_EXPS = (0,) * len(VARS)
 _SHIFTS = tuple(range(0, _SHIFT * len(VARS), _SHIFT))
+_LIMBS = tuple(_MASK << s for s in _SHIFTS)
 _HIGH_BITS = ~sum((_DEG_LIMIT - 1) << s for s in _SHIFTS)  # the bits no valid key has
 
 
@@ -77,7 +82,7 @@ def _pack(m) -> int:
 
 def _unpack(k) -> tuple:
     """The exponent of each universe variable in the packed key k."""
-    return tuple((k >> s) & _MASK for s in _SHIFTS)
+    return tuple([(k >> s) & _MASK for s in _SHIFTS])
 
 
 def _guard(keys):
@@ -118,8 +123,10 @@ class MPoly:
 
     def _normalize(self):
         """Drop zeros in place, from a dict this polynomial owns; return it."""
-        for k in [k for k, c in self.terms.items() if not c]:
-            del self.terms[k]
+        terms = self.terms
+        if 0 in terms.values():
+            for k in [k for k, c in terms.items() if not c]:
+                del terms[k]
         return self
 
     # -- constructors ------------------------------------------------------
@@ -190,7 +197,7 @@ class MPoly:
     def __add__(self, other, sign=1):
         """self + sign * other, in one _sum pass."""
         other = self._coerce(other)
-        return NotImplemented if other is None else _sum(self, 1, _NO_EXPS, other, sign, _NO_EXPS)
+        return NotImplemented if other is None else _sum(self, 1, 0, other, sign, 0)
 
     __radd__ = __add__
 
@@ -376,13 +383,14 @@ def _merge(f1, f2):
     return {a: e for a in {**f1, **f2} if (e := f1.get(a, 0) + f2.get(a, 0))}
 
 
-def _cross(f, g, sign):
-    """f + sign * g as _poly_fun's arguments: the two rests, each a product
-    of memoised atom powers, scaled, shifted and added in one _sum pass; the
-    smaller exponent m of each variable; a fresh dict of the atoms f and g
-    share, at their smaller exponents (a denominator atom's formal lcm), f's
-    atoms first; and the c that f.c and g.c are int multiples of. An equality
-    is the same pass at sign -1, tested for zero."""
+def _split(f, g):
+    """f and g as c * x^m * common * side, nothing expanded: a side for each,
+    (rest, k, scale), its rest the (atom, e > 0) pairs left once the shared
+    atoms are taken out, k the packed key of its shift (its exponents less
+    m) and scale an int; m the smaller exponent of each variable; common a
+    fresh dict of the atoms f and g share, at their smaller exponents (a
+    denominator atom's formal lcm), f's atoms first; and the c that f.c and
+    g.c are int multiples of."""
     f1, f2 = f.factors, g.factors
     common, rest1, rest2 = {}, [], []
     for a in {**f1, **f2}:
@@ -396,11 +404,38 @@ def _cross(f, g, sign):
             rest2.append((a, e2 - e))
     (n1, d1), (n2, d2) = f.c.as_integer_ratio(), g.c.as_integer_ratio()
     n, d = gcd(n1, n2), lcm(d1, d2)
-    m1, m2 = f.mexp, g.mexp
-    m = tuple(map(min, m1, m2))
-    return (_sum(_expand(rest1), n1 // n * (d // d1), tuple(map(sub, m1, m)),
-                 _expand(rest2), sign * n2 // n * (d // d2), tuple(map(sub, m2, m))),
-            m, common, n if d == 1 else Fraction(n, d))
+    m = m1 = f.mexp
+    k1 = k2 = 0
+    if m1 != g.mexp:
+        # equal exponents (92 of 566 calls a certify pass) shift neither side
+        m2 = g.mexp
+        m = tuple(map(min, m1, m2))
+        k1, k2 = _pack(tuple(map(sub, m1, m))), _pack(tuple(map(sub, m2, m)))
+    return ((rest1, k1, n1 // n * (d // d1)), (rest2, k2, n2 // n * (d // d2)), m, common,
+            n if d == 1 else Fraction(n, d))
+
+
+def _cross(side1, side2, sign) -> MPoly:
+    """side1 + sign * side2 for two sides of _split: each rest a product of
+    memoised atom powers, scaled, shifted and added in one _sum pass."""
+    (rest1, k1, c1), (rest2, k2, c2) = side1, side2
+    return _sum(_expand(rest1), c1, k1, _expand(rest2), sign * c2, k2)
+
+
+def _degrees(side) -> list:
+    """The degree of a side of _split, x^k * prod atom^e, in each variable,
+    each kept in its limb: k's limb plus e times the atom's largest limb,
+    one pass in C over the atom's keys per variable. Degrees add under
+    products, as Z[a, b, c, d, t, u] is an integral domain, and the nonzero
+    scale changes none, so sides whose degrees differ are unequal. The
+    leading and trailing keys (max and min) would not do: they order by the
+    last variable first, u, then t, and the sides of the erratum rows of
+    curves.identity_rows differ in a alone."""
+    rest, k, _ = side
+    degs = list(map(k.__and__, _LIMBS))
+    for a, e in rest:
+        degs = list(map(add, degs, [e * max(map(limb.__and__, a.poly.terms)) for limb in _LIMBS]))
+    return degs
 
 
 def _expand(factors) -> MPoly:
@@ -413,14 +448,13 @@ def _expand(factors) -> MPoly:
     return out
 
 
-def _sum(p1, c1, m1, p2, c2, m2) -> MPoly:
-    """c1 * x^m1 * p1 + c2 * x^m2 * p2 for int c1, c2 and m1, m2 >= 0, in one
-    pass: the longer operand scaled and shifted into a fresh dict (a plain copy
-    when there is nothing to scale or shift), the shorter added in, the keys
-    guarded and zeros dropped once."""
+def _sum(p1, c1, k1, p2, c2, k2) -> MPoly:
+    """c1 * x^k1 * p1 + c2 * x^k2 * p2 for int c1, c2 and shifts packed as
+    keys k1, k2, in one pass: the longer operand scaled and shifted into a
+    fresh dict (a plain copy when there is nothing to scale or shift), the
+    shorter added in, the keys guarded and zeros dropped once."""
     if len(p1.terms) < len(p2.terms):
-        p1, c1, m1, p2, c2, m2 = p2, c2, m2, p1, c1, m1
-    k1, k2 = _pack(m1), _pack(m2)
+        p1, c1, k1, p2, c2, k2 = p2, c2, k2, p1, c1, k1
     if k1 == k2 and c1 == -c2 and p1.terms == p2.terms:
         # operands that cancel outright, as a true equality's do: one dict comparison in C
         return MPoly()
@@ -489,7 +523,7 @@ class RatFun:
     def _half(self, sign: int, c) -> MPoly:
         """c times the expanded atoms and variables of the given sign."""
         return _sum(_expand([(a, sign * e) for a, e in (self.factors or {}).items() if sign * e > 0]), c,
-                    tuple(max(sign * e, 0) for e in self.mexp), MPoly(), 0, _NO_EXPS)
+                    _pack([max(sign * e, 0) for e in self.mexp]), MPoly(), 0, 0)
 
     @property
     def num(self) -> MPoly:
@@ -511,7 +545,8 @@ class RatFun:
             return NotImplemented
         if self.factors is None or other.factors is None:
             return other * sign if self.factors is None else self
-        return _poly_fun(*_cross(self, other, sign))
+        side1, side2, m, common, c = _split(self, other)
+        return _poly_fun(_cross(side1, side2, sign), m, common, c)
 
     __radd__ = __add__
 
@@ -556,14 +591,15 @@ class RatFun:
             return self if e else RatFun._const(1)
         # an int to a negative power would be a float
         c = self.c**e if e > 0 else Fraction(self.c) ** e
-        return RatFun._make(_int(c), tuple(k * e for k in self.mexp),
+        return RatFun._make(_int(c), tuple([k * e for k in self.mexp]),
                             {a: e * k for a, k in self.factors.items() if e})
 
     def __eq__(self, other):
         # exact: the polynomial ring is an integral domain and no atom is
-        # zero, so equal atoms cancel from both sides, each variable's
-        # exponent difference moves to the side where it is positive, and
-        # the difference of what is left is tested for zero
+        # zero, so equal atoms cancel from both sides and each variable's
+        # exponent difference moves to the side where it is positive; sides
+        # left with different degrees are unequal, and otherwise their
+        # difference is tested for zero
         try:
             other = as_ratfun(other)
         except TypeError:
@@ -571,7 +607,8 @@ class RatFun:
         f1, f2 = self.factors, other.factors
         if f1 is None or f2 is None:
             return f1 is f2
-        return not _cross(self, other, -1)[0]
+        side1, side2 = _split(self, other)[:2]
+        return _degrees(side1) == _degrees(side2) and not _cross(side1, side2, -1)
 
     def evaluate(self, point) -> Fraction:
         dval = self.den.evaluate(point)
@@ -596,9 +633,10 @@ _VAR_FUNS = {v: _poly_fun(MPoly.var(v)) for v in VARS}
 def rf_eq(f, g) -> bool:
     """Exact equality of rational functions: atoms equal on both sides cancel
     formally, and what is left, one side's numerator atoms times the other
-    side's denominator atoms, is expanded and subtracted in the one pass a
-    sum takes; the functions are equal when nothing remains. No GCD is
-    taken."""
+    side's denominator atoms, is compared first by its degree in each
+    variable, which differs only between unequal functions, and then
+    expanded and subtracted in the one pass a sum takes; the functions are
+    equal when nothing remains. No GCD is taken."""
     return as_ratfun(f) == as_ratfun(g)
 
 

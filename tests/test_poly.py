@@ -7,7 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypoint.curves import certify_auxiliary, certify_three_point, certify_two_point, identity_rows
+from hypoint import poly
+from hypoint.curves import (
+    _square_is_product,
+    certify_auxiliary,
+    certify_three_point,
+    certify_two_point,
+    identity_rows,
+    two_point_symbolic,
+)
 from hypoint.poly import (
     DivisionByZeroFunction,
     MPoly,
@@ -311,6 +319,62 @@ def test_rf_eq_matches_explicit_cross_product(f, g, d, e, same_num):
     shared = rf_eq(RatFun(f, d), RatFun(g, d))
     assert shared == (f == g) == (f * d == g * d)
     assert rf_eq(RatFun(f, d), RatFun(g, e)) == (f * e == g * d)
+
+
+def _monomials(i, j):
+    """t^i * u^j as its numerator and denominator monomials."""
+    return T ** max(i, 0) * U ** max(j, 0), T ** max(-i, 0) * U ** max(-j, 0)
+
+
+shift_exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), polys(), polys(), shift_exps, shift_exps, st.booleans())
+def test_rf_eq_with_shifts_matches_cross_multiplication(f, g, d, e, s1, s2, same):
+    # each side carries a shift t^i * u^j, which the degree exit reads before
+    # anything is expanded; with same, the second side is the first with the
+    # shifts folded into its polynomials, equal to it in value and degrees
+    assume(f and d and e and any(s1 + s2))
+    (p1, n1), (p2, n2) = _monomials(*s1), _monomials(*s2)
+    if same:
+        g, e = f * p1 * n2, d * n1 * p2
+    t, u = RatFun.var("t"), RatFun.var("u")
+    x, y = RatFun(f, d) * t ** s1[0] * u ** s1[1], RatFun(g, e) * t ** s2[0] * u ** s2[1]
+    # x = f*p1/(d*n1) and y = g*p2/(e*n2), cross-multiplied on exponent tuples
+    cross = (_reference_product(_reference_product(f, p1), _reference_product(e, n2))
+             == _reference_product(_reference_product(g, p2), _reference_product(d, n1)))
+    assert rf_eq(x, y) == (x == y) == (y == x) == cross
+    assert cross or not same
+
+
+def test_erratum_sides_are_told_apart_by_their_degrees_alone(monkeypatch):
+    # the published family-1 value term leaves u^2 and the product of the
+    # g-values with a-degrees 2n and 2n - 2, so the check answers False
+    # before a single atom power is expanded
+    tris = [two_point_symbolic("g2", n, "family1_literal") for n in range(3, 10)]
+
+    def refuse(factors):
+        raise AssertionError("an expansion")
+
+    monkeypatch.setattr(poly, "_expand", refuse)
+    for tri in tris:
+        assert not _square_is_product(tri.u, tri.values)
+
+
+def test_the_degree_exit_reads_each_side_shift():
+    # t * (t + 1) keeps t in its shift, t^2 + t in its atom: equal degrees
+    assert RatFun(T) * RatFun(T + 1) == RatFun(T**2 + T)
+    assert RatFun(T**2 + T) == RatFun(T) * RatFun(T + 1)
+    assert RatFun(U) * RatFun(T + 1) != RatFun(T**2 + T)
+
+
+def test_unequal_sides_of_equal_degrees_reach_the_sum(monkeypatch):
+    x, y, z = (RatFun(T + k) for k in (1, 2, 3))
+    calls = []
+    real = poly._sum
+    monkeypatch.setattr(poly, "_sum", lambda *args: calls.append(args) or real(*args))
+    assert x * y != x * z and len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)
