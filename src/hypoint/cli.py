@@ -43,6 +43,10 @@ class UsageError(ValueError):
     pass
 
 
+# a sweep runs one walk per sample, so its cost is bounded by this fixed cap
+MAX_SAMPLES = 10_000
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; the contract wants 1
     def error(self, message):
@@ -77,7 +81,7 @@ def _build_parser() -> _Parser:
     srv.add_argument("--max-q", type=int, help="override the enumeration cap")
     srv.add_argument("--family", choices=FAMILIES, help="sweep mode: curve family")
     srv.add_argument("--n", type=int, help="sweep mode: degree")
-    srv.add_argument("--samples", type=int, help="sweep mode: number of random (a,b)")
+    srv.add_argument("--samples", type=int, help=f"sweep mode: number of random (a,b), at most {MAX_SAMPLES}")
     srv.add_argument("--seed", type=int, help="sweep mode: RNG seed for (a,b) sampling")
 
     sq = sub.add_parser("sqrt", help="canonical square root in F_q, or null")
@@ -197,6 +201,8 @@ def _sample_sweep(args, cap) -> dict:
             raise UsageError("sweep mode needs --family, --n, --samples and --seed together")
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     ctx = _field(args)
     if ctx.m != 1:
         raise UsageError("the soundness sweep runs over prime fields only")

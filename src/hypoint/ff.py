@@ -16,10 +16,20 @@ two classes here. Determinism is a contract, not an accident:
   smaller representative (resp. lexicographically smaller tuple) is returned.
 
 The quadratic character of a prime field is the Jacobi symbol, computed by
-reciprocity on plain ints, with no exponentiation; extension fields use
-Euler's criterion. sqrt needs no character first: one exponentiation gives a
+reciprocity on plain ints, with no exponentiation, in one loop that strips
+twos only from an even a, reads a mod 8 once per step (the next step's
+n mod 8) and keeps the sign as one bit; extension fields use Euler's
+criterion. sqrt needs no character first: one exponentiation gives a
 candidate root (q = 3 mod 4) or the Tonelli-Shanks start values, and the
 same computation reports a non-square, so a test-and-root costs one power.
+
+An operand meets one coercion rule, cheapest case first, in the operators
++ - * / == and in Field.elem (so in inv, legendre and sqrt): an element of
+the same Field object; then an element of another Field object with the same
+signature (p, m, modulus), as two field_new calls of one spec give; then an
+int, by its value, which a prime field reduces inside the operation itself.
+Elements of different fields raise TypeError("elements of different fields")
+and compare unequal.
 
 A Field caches what depends on the field alone, per instance and on first
 use: the non-residue and Tonelli-Shanks constants that sqrt needs, and the
@@ -90,19 +100,25 @@ def _strong_base2(n: int) -> bool:
 
 
 def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a / n) for odd n > 0, by quadratic reciprocity; factors
-    of two leave a in one shift, each flipping the sign when n = 3, 5 mod 8."""
+    """Jacobi symbol (a / n) for odd n > 0, any int a, by quadratic
+    reciprocity (Cohen, GTM 138, Algorithm 1.4.10). The sign is bit 1 of t.
+    Each step reads a mod 8 once, after stripping the twos of an even a, and
+    that residue is the next step's r = n mod 8: an odd count of twos flips
+    the sign when n = 3, 5 mod 8 (bit 1 of r ^ r >> 1), and reciprocity flips
+    it when a = n = 3 mod 4 (bit 1 of (a mod 8) & r)."""
     a %= n
-    result = 1
+    t = 0
+    r = n & 7
     while a:
-        zeros = (a & -a).bit_length() - 1
-        a >>= zeros
-        if zeros & 1 and n & 7 in (3, 5):
-            result = -result
-        if a & n & 2:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
+        s = a & 7
+        if not s & 1:
+            z = (a & -a).bit_length() - 1
+            a >>= z
+            t ^= z << 1 & (r ^ r >> 1)
+            s = a & 7
+        t ^= s & r
+        a, n, r = n % a, a, s
+    return 1 - (t & 2) if n == 1 else 0
 
 
 def _strong_lucas(n: int) -> bool:
@@ -229,24 +245,29 @@ class FieldElement:
         self.ctx = ctx
         self.val = val
 
-    def _coerce(self, other):
+    def _val(self, other):
+        """other's val, by the coercion rule's later steps (the operators
+        test the first, the same Field object, inline): an element of another
+        Field object with this signature, then an int by value, which a prime
+        field reduces in the operation itself; None for any other type."""
+        ctx = self.ctx
         if isinstance(other, FieldElement):
-            if other.ctx.signature != self.ctx.signature:
+            if other.ctx.signature != ctx.signature:
                 raise TypeError("elements of different fields")
-            return other
+            return other.val
         if isinstance(other, int):
-            return self.ctx.elem(other)
+            return other if ctx.m == 1 else ctx.elem(other).val
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         ctx = self.ctx
+        v = other.val if other.__class__ is FieldElement and other.ctx is ctx else self._val(other)
+        if v is None:
+            return NotImplemented
         if ctx.m == 1:
-            return FieldElement(ctx, (self.val + other.val) % ctx.p)
+            return FieldElement(ctx, (self.val + v) % ctx.p)
         p = ctx.p
-        return FieldElement(ctx, tuple((x + y) % p for x, y in zip(self.val, other.val)))
+        return FieldElement(ctx, tuple((x + y) % p for x, y in zip(self.val, v)))
 
     __radd__ = __add__
 
@@ -258,35 +279,37 @@ class FieldElement:
         return FieldElement(ctx, tuple(-x % p for x in self.val))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self + -other
+        ctx = self.ctx
+        v = other.val if other.__class__ is FieldElement and other.ctx is ctx else self._val(other)
+        if v is None:
+            return NotImplemented
+        if ctx.m == 1:
+            return FieldElement(ctx, (self.val - v) % ctx.p)
+        p = ctx.p
+        return FieldElement(ctx, tuple((x - y) % p for x, y in zip(self.val, v)))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else other + -self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         ctx = self.ctx
+        v = other.val if other.__class__ is FieldElement and other.ctx is ctx else self._val(other)
+        if v is None:
+            return NotImplemented
         if ctx.m == 1:
-            return FieldElement(ctx, self.val * other.val % ctx.p)
-        return FieldElement(ctx, ctx._ext_mul(self.val, other.val))
+            return FieldElement(ctx, self.val * v % ctx.p)
+        return FieldElement(ctx, ctx._ext_mul(self.val, v))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * self.ctx.inv(other)
+        if isinstance(other, (FieldElement, int)):
+            return self * self.ctx.inv(other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.ctx.inv(self)
+        # reached only when other is not a FieldElement
+        return self.ctx.inv(self) * other if isinstance(other, int) else NotImplemented
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -300,6 +323,8 @@ class FieldElement:
         return bool(self.val) if self.ctx.m == 1 else any(self.val)
 
     def __eq__(self, other):
+        if other.__class__ is FieldElement and other.ctx is self.ctx:
+            return self.val == other.val
         # an int equals the element only as its representative 0 <= v < p,
         # so that equal objects hash alike
         if isinstance(other, int):
@@ -384,9 +409,11 @@ class Field:
     # -- element construction ------------------------------------------------
 
     def elem(self, v) -> FieldElement:
+        if v.__class__ is FieldElement and v.ctx is self:
+            return v
         if isinstance(v, FieldElement):
             if v.ctx.signature != self.signature:
-                raise TypeError("element from a different field")
+                raise TypeError("elements of different fields")
             return v
         if isinstance(v, int):
             if self.m == 1:

@@ -355,6 +355,26 @@ def test_survey_sweep_samples_below_one_is_usage_error(samples, capsys):
     assert code == 1 and payload["error"] == "UsageError"
 
 
+def test_survey_sweep_samples_are_capped_at_10000(capsys, monkeypatch):
+    # the walks are stubbed: the cap itself runs 10000 of them, one more runs none
+    walks = []
+
+    def walk(*args, **kwargs):
+        walks.append(args)
+        return dict.fromkeys(("char_violations", "identity_failures", "membership_failures",
+                              "bound_applicable"), 0)
+
+    monkeypatch.setattr(cli, "sweep_soundness", walk)
+    argv = ["survey", "--field", "13", "--family", "g1", "--n", "3", "--seed", "3", "--samples"]
+    code, _, payload = run(argv + ["10001"], capsys)
+    assert code == 1 and payload == {"error": "UsageError",
+                                     "detail": "--samples must be at most 10000, got 10001"}
+    assert walks == []
+    # not run(): the stubbed walks are not schema-valid sweep entries
+    assert cli.main(argv + ["10000"]) == 0
+    assert len(walks) == 10000 and json.loads(capsys.readouterr().out)["samples"] == "10000"
+
+
 def test_survey_max_q_below_one_is_usage_error(capsys):
     code, _, payload = run(
         ["survey", "--field", "11", "--curve", "g1:n=3,a=1,b=1", "--max-q", "-5"], capsys

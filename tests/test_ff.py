@@ -7,6 +7,7 @@ slice so the unit suite stays fast.
 
 import gc
 import itertools
+import operator
 import random
 import time
 
@@ -272,6 +273,43 @@ def test_int_equality_is_by_representative_and_hashes_alike():
     assert len({F9.elem([0, 1]), F9.elem([0, 1]), 1}) == 2
 
 
+@pytest.mark.parametrize("spec", ["11", "3^2:1,0,1"])
+def test_two_field_objects_of_one_field_mix_as_one(spec):
+    # the operators' fast path takes the same Field object; another object
+    # of the same field falls back to comparing signatures
+    K, L = field_new(spec), field_new(spec)
+    assert K is not L
+    for i, j in itertools.product(range(1, K.q), repeat=2):
+        x, y, yk = K.element(i), L.element(j), K.element(j)
+        assert (x + y).val == (x + yk).val and (y + x).val == (yk + x).val
+        assert (x - y).val == (x - yk).val and (y - x).val == (yk - x).val
+        assert (x * y).val == (x * yk).val and (y * x).val == (yk * x).val
+        assert (x / y).val == (x / yk).val and (y / x).val == (yk / x).val
+        assert (x == y) == (i == j) and (x != y) == (i != j) and (y == yk) and hash(y) == hash(yk)
+    for j in range(K.q):
+        y, yk = L.element(j), K.element(j)
+        assert K.legendre(y) == K.legendre(yk)
+        assert K.sqrt(y) == K.sqrt(yk)
+        if j:
+            assert K.inv(y) == K.inv(yk)
+
+
+@pytest.mark.parametrize("spec1,spec2", [("11", "13"), ("3^2:1,0,1", "3^2:2,1,1")],
+                         ids=["F11-F13", "F9-two-moduli"])
+def test_elements_of_different_fields_do_not_mix(spec1, spec2):
+    K, L = field_new(spec1), field_new(spec2)
+    x, y = K.elem(2), L.elem(2)
+    assert x.val == y.val  # equal representatives, so only the field tells them apart
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in ((x, y), (y, x)):
+            with pytest.raises(TypeError, match=r"^elements of different fields$"):
+                op(left, right)
+    assert x != y and y != x and not x == y
+    for method in (K.inv, K.legendre, K.sqrt, K.elem):
+        with pytest.raises(TypeError, match=r"^elements of different fields$"):
+            method(y)
+
+
 # the reference primality test: Miller-Rabin to the first nine prime bases,
 # proven exhaustive below 3.3e18, which covers DETERMINISTIC_PRIMALITY_BOUND
 NINE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -396,6 +434,66 @@ def test_jacobi_legendre_matches_euler(p):
     for _ in range(2000):
         v = rng.randrange(1, p)
         assert K.legendre(K.elem(v)) == (1 if pow(v, (p - 1) // 2, p) == 1 else -1)
+
+
+# the reference Jacobi loop: the library's earlier one, which strips twos
+# (possibly none) from a on every step and keeps the sign as +-1
+def _jacobi_reference(a: int, n: int) -> int:
+    a %= n
+    result = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and n & 7 in (3, 5):
+            result = -result
+        if a & n & 2:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+def test_jacobi_matches_the_reference_on_every_small_pair():
+    for n in range(1, 200, 2):
+        for a in range(-200, 201):
+            assert ff._jacobi(a, n) == _jacobi_reference(a, n), (a, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 499_999).map(lambda k: 2 * k + 1), st.integers(-10**6, 10**6))
+def test_jacobi_matches_the_reference(n, a):
+    # odd n up to 10^6, composites and squares included, and a of either sign
+    assert ff._jacobi(a, n) == _jacobi_reference(a, n)
+
+
+def _selfridge(count):
+    """The first count of Selfridge's D: 5, -7, 9, -11, ..."""
+    return [(-1) ** k * (5 + 2 * k) for k in range(count)]
+
+
+# 2^256 - 189, 2^255 - 19, and the 254-bit composite of the Mersenne
+# primes 2^7 - 1, 2^31 - 1, 2^89 - 1 and 2^127 - 1
+SELFRIDGE_MODULI = {
+    "3mod4": [2**256 - 189],
+    "1mod4": [2**255 - 19],
+    "composite": [2**7 - 1, 2**31 - 1, 2**89 - 1, 2**127 - 1],
+}
+
+
+@pytest.mark.parametrize("factors", SELFRIDGE_MODULI.values(), ids=SELFRIDGE_MODULI)
+def test_jacobi_on_selfridge_d_at_256_bits(factors):
+    # (D/n) is the product of Euler's criterion over the prime factors of n;
+    # _strong_lucas takes the first D that reads -1
+    n = 1
+    for p in factors:
+        n *= p
+    for D in _selfridge(40):
+        euler = 1
+        for p in factors:
+            euler *= 1 if pow(D, (p - 1) // 2, p) == 1 else -1
+        assert ff._jacobi(D, n) == euler == _jacobi_reference(D, n), D
+    first = next(D for D in _selfridge(40) if ff._jacobi(D, n) == -1)
+    assert first == next(D for D in _selfridge(40) if _jacobi_reference(D, n) == -1)
+    assert ff._strong_lucas(n) == (len(factors) == 1)
 
 
 def test_fused_sqrt_on_a_deep_two_adic_prime():
