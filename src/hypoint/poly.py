@@ -10,21 +10,24 @@ restrictions shape the design:
   quotients and powers multiply c and add, subtract or scale exponents, so
   equal atoms cancel formally. A sum and ``rf_eq`` keep what the two sides
   share and expand only the rests, each rest's product scaled and shifted
-  straight into one dict, the other added in. ``rf_eq`` first compares the
-  two rests' degrees in each variable, read off the atoms' keys, and answers
-  False where one differs, before anything is expanded: the exit is exact,
-  since a variable's degree adds under products over the integral domain
-  Z[a, b, c, d, t, u]. Rests of equal degrees are summed, and the difference
-  tested for zero. Factors are a dict from atom to exponent, an atom its own
-  key, hashed once; atoms are never split, so no multivariate GCD or
-  factorization exists anywhere in this module. An atom memoises its
-  powers; the memo lives and dies with it.
+  straight into one dict, the other added in; the smaller exponents and
+  both shift keys come from one pass over the exponent vectors. ``rf_eq``
+  first compares the two rests' degrees in each variable, read off the
+  atoms' keys, and answers False where one differs, before anything is
+  expanded: the exit is exact, since a variable's degree adds under
+  products over the integral domain Z[a, b, c, d, t, u]. Rests of equal
+  degrees are summed, and the difference tested for zero. Factors are a
+  dict from atom to exponent, an atom its own key, hashed once; atoms are
+  never split, so no multivariate GCD or factorization exists anywhere in
+  this module. An atom memoises its powers; the memo lives and dies with it.
 * The variable universe is fixed to ``a b c d t u``. Every exponent vector is
   packed into one int with a fixed 16-bit limb per universe variable, limb i
   holding the exponent of ``VARS[i]``, so a monomial product between any two
   polynomials is one integer addition. Degrees are read off the keys, never
   stored: every limb stays below 2^15, so keys add without a carry, and one
   bit test on the OR of the keys an operation makes finds a limb at the limit.
+  A shift is checked as it is packed, since a shift of 2^16 would carry into
+  the next limb, past that test.
 
 Every ``MPoly`` coefficient is a plain ``int``. The certified identities have
 integer coefficients, so rational numbers meet them only as constants, and a
@@ -37,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
-from operator import add, lshift, or_, sub
+from operator import add, lshift, or_
 
 VARS = ("a", "b", "c", "d", "t", "u")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
@@ -390,7 +393,10 @@ def _split(f, g):
     m) and scale an int; m the smaller exponent of each variable; common a
     fresh dict of the atoms f and g share, at their smaller exponents (a
     denominator atom's formal lcm), f's atoms first; and the c that f.c and
-    g.c are int multiples of."""
+    g.c are int multiples of. Unequal exponents take one pass over the
+    limbs, which builds m and both keys and raises OverflowError where a
+    shift of 2^15 or more would reach the limit or carry into the next limb,
+    as _pack does. Two int c's take their gcd as c."""
     f1, f2 = f.factors, g.factors
     common, rest1, rest2 = {}, [], []
     for a in {**f1, **f2}:
@@ -402,17 +408,41 @@ def _split(f, g):
             rest1.append((a, e1 - e))
         if e2 > e:
             rest2.append((a, e2 - e))
-    (n1, d1), (n2, d2) = f.c.as_integer_ratio(), g.c.as_integer_ratio()
-    n, d = gcd(n1, n2), lcm(d1, d2)
+    c1, c2 = f.c, g.c
+    if c1.__class__ is int and c2.__class__ is int:
+        # all 566 calls a certify pass: one gcd, no ratios
+        c = gcd(c1, c2)
+        s1, s2 = c1 // c, c2 // c
+    else:
+        (n1, d1), (n2, d2) = c1.as_integer_ratio(), c2.as_integer_ratio()
+        n, d = gcd(n1, n2), lcm(d1, d2)
+        s1, s2, c = n1 // n * (d // d1), n2 // n * (d // d2), Fraction(n, d)
     m = m1 = f.mexp
+    m2 = g.mexp
     k1 = k2 = 0
-    if m1 != g.mexp:
-        # equal exponents (92 of 566 calls a certify pass) shift neither side
-        m2 = g.mexp
-        m = tuple(map(min, m1, m2))
-        k1, k2 = _pack(tuple(map(sub, m1, m))), _pack(tuple(map(sub, m2, m)))
-    return ((rest1, k1, n1 // n * (d // d1)), (rest2, k2, n2 // n * (d // d2)), m, common,
-            n if d == 1 else Fraction(n, d))
+    if m1 != m2:
+        # equal exponents (92 of 566 calls a certify pass) shift neither
+        # side; the other 474 build m and both keys in one pass over the limbs
+        m, top = [], 0
+        for s, e1, e2 in zip(_SHIFTS, m1, m2):
+            if e1 == e2:
+                m.append(e1)
+            elif e1 < e2:
+                m.append(e1)
+                e2 -= e1
+                k2 += e2 << s
+                top |= e2
+            else:
+                m.append(e2)
+                e1 -= e2
+                k1 += e1 << s
+                top |= e1
+        # top is the OR of the differences: 2^15 or more in one limb would
+        # reach the limit, 2^16 or more would carry into the next limb
+        if top >= _DEG_LIMIT:
+            raise OverflowError("per-variable degree exceeds packing limit")
+        m = tuple(m)
+    return (rest1, k1, s1), (rest2, k2, s2), m, common, c
 
 
 def _cross(side1, side2, sign) -> MPoly:
@@ -583,16 +613,31 @@ class RatFun:
         return as_ratfun(other) * self**-1
 
     def __pow__(self, e: int):
+        """self^e for an int e: c to the power, and every exponent of mexp
+        and the atoms scaled by e. e = 1 gives self, and a unit c is its own
+        reciprocal; any other c to a negative power goes through Fraction, so
+        c stays exact and an int whenever it is integral. A negative power of
+        the zero function raises DivisionByZeroFunction."""
         if not isinstance(e, int):
             raise ValueError("RatFun exponent must be int")
         if self.factors is None:
             if e < 0:
                 raise DivisionByZeroFunction("negative power of the zero function")
             return self if e else RatFun._const(1)
-        # an int to a negative power would be a float
-        c = self.c**e if e > 0 else Fraction(self.c) ** e
-        return RatFun._make(_int(c), tuple([k * e for k in self.mexp]),
-                            {a: e * k for a, k in self.factors.items() if e})
+        if e == 1:
+            # 57 of 565 powers a certify pass
+            return self
+        c = self.c
+        if e > 0:
+            c **= e
+        elif c == 1 or c == -1:
+            # a unit is its own reciprocal: 86 of the 93 negative powers a
+            # certify pass, and 15 of its 22 zeroth ones
+            c **= -e
+        else:
+            # an int to a negative power would be a float
+            c = _int(Fraction(c) ** e)
+        return RatFun._make(c, tuple([k * e for k in self.mexp]), {a: e * k for a, k in self.factors.items() if e})
 
     def __eq__(self, other):
         # exact: the polynomial ring is an integral domain and no atom is

@@ -2,6 +2,8 @@
 
 import pickle
 from fractions import Fraction
+from math import gcd, lcm
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +25,11 @@ from hypoint.poly import (
     VARS,
     RatFun,
     _DEG_LIMIT,
+    _NO_EXPS,
+    _SHIFT,
     _Atom,
+    _pack,
+    _split,
     _unpack,
     _VAR_FUNS,
     poly_exact_sqrt,
@@ -907,6 +913,84 @@ def test_every_key_making_site_keeps_the_packing_guard():
             build()
     # the constructor drops zeros before it guards the keys left
     assert MPoly({limit << 64: 0, 1 << 64: 1}) == T
+
+
+def _reference_split(f, g):
+    """m, both shift keys, both side scales and c of f and g, as _split
+    defines them, built on exponent tuples through _pack and on c through
+    Fraction; OverflowError where _pack raises it."""
+    m = tuple(map(min, f.mexp, g.mexp))
+    k1, k2 = _pack(tuple(map(sub, f.mexp, m))), _pack(tuple(map(sub, g.mexp, m)))
+    (n1, d1), (n2, d2) = Fraction(f.c).as_integer_ratio(), Fraction(g.c).as_integer_ratio()
+    c = Fraction(gcd(n1, n2), lcm(d1, d2))
+    return m, k1, k2, f.c / c, g.c / c, c
+
+
+# exponents near the limits: 2^15 - 1 fits a limb, 2^15 reaches the limit and
+# 2^16 carries into the next limb
+_EDGES = [0, 1, _DEG_LIMIT - 1, _DEG_LIMIT, _DEG_LIMIT + 1, 2 * _DEG_LIMIT - 1, 2 * _DEG_LIMIT, 2 * _DEG_LIMIT + 2]
+split_exps = st.tuples(*[st.one_of(st.integers(-3, 3), st.sampled_from(_EDGES + [-e for e in _EDGES]),
+                                   st.integers(-2 * _DEG_LIMIT - 2, 2 * _DEG_LIMIT + 2))] * len(VARS))
+split_cs = st.one_of(st.integers(-30, 30).filter(bool),
+                     st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+                     .map(lambda q: q.numerator if q.denominator == 1 else q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_exps, split_exps, st.integers(0, len(VARS)), split_cs, split_cs)
+def test_split_matches_the_tuple_and_pack_reference(m1, m2, i, c1, c2):
+    # i < 6 keeps every limb of m1 but limb i, so one difference lands on the
+    # edges; i = 6 takes m2 whole
+    if i < len(VARS):
+        m2 = m1[:i] + m2[i:i + 1] + m1[i + 1:]
+    f, g = RatFun._make(c1, m1, {}), RatFun._make(c2, m2, {})
+    try:
+        want = _reference_split(f, g)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _split(f, g)
+        return
+    (_, k1, s1), (_, k2, s2), m, _, c = _split(f, g)
+    assert (m, k1, k2, s1, s2, c) == want
+    assert m.__class__ is tuple and s1.__class__ is int and s2.__class__ is int
+    assert c.__class__ is (int if want[-1].denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("shift", [_DEG_LIMIT - 1, _DEG_LIMIT, 2 * _DEG_LIMIT])
+def test_split_raises_on_a_shift_that_reaches_the_limit(shift):
+    # 2^15 - 1 packs into its limb; 2^15 raises, and so does 2^16, whose
+    # carry into the next limb _guard's bit test cannot see
+    one = RatFun._make(1, _NO_EXPS, {})
+    for i in range(len(VARS)):
+        for e in (shift, -shift):
+            f = RatFun._make(1, _NO_EXPS[:i] + (e,) + _NO_EXPS[i + 1:], {})
+            low, high = (one, f) if e > 0 else (f, one)
+            for x, y in ((f, one), (one, f)):
+                if shift >= _DEG_LIMIT:
+                    with pytest.raises(OverflowError):
+                        _split(x, y)
+                    continue
+                (_, k1, _), (_, k2, _), m, _, _ = _split(x, y)
+                key = shift << i * _SHIFT
+                assert m == low.mexp and (k1, k2) == ((key, 0) if x is high else (0, key))
+
+
+@pytest.mark.parametrize("c", [1, -1, 2, -3, Fraction(2, 3), Fraction(-1, 2)])
+def test_powers_take_c_exactly(c):
+    # c^e as Fraction takes it, an int exactly when integral, never a float;
+    # mexp and the atom's exponent scale by e
+    t = RatFun.var("t")
+    f = c * t * (t + 1)
+    (atom,) = f.factors
+    for e in range(-4, 5):
+        p = f**e
+        want = Fraction(c) ** e
+        assert p.c == want and p.c.__class__ is (int if want.denominator == 1 else Fraction)
+        assert p.mexp == tuple(k * e for k in f.mexp) and p.factors == ({atom: e} if e else {})
+        assert p.evaluate({"t": 2}) == f.evaluate({"t": 2}) ** e
+    assert f**1 is f
+    with pytest.raises(DivisionByZeroFunction):
+        (f - f) ** -1
 
 
 def test_ratfun_sum_makes_no_mpoly_sum(monkeypatch):
