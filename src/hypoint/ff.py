@@ -25,11 +25,12 @@ same computation reports a non-square, so a test-and-root costs one power.
 
 An operand meets one coercion rule, cheapest case first, in the operators
 + - * / == and in Field.elem (so in inv, legendre and sqrt): an element of
-the same Field object; then an element of another Field object with the same
-signature (p, m, modulus), as two field_new calls of one spec give; then an
-int, by its value, which a prime field reduces inside the operation itself.
-Elements of different fields raise TypeError("elements of different fields")
-and compare unequal.
+the same Field object, tested inline; then, in Field._val, the rule's one
+home, an element of another Field object with the same signature (p, m,
+modulus), as two field_new calls of one spec give, and an int, by its value,
+which a prime field reduces inside the operation itself. Elements of
+different fields raise TypeError("elements of different fields") there, and
+compare unequal.
 
 A Field caches what depends on the field alone, per instance and on first
 use: the non-residue and Tonelli-Shanks constants that sqrt needs, and the
@@ -245,23 +246,9 @@ class FieldElement:
         self.ctx = ctx
         self.val = val
 
-    def _val(self, other):
-        """other's val, by the coercion rule's later steps (the operators
-        test the first, the same Field object, inline): an element of another
-        Field object with this signature, then an int by value, which a prime
-        field reduces in the operation itself; None for any other type."""
-        ctx = self.ctx
-        if isinstance(other, FieldElement):
-            if other.ctx.signature != ctx.signature:
-                raise TypeError("elements of different fields")
-            return other.val
-        if isinstance(other, int):
-            return other if ctx.m == 1 else ctx.elem(other).val
-        return None
-
     def __add__(self, other):
         ctx = self.ctx
-        v = other.val if other.__class__ is FieldElement and other.ctx is ctx else self._val(other)
+        v = other.val if other.__class__ is FieldElement and other.ctx is ctx else ctx._val(other)
         if v is None:
             return NotImplemented
         if ctx.m == 1:
@@ -280,7 +267,7 @@ class FieldElement:
 
     def __sub__(self, other):
         ctx = self.ctx
-        v = other.val if other.__class__ is FieldElement and other.ctx is ctx else self._val(other)
+        v = other.val if other.__class__ is FieldElement and other.ctx is ctx else ctx._val(other)
         if v is None:
             return NotImplemented
         if ctx.m == 1:
@@ -293,7 +280,7 @@ class FieldElement:
 
     def __mul__(self, other):
         ctx = self.ctx
-        v = other.val if other.__class__ is FieldElement and other.ctx is ctx else self._val(other)
+        v = other.val if other.__class__ is FieldElement and other.ctx is ctx else ctx._val(other)
         if v is None:
             return NotImplemented
         if ctx.m == 1:
@@ -327,13 +314,13 @@ class FieldElement:
             return self.val == other.val
         # an int equals the element only as its representative 0 <= v < p,
         # so that equal objects hash alike
-        if isinstance(other, int):
-            if not 0 <= other < self.ctx.p:
-                return False
-            other = self.ctx.elem(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.ctx.signature == other.ctx.signature and self.val == other.val
+        if isinstance(other, int) and not 0 <= other < self.ctx.p:
+            return False
+        try:
+            v = self.ctx._val(other)
+        except TypeError:
+            return False
+        return NotImplemented if v is None else self.val == v
 
     def __hash__(self):
         v = self.val
@@ -408,17 +395,22 @@ class Field:
 
     # -- element construction ------------------------------------------------
 
-    def elem(self, v) -> FieldElement:
-        if v.__class__ is FieldElement and v.ctx is self:
-            return v
+    def _val(self, v):
+        """v's val, by the coercion rule's later steps (the operators and elem
+        test the first, this Field object, inline): an element of another
+        Field object with this signature, then an int by value, which a prime
+        field reduces in the operation itself; None for any other type."""
         if isinstance(v, FieldElement):
             if v.ctx.signature != self.signature:
                 raise TypeError("elements of different fields")
-            return v
+            return v.val
         if isinstance(v, int):
-            if self.m == 1:
-                return FieldElement(self, v % self.p)
-            return FieldElement(self, (v % self.p,) + (0,) * (self.m - 1))
+            return v if self.m == 1 else (v % self.p,) + (0,) * (self.m - 1)
+        return None
+
+    def elem(self, v) -> FieldElement:
+        if v.__class__ is FieldElement and v.ctx is self:
+            return v
         if isinstance(v, (tuple, list)):
             if self.m == 1:
                 raise TypeError("coefficient tuples are for extension fields")
@@ -426,7 +418,11 @@ class Field:
                 raise ValueError(f"too many coefficients for m={self.m}")
             coeffs = tuple(int(c) % self.p for c in v) + (0,) * (self.m - len(v))
             return FieldElement(self, coeffs)
-        raise TypeError(f"cannot build a field element from {type(v).__name__}")
+        val = self._val(v)
+        if val is None:
+            raise TypeError(f"cannot build a field element from {type(v).__name__}")
+        # an element of another Field object of this field is returned as it is
+        return v if isinstance(v, FieldElement) else FieldElement(self, val % self.p if self.m == 1 else val)
 
     def parse_elem(self, text: str) -> FieldElement:
         parts = [int(c) for c in text.split(",")]

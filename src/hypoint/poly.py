@@ -19,7 +19,8 @@ restrictions shape the design:
   degrees are summed, and the difference tested for zero. Factors are a
   dict from atom to exponent, an atom its own key, hashed once; atoms are
   never split, so no multivariate GCD or factorization exists anywhere in
-  this module. An atom memoises its powers; the memo lives and dies with it.
+  this module. Every polynomial power is taken in _Atom.__pow__, an atom's
+  memoised there; the memo lives and dies with the atom.
 * The variable universe is fixed to ``a b c d t u``. Every exponent vector is
   packed into one int with a fixed 16-bit limb per universe variable, limb i
   holding the exponent of ``VARS[i]``, so a monomial product between any two
@@ -245,30 +246,10 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        """self^e: a two-term polynomial takes the binomial theorem, e + 1
-        terms in one pass with no product of polynomials and nothing to
-        cancel (the keys j*k1 + (e-j)*k2 are distinct), after a check of e
-        times the largest limb, since _guard cannot see a scaled key's carry;
-        any other the product chain of an atom's power memo, which spends no
-        more products than square-and-multiply and guards every product."""
+        """self^e, raised by _Atom.__pow__ on a throwaway atom."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("MPoly exponent must be a non-negative int")
-        if not e:
-            return MPoly.const(1)
-        if len(self.terms) == 2:
-            if max(map(max, map(_unpack, self.terms))) * e >= _DEG_LIMIT:
-                raise OverflowError("power degree exceeds packing limit")
-            (k1, c1), (k2, c2) = self.terms.items()
-            pows2 = [1]  # c2^0 .. c2^e
-            for _ in range(e):
-                pows2.append(pows2[-1] * c2)
-            out, binom, pw1 = {}, 1, 1  # binom = C(e, j), pw1 = c1^j
-            for j in range(e + 1):
-                out[j * k1 + (e - j) * k2] = binom * pw1 * pows2[e - j]
-                binom = binom * (e - j) // (j + 1)
-                pw1 *= c1
-            return MPoly._raw(out)
-        return _Atom(self) ** e
+        return _Atom(self) ** e if e else MPoly.const(1)
 
     def __eq__(self, other):
         coerced = self._coerce(other)
@@ -331,16 +312,16 @@ class _Atom(frozenset):
     (its own dict key, hashed once, compared in C), the polynomial itself,
     and a memo of its powers that dies with the atom; no MPoly is written.
 
-    A two-term atom takes each missing power e by the binomial theorem. A
-    longer one builds it from its memo: one product p^k * p^(e-k) of two
-    memoised powers, k the largest such exponent, when there is one; else
-    one binary step, p^(e-1) * p for odd e and (p^(e/2))^2 for even e, its
-    operand built the same way and memoised. Each step costs one product,
-    and square-and-multiply takes one per binary step down to p^1, so no
-    power costs more products than square-and-multiply from scratch, and
-    runs such as 2, 4, 5, 6, 7, 8 cost one product each. MPoly.__pow__
-    runs the same chain on a throwaway atom for any polynomial but a
-    binomial. A pickled atom is rebuilt from its polynomial alone."""
+    Polynomial powers live in __pow__ alone; MPoly.__pow__ raises a
+    throwaway atom. A two-term atom takes each missing power e by the
+    binomial theorem. Any other builds it from its memo: one product
+    p^k * p^(e-k) of two memoised powers, k the largest such exponent, when
+    there is one; else one binary step, p^(e-1) * p for odd e and
+    (p^(e/2))^2 for even e, its operand built the same way and memoised.
+    Each step costs one product, and square-and-multiply takes one per
+    binary step down to p^1, so no power costs more products than
+    square-and-multiply from scratch, and runs such as 2, 4, 5, 6, 7, 8 cost
+    one product each. A pickled atom is rebuilt from its polynomial alone."""
 
     __slots__ = ("poly", "_pows")
 
@@ -353,13 +334,29 @@ class _Atom(frozenset):
         return _Atom, (self.poly,)
 
     def __pow__(self, e: int) -> MPoly:
-        """The atom's polynomial to a power e >= 1, memoised."""
+        """The atom's polynomial to a power e >= 1, memoised. A binomial's is
+        e + 1 terms in one pass with no product of polynomials and nothing to
+        cancel (the keys j*k1 + (e-j)*k2 are distinct), after a check of e
+        times the largest limb, since _guard cannot see a scaled key's carry;
+        any other's takes the product chain, which guards every product."""
         pows = self._pows
         p = pows.get(e)
         if p is not None:
             return p
-        if len(self.poly.terms) == 2:
-            p = self.poly**e
+        terms = self.poly.terms
+        if len(terms) == 2:
+            if max(map(max, map(_unpack, terms))) * e >= _DEG_LIMIT:
+                raise OverflowError("power degree exceeds packing limit")
+            (k1, c1), (k2, c2) = terms.items()
+            pows2 = [1]  # c2^0 .. c2^e
+            for _ in range(e):
+                pows2.append(pows2[-1] * c2)
+            out, binom, pw1 = {}, 1, 1  # binom = C(e, j), pw1 = c1^j
+            for j in range(e + 1):
+                out[j * k1 + (e - j) * k2] = binom * pw1 * pows2[e - j]
+                binom = binom * (e - j) // (j + 1)
+                pw1 *= c1
+            p = MPoly._raw(out)
         else:
             k = max((k for k in pows if k < e and e - k in pows), default=0)
             if k:
@@ -393,10 +390,10 @@ def _split(f, g):
     m) and scale an int; m the smaller exponent of each variable; common a
     fresh dict of the atoms f and g share, at their smaller exponents (a
     denominator atom's formal lcm), f's atoms first; and the c that f.c and
-    g.c are int multiples of. Unequal exponents take one pass over the
-    limbs, which builds m and both keys and raises OverflowError where a
-    shift of 2^15 or more would reach the limit or carry into the next limb,
-    as _pack does. Two int c's take their gcd as c."""
+    g.c are int multiples of. One pass over the limbs builds m and both keys
+    and raises OverflowError where a shift of 2^15 or more would reach the
+    limit or carry into the next limb, as _pack does. Two int c's take their
+    gcd as c."""
     f1, f2 = f.factors, g.factors
     common, rest1, rest2 = {}, [], []
     for a in {**f1, **f2}:
@@ -417,32 +414,25 @@ def _split(f, g):
         (n1, d1), (n2, d2) = c1.as_integer_ratio(), c2.as_integer_ratio()
         n, d = gcd(n1, n2), lcm(d1, d2)
         s1, s2, c = n1 // n * (d // d1), n2 // n * (d // d2), Fraction(n, d)
-    m = m1 = f.mexp
-    m2 = g.mexp
-    k1 = k2 = 0
-    if m1 != m2:
-        # equal exponents (92 of 566 calls a certify pass) shift neither
-        # side; the other 474 build m and both keys in one pass over the limbs
-        m, top = [], 0
-        for s, e1, e2 in zip(_SHIFTS, m1, m2):
-            if e1 == e2:
-                m.append(e1)
-            elif e1 < e2:
-                m.append(e1)
-                e2 -= e1
-                k2 += e2 << s
-                top |= e2
-            else:
-                m.append(e2)
-                e1 -= e2
-                k1 += e1 << s
-                top |= e1
-        # top is the OR of the differences: 2^15 or more in one limb would
-        # reach the limit, 2^16 or more would carry into the next limb
-        if top >= _DEG_LIMIT:
-            raise OverflowError("per-variable degree exceeds packing limit")
-        m = tuple(m)
-    return (rest1, k1, s1), (rest2, k2, s2), m, common, c
+    m, k1, k2, top = [], 0, 0, 0
+    for s, e1, e2 in zip(_SHIFTS, f.mexp, g.mexp):
+        if e1 == e2:
+            m.append(e1)
+        elif e1 < e2:
+            m.append(e1)
+            e2 -= e1
+            k2 += e2 << s
+            top |= e2
+        else:
+            m.append(e2)
+            e1 -= e2
+            k1 += e1 << s
+            top |= e1
+    # top is the OR of the differences: 2^15 or more in one limb would reach
+    # the limit, 2^16 or more would carry into the next limb
+    if top >= _DEG_LIMIT:
+        raise OverflowError("per-variable degree exceeds packing limit")
+    return (rest1, k1, s1), (rest2, k2, s2), tuple(m), common, c
 
 
 def _cross(side1, side2, sign) -> MPoly:
@@ -526,12 +516,8 @@ class RatFun:
     __slots__ = ("c", "mexp", "factors")
 
     def __init__(self, num, den=None):
-        f = _poly_fun(num) if isinstance(num, MPoly) else RatFun._const(num)
-        if den is not None:
-            den = RatFun(den)
-            if den.factors is None:
-                raise DivisionByZeroFunction("zero denominator")
-            f = f / den
+        # a zero den raises DivisionByZeroFunction through its power -1
+        f = as_ratfun(num) if den is None else as_ratfun(num) / as_ratfun(den)
         self.c, self.mexp, self.factors = f.c, f.mexp, f.factors
 
     @classmethod

@@ -114,25 +114,10 @@ def enumerate_curve(params: CurveParams, cap=None) -> list:
 # the domain walk
 
 
-class _Logs:
-    """F_q in log form for one walk: the field's log and Zech tables, and the
-    ints coerced through the logs of their field values. It is the walk's, not
-    the field's, so the field's tables never refer back to the field."""
-
-    def __init__(self, ctx: Field, log: tuple, zech: tuple):
-        self.ctx, self.log, self.zech = ctx, log, zech
-        self.qm1 = ctx.q - 1
-        # -1 is the one element of order 2, gen^((q-1)/2)
-        self.half = self.qm1 // 2
-
-    def log_of(self, x):
-        """The log of an int, through its field value, or of a field element."""
-        return self.log[self.ctx.index((self.ctx.elem(x) if type(x) is int else x).val)]
-
-
 class _LogVec:
     """A whole table of F_q elements, each as its discrete log mod q - 1 and
-    zero as None; every operation is one pass over the table.
+    zero as None; every operation is one pass over the table, in the log
+    context of its walk (its zech, qm1, half and log_of).
 
     Products, quotients, powers and negation are int arithmetic on the logs,
     and a sum reads the Zech table: gen^i + gen^j = gen^(i + zech[j - i]).
@@ -145,10 +130,10 @@ class _LogVec:
     carries.
     """
 
-    __slots__ = ("f", "ks", "mask")
+    __slots__ = ("walk", "ks", "mask")
 
-    def __init__(self, f: _Logs, ks: list, mask: frozenset = frozenset()):
-        self.f = f
+    def __init__(self, walk: _DomainWalk, ks: list, mask: frozenset = frozenset()):
+        self.walk = walk
         self.ks = ks
         self.mask = mask
 
@@ -156,47 +141,47 @@ class _LogVec:
         """other's logs, one per entry, and the mask of the result."""
         if type(other) is _LogVec:
             return other.ks, self.mask | other.mask
-        return [self.f.log_of(other)] * len(self.ks), self.mask
+        return [self.walk.log_of(other)] * len(self.ks), self.mask
 
     def __add__(self, other):
-        zech, qm1 = self.f.zech, self.f.qm1
+        zech, qm1 = self.walk.zech, self.walk.qm1
         js, mask = self._other(other)
         # j - i lies in (-(q-1), q-1), and a negative list index counts from
         # the end, so zech[j - i] is zech[(j - i) mod (q - 1)]
-        return _LogVec(self.f, [
+        return _LogVec(self.walk, [
             j if i is None else i if j is None
             else None if (z := zech[j - i]) is None else (i + z) % qm1
             for i, j in zip(self.ks, js)], mask)
 
     def __neg__(self):
         # -gen^i = gen^(i + (q-1)/2)
-        half, qm1 = self.f.half, self.f.qm1
-        return _LogVec(self.f, [None if i is None else (i + half) % qm1 for i in self.ks], self.mask)
+        half, qm1 = self.walk.half, self.walk.qm1
+        return _LogVec(self.walk, [None if i is None else (i + half) % qm1 for i in self.ks], self.mask)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if type(other) is not _LogVec and self.f.log_of(other) == 0:
+        if type(other) is not _LogVec and self.walk.log_of(other) == 0:
             return self  # the formulas' t = 1: a whole-table pass saved
-        qm1 = self.f.qm1
+        qm1 = self.walk.qm1
         js, mask = self._other(other)
-        return _LogVec(self.f, [None if i is None or j is None else (i + j) % qm1
-                                for i, j in zip(self.ks, js)], mask)
+        return _LogVec(self.walk, [None if i is None or j is None else (i + j) % qm1
+                                   for i, j in zip(self.ks, js)], mask)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        qm1 = self.f.qm1
+        qm1 = self.walk.qm1
         js, mask = self._other(other)
         if None in js:
             mask = mask.union(p for p, j in enumerate(js) if j is None)
-        return _LogVec(self.f, [None if i is None or j is None else (i - j) % qm1
-                                for i, j in zip(self.ks, js)], mask)
+        return _LogVec(self.walk, [None if i is None or j is None else (i - j) % qm1
+                                   for i, j in zip(self.ks, js)], mask)
 
     def __pow__(self, e: int):
-        qm1 = self.f.qm1
-        return _LogVec(self.f, [None if i is None else i * e % qm1 for i in self.ks], self.mask)
+        qm1 = self.walk.qm1
+        return _LogVec(self.walk, [None if i is None else i * e % qm1 for i in self.ks], self.mask)
 
     def __bool__(self):
         return self.ks.count(None) < len(self.ks)
@@ -219,14 +204,16 @@ class _DomainWalk:
     The tables are in log form. The field's own tables (antilog, log,
     character, canonical root and Zech) come from Field.log_tables, built on
     the first walk over a Field object and shared, unwritten, by every later
-    one. The walk builds only the curve's tables: g and curves._three_point
-    run once each on whole-table vectors (_LogVec), so every product is an
-    int sum and every sum one table read, on prime and extension fields
-    alike; _three_point gathers g(X2) from the g-table instead of evaluating
-    g again. A corrupted table rebound on one walk therefore leaves the
-    field's tables, and later walks, as they were. The s-table takes two
-    calls, s = 1 alone and every other s; the mask of the second call, and
-    a call whose core vanishes at every s, mark the excluded s. run() makes
+    one. The walk is the log context of its _LogVecs (zech, qm1, half and
+    log_of), so the field's tables never refer back to a walk. It builds only
+    the curve's tables: g and curves._three_point run once each on
+    whole-table vectors (_LogVec), so every product is an int sum and every
+    sum one table read, on prime and extension fields alike; _three_point
+    gathers g(X2) from the g-table instead of evaluating g again. A
+    corrupted table rebound on one walk therefore leaves the field's tables,
+    and later walks, as they were. The s-table takes two calls, s = 1 alone
+    and every other s; the mask of the second call, and a call whose core
+    vanishes at every s, mark the excluded s. run() makes
     each check once per s, weighted by the 2 * #{u : g(u) != 0,
     chi(g(u)) = chi(s)} pairs that meet s, so the counters size_T,
     raw_excluded, identity_failures, char_violations and
@@ -240,18 +227,20 @@ class _DomainWalk:
     def __init__(self, params: CurveParams):
         _require_odd(params.n)
         ctx = _field_of(params)
-        qm1 = ctx.q - 1
-        alog, log, chi, root, zech = ctx.log_tables()
-        logs = _Logs(ctx, log, zech)
+        alog, log, chi, root, self.zech = ctx.log_tables()
+        self.ctx, self._log = ctx, log
+        self.qm1 = qm1 = ctx.q - 1
+        # -1 is the one element of order 2, gen^((q-1)/2)
+        self.half = qm1 // 2
         fam, n, a, b = params.family, params.n, params.a, params.b
         # a list copy: _LogVec compares its entries to a list, and the field's
         # tuple stays the field's
-        gx = g_shape(fam, n, a, b, _LogVec(logs, list(log))).column(alog)
+        gx = g_shape(fam, n, a, b, _LogVec(self, list(log))).column(alog)
         lg0 = log[gx[0]]
 
         def g_of(x2: _LogVec) -> _LogVec:
             # g(X2) gathered from the g-table, not evaluated again
-            return _LogVec(logs, [lg0 if k is None else log[gx[alog[k]]] for k in x2.ks], x2.mask)
+            return _LogVec(self, [lg0 if k is None else log[gx[alog[k]]] for k in x2.ks], x2.mask)
 
         # X2, X3 and log U by log of s, None where the denominator core
         # vanishes: the map at t = 1, gamma = s has the X2 and X3 of every
@@ -261,20 +250,18 @@ class _DomainWalk:
         x2_of, x3_of, lu_of = [], [], []
         for ks in ([0], list(range(1, qm1))):
             try:
-                x2, x3, uu, _ = _three_point(fam, n, a, b, 1, _LogVec(logs, ks), "raw", g_of)
+                x2, x3, uu, _ = _three_point(fam, n, a, b, 1, _LogVec(self, ks), "raw", g_of)
             except DenominatorVanishes:
                 # the core vanishes at every s of the call
-                x2 = x3 = uu = _LogVec(logs, ks, frozenset(range(len(ks))))
+                x2 = x3 = uu = _LogVec(self, ks, frozenset(range(len(ks))))
             x2_of += x2.column(alog)
             x3_of += x3.column(alog)
             lu_of += uu.column()
 
         self.params = params
-        self.ctx = ctx
         self.gx = gx
         self.root = root
         self.chi = chi
-        self._log = log
         self._alog = alog
         self._x2_of = x2_of
         self._x3_of = x3_of
@@ -286,14 +273,17 @@ class _DomainWalk:
         self.char_violations = 0
         self.membership_failures = 0
 
+    def log_of(self, x):
+        """The log of an int, through its field value, or of a field element."""
+        return self._log[self.ctx.index((self.ctx.elem(x) if type(x) is int else x).val)]
+
     def rows(self):
-        q = self.ctx.q
-        qm1 = q - 1
+        qm1 = self.qm1
         log = self._log
         # doubled, so that a sum of two logs indexes it without a reduction
         admissible = [x2 is not None for x2 in self._x2_of] * 2
         lgus = [(u, log[g]) for u, g in enumerate(self.gx) if g]
-        for t in range(1, q):
+        for t in range(1, self.ctx.q):
             lt2 = 2 * log[t] % qm1
             yield t, [u for u, lgu in lgus if admissible[lt2 + lgu]]
 
@@ -301,10 +291,10 @@ class _DomainWalk:
         """y^2 = g(x) for the encoder's y, the canonical root of g(x)."""
         g, y = self.gx[x], self.root[self.gx[x]]
         # y^2 is the antilog of 2 log y
-        return (self._alog[2 * self._log[y] % (self.ctx.q - 1)] if y else 0) == g
+        return (self._alog[2 * self._log[y] % self.qm1] if y else 0) == g
 
     def run(self) -> _DomainWalk:
-        qm1 = self.ctx.q - 1
+        qm1 = self.qm1
         log, alog, gx, chi, hit = self._log, self._alog, self.gx, self.chi, self.hit
         # the u off the roots of g, by the character of g(u)
         by_chi = {1: [], -1: []}

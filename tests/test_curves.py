@@ -48,7 +48,7 @@ from hypoint.curves import (
     two_point_symbolic,
 )
 from hypoint.ff import FieldSpec, field_new
-from hypoint.poly import MPoly, RatFun, rf_eq
+from hypoint.poly import MPoly, RatFun, _Atom, rf_eq
 
 K11 = field_new(11)
 P11 = CurveParams("g1", 3, K11.elem(1), K11.elem(1))
@@ -531,15 +531,16 @@ def test_three_point_certificate_evaluates_g_once(family, n, monkeypatch):
 def test_power_memo_never_outlives_a_call(args, monkeypatch):
     # atoms memoise their powers only for their own lifetime, so a second,
     # identical certification raises as many multi-term polynomials as the
-    # first; a cache kept across calls would make it cheaper
+    # first; a cache kept across calls would make it cheaper. Every power is
+    # raised in _Atom.__pow__, and a power its memo lacks is one raised
     counts = []
-    pow_ = MPoly.__pow__
+    pow_ = _Atom.__pow__
 
-    def counted(f, e):
-        counts[-1] += len(f.terms) > 1
-        return pow_(f, e)
+    def counted(atom, e):
+        counts[-1] += len(atom.poly.terms) > 1 and e not in atom._pows
+        return pow_(atom, e)
 
-    monkeypatch.setattr(MPoly, "__pow__", counted)
+    monkeypatch.setattr(_Atom, "__pow__", counted)
     for _ in range(2):
         counts.append(0)
         assert certify_three_point(*args)

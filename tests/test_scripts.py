@@ -90,3 +90,15 @@ def test_cheapest_mutants_are_killed(mutants):
     # and the script itself runs each target on an unmutated copy first
     names = ["no Lucas step", "_sum drops the second sign"]
     assert mutants.run([entry for entry in mutants.load() if entry["name"] in names]) == [1, 1]
+
+
+def test_ab_passes_reads_one_tree_against_itself_level(capsys):
+    ab = _load("ab_passes")
+    src = str(ROOT / "src")
+    assert ab.main(["survey-small", src, src, "1", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"workload", "a", "b", "ratio", "b_lower", "rounds", "a_rounds", "b_rounds"}
+    assert out["workload"] == "survey-small" and out["rounds"] == 1 and out["b_lower"] in (0, 1)
+    assert out["a_rounds"] == [out["a"]] and out["b_rounds"] == [out["b"]] and out["ratio"] == out["b"] / out["a"]
+    # one tree against itself: only noise separates the sides
+    assert 0.5 < out["ratio"] < 2

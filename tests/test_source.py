@@ -170,3 +170,20 @@ def test_every_to_json_builds_on_record():
             if isinstance(node, ast.FunctionDef) and node.name == "to_json" and not _calls(node, _is_super_to_json):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], f"to_json without super().to_json(): {found}"
+
+
+def _is_other_field_refusal(node):
+    # raise TypeError("elements of different fields")
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    return (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name) and exc.func.id == "TypeError"
+            and [getattr(arg, "value", None) for arg in exc.args] == ["elements of different fields"])
+
+
+def test_another_field_is_refused_in_one_place():
+    # the coercion rule has one home, Field._val: the operators, Field.elem
+    # and == reach it, so no other code refuses an element of another field
+    tree = ast.parse(next(p for p in SOURCES if p.name == "ff.py").read_text())
+    homes = [f"{cls.name}.{fn.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for fn in cls.body for node in ast.walk(fn) if _is_other_field_refusal(node)]
+    assert homes == ["Field._val"]
+    assert sum(map(_is_other_field_refusal, ast.walk(tree))) == 1
